@@ -8,7 +8,6 @@ quantum memories) joined by interconnect links.  Module kinds:
 * ``QSF``    magic-state factory tier (T or CCZ)
 * ``STQM``   short-term memory, stores encoded patches without active QEC
 * ``RAQM``   random-access memory with active QEC and its own clock
-* ``QB``     Bell-pair buffer (operational bus parameters live on links)
 
 Configs are sectioned key-value text; builtins round-trip bit-exactly.
 """
@@ -17,9 +16,10 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 
-MODULE_KINDS = frozenset({"QPU", "QSF", "ASQPU", "STQM", "RAQM", "QB"})
+MODULE_KINDS = frozenset({"QPU", "QSF", "ASQPU", "STQM", "RAQM"})
 LINK_PROTOCOLS = frozenset({"transversal", "lattice_surgery"})
 CODE_FAMILIES = frozenset({"surface", "gross", "none"})
 
@@ -74,7 +74,6 @@ class ModuleSpec:
     # memory tier (RAQM)
     k_swap: int = 0
     n_transfer: int | None = None
-    transfer_distance: int | None = None
 
     @property
     def capacity_per_core(self) -> int:
@@ -89,8 +88,6 @@ class LinkSpec:
     b: str
     protocol: str
     eps_tele: float = 1e-4
-    bell_rate_hz: float = 1e8
-    bell_eps: float = 1e-3
     n_buf: int = 2
     n_anc_pump: int = 1
 
@@ -152,12 +149,21 @@ def derive_boundary(spec: ArchitectureSpec, link: LinkSpec | None = None) -> Bou
     return Boundary(n_bdry, d_bdry, d_time)
 
 
+def _non_finite(where: str, *parts) -> list[str]:
+    """One diagnostic per float field of ``parts`` that is NaN or infinite."""
+    return [f"{where}: {f.name} must be finite"
+            for part in parts for f in fields(part)
+            if isinstance(getattr(part, f.name), float)
+            and not math.isfinite(getattr(part, f.name))]
+
+
 def validate(spec: ArchitectureSpec) -> list[str]:
     """Structural diagnostics; an empty list means the architecture is usable."""
     out: list[str] = []
     seen: set[str] = set()
     for m in spec.modules:
         where = f"module {m.id}"
+        out.extend(_non_finite(where, m, m.code, m.modality))
         if m.id in seen:
             out.append(f"{where}: duplicate id")
         seen.add(m.id)
@@ -208,6 +214,7 @@ def validate(spec: ArchitectureSpec) -> list[str]:
     ids = {m.id for m in spec.modules}
     for l in spec.links:
         where = f"link {l.a}-{l.b}"
+        out.extend(_non_finite(where, l))
         for end in (l.a, l.b):
             if end not in ids:
                 out.append(f"{where}: unknown module {end!r}")
@@ -223,10 +230,8 @@ def validate(spec: ArchitectureSpec) -> list[str]:
             out.append(f"{where}: n_anc_pump must be 1 or 2")
         if l.n_buf < 0:
             out.append(f"{where}: negative buffer depth")
-        if not 0 <= l.eps_tele < 1 or not 0 <= l.bell_eps < 1:
-            out.append(f"{where}: link error rates outside [0, 1)")
-        if l.bell_rate_hz <= 0:
-            out.append(f"{where}: Bell rate must be positive")
+        if not 0 <= l.eps_tele < 1:
+            out.append(f"{where}: eps_tele outside [0, 1)")
     if not any(m.kind == "QPU" for m in spec.modules):
         out.append("architecture has no QPU module")
     return out
@@ -240,8 +245,6 @@ ULC_REI = ModalitySpec("ulc_rei", p_phys=1e-10, p_th=0.2,
                        t1_s=1.98e6, t2_s=3.6e4)
 NA_LC = ModalitySpec("na_lc", p_phys=1e-4, p_th=6e-3, t1_s=100.0, t2_s=100.0)
 PHOTONIC = ModalitySpec("photonic", p_phys=1e-3, p_th=1e-2, t1_s=1.0, t2_s=1.0)
-
-MODALITIES = {m.name: m for m in (SC_TRANSMON, ULC_REI, NA_LC, PHOTONIC)}
 
 BUILTIN_NAMES = ("baseline1000", "A1", "A2", "A3", "Mono",
                  "B1", "B2", "B3", "B4", "B5", "B6")
@@ -275,11 +278,10 @@ def _stqm(n: int, d: int, module_id: str = "stqm0") -> ModuleSpec:
 
 
 def _raqm(n: int, code: CodeSpec, t_cycle: float, k_swap: int = 0,
-          n_transfer: int | None = None,
-          transfer_distance: int | None = None) -> ModuleSpec:
+          n_transfer: int | None = None) -> ModuleSpec:
     return ModuleSpec("raqm0", "RAQM", n, code, NA_LC, t_cycle,
                       t_cycle_min_s=5e-5, t_cycle_max_s=1e-3, k_swap=k_swap,
-                      n_transfer=n_transfer, transfer_distance=transfer_distance)
+                      n_transfer=n_transfer)
 
 
 def builtin_architecture(name: str) -> ArchitectureSpec:
@@ -314,11 +316,11 @@ def builtin_architecture(name: str) -> ArchitectureSpec:
         links = [LinkSpec("qpu0", "cache0", "transversal")]
         if name in ("B2", "B5"):
             modules.append(_raqm(1254, CodeSpec("surface", 9), 1e-3,
-                                 k_swap=4, n_transfer=22, transfer_distance=19))
+                                 k_swap=4, n_transfer=22))
             links.append(LinkSpec("qpu0", "raqm0", "transversal"))
         elif name in ("B3", "B6"):
             modules.append(_raqm(1260, CodeSpec("gross", 12), 1e-3,
-                                 k_swap=4, n_transfer=26, transfer_distance=19))
+                                 k_swap=4, n_transfer=26))
             links.append(LinkSpec("qpu0", "raqm0", "transversal"))
         if name in ("B4", "B5", "B6"):
             modules.append(ModuleSpec(
@@ -371,14 +373,11 @@ _MODULE_FIELDS = (
     ("eps_magic", "eps_magic", "float", 0.0),
     ("k_swap", "k_swap", "int", 0),
     ("n_transfer", "n_transfer", "int", None),
-    ("transfer_distance", "transfer_distance", "int", None),
 )
 
 _LINK_FIELDS = (
     ("protocol", "str"),
     ("eps_tele", "float"),
-    ("bell_rate_hz", "float"),
-    ("bell_eps", "float"),
     ("n_buf", "int"),
     ("n_anc_pump", "int"),
 )
@@ -559,6 +558,6 @@ __all__ = [
     "GROSS_BLOCK_LOGICAL", "ConfigError", "CodeSpec", "ModalitySpec",
     "ModuleSpec", "LinkSpec", "ArchitectureSpec", "Boundary",
     "derive_boundary", "validate", "builtin_architecture", "BUILTIN_NAMES",
-    "MODALITIES", "to_config_text", "parse_config_text", "apply_override",
+    "to_config_text", "parse_config_text", "apply_override",
     "load_architecture",
 ]

@@ -52,14 +52,6 @@ class CircuitError(ValueError):
 
 
 @dataclass(frozen=True)
-class LogicalQubit:
-    """One logical qubit; ``role`` is either ``data`` or ``ancilla``."""
-
-    id: int
-    role: str = "data"
-
-
-@dataclass(frozen=True)
 class GateOp:
     """A single logical operation.
 
@@ -93,13 +85,8 @@ class LogicalCircuit:
     name: str
     n_qubits: int
     ops: list[GateOp] = field(default_factory=list)
-    roles: dict[int, str] = field(default_factory=dict)
+    roles: dict[int, str] = field(default_factory=dict)  # q -> "ancilla"
     metadata: dict = field(default_factory=dict)
-
-    @property
-    def qubits(self) -> list[LogicalQubit]:
-        return [LogicalQubit(i, self.roles.get(i, "data"))
-                for i in range(self.n_qubits)]
 
     def add(self, kind: str, *qubits: int, angle: float | None = None,
             tag: str | None = None) -> None:
@@ -147,10 +134,6 @@ class LogicalCircuit:
                 wanted -= hit
         preds.reverse()
         return preds
-
-    def topological_order(self) -> list[int]:
-        """Program order; by construction a valid topological order."""
-        return list(range(len(self.ops)))
 
     def count_kind(self, kind: str) -> int:
         return sum(1 for op in self.ops if op.kind == kind)
@@ -252,5 +235,5 @@ def control_slots(op: GateOp) -> tuple[int, ...]:
 
 __all__ = [
     "GATE_ARITY", "PARAMETRIC_KINDS", "DIAGONAL_KINDS", "CircuitError",
-    "LogicalQubit", "GateOp", "LogicalCircuit", "control_slots",
+    "GateOp", "LogicalCircuit", "control_slots",
 ]

@@ -20,8 +20,7 @@ from pathlib import Path
 from .arch import (BUILTIN_NAMES, ConfigError, apply_override,
                    load_architecture, to_config_text, validate)
 from .circuits import LogicalCircuit
-from .compiler import (CompileError, error_budget, schedule,
-                       schedule_baseline)
+from .compiler import CompileError, error_budget, schedule
 from .estimator import (COMPARISON_FIELDS, compare_architectures,
                         rsa_estimate, rsa_estimate_compiled)
 from .generators import (generate_aqft, generate_cuccaro_adder,
@@ -127,14 +126,12 @@ def _load_arch(name: str, overrides: list[str]):
     return spec
 
 
-def _compile(circ: LogicalCircuit, spec, force_baseline: bool):
+def _compile(circ: LogicalCircuit, spec):
     problems = circ.validate()
     if problems:
         raise _CliError("invalid circuit: " + "; ".join(problems),
                         EXIT_VALIDATION)
     try:
-        if force_baseline or not spec.memory_modules():
-            return schedule_baseline(circ, spec)
         return schedule(circ, spec)
     except (CompileError, TransferInfeasible) as exc:
         raise _CliError(f"compilation failed: {exc}", EXIT_COMPILE)
@@ -148,7 +145,7 @@ def _write_json(path: Path, payload) -> None:
 def cmd_run(args) -> int:
     circ = build_workload(args.workload)
     spec = _load_arch(args.arch, args.override)
-    prog = _compile(circ, spec, args.baseline)
+    prog = _compile(circ, spec)
     budget = error_budget(prog)
     summary = {
         "circuit": prog.circuit_name,
@@ -297,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--arch", required=True,
                     help=f"builtin ({', '.join(BUILTIN_NAMES)}) or config "
                          "path")
-    sp.add_argument("--baseline", action="store_true",
-                    help="force the monolithic grid path")
     common(sp)
     sp.set_defaults(fn=cmd_run)
 

@@ -35,6 +35,10 @@ EVENT_KINDS = frozenset({"gate", "t_inject", "ccz_inject", "transfer_write",
 #: fixed factory block attached to an application-specific core
 ASQPU_FACTORY_UNITS = 12
 
+#: event kind of a lowered gate by its cost key; every other key is a "gate"
+_INJECT_KINDS = {"t": "t_inject", "rz": "t_inject", "toffoli_t": "t_inject",
+                 "ccz": "ccz_inject"}
+
 _FAR = 1 << 60
 
 
@@ -236,6 +240,20 @@ def lower_circuit(circuit: LogicalCircuit, factory_state: str | None,
     return out
 
 
+def _front_end(circuit: LogicalCircuit, arch: ArchitectureSpec
+               ) -> tuple[ModuleSpec, ModuleSpec | None, list[LoweredGate]]:
+    """(first QPU, first factory or None, lowered gates) of valid inputs."""
+    problems = circuit.validate() + validate(arch)
+    if problems:
+        raise CompileError("; ".join(problems))
+    qpu = arch.by_kind("QPU")[0]
+    qsfs = arch.by_kind("QSF")
+    qsf = qsfs[0] if qsfs else None
+    lowered = lower_circuit(circuit, qsf.state if qsf else None,
+                            qsf.eps_magic if qsf else 2.1e-9)
+    return qpu, qsf, lowered
+
+
 def _module_costs(module: ModuleSpec,
                   qsf: ModuleSpec | None) -> dict[str, tuple[int, float]]:
     """cost_key -> (cycles on this module, error per execution)."""
@@ -303,6 +321,25 @@ def consolidate_blocks(lowered: list[LoweredGate],
 # ------------------------------------------------------------ runtime model
 
 @dataclass
+class _Pool:
+    """Magic-state supply of ``units`` factories, ``prod`` cycles per state."""
+
+    units: int
+    prod: int
+    t_cycle: float
+    consumed: int = 0
+
+    def take(self, n: int) -> float:
+        """Consume ``n`` states; returns when the last of them is ready."""
+        self.consumed += n
+        return self.consumed * self.prod * self.t_cycle / self.units
+
+
+def _factory_pool(qsf: ModuleSpec) -> _Pool:
+    return _Pool(max(qsf.n_logical, 1), qsf.production_cycles, qsf.t_cycle_s)
+
+
+@dataclass
 class _Core:
     module: ModuleSpec
     core_idx: int
@@ -340,18 +377,10 @@ class _Memory:
 
 class _Scheduler:
     def __init__(self, circuit: LogicalCircuit, arch: ArchitectureSpec):
-        problems = circuit.validate() + validate(arch)
-        if problems:
-            raise CompileError("; ".join(problems))
+        qpu, self.qsf, self.lowered = _front_end(circuit, arch)
         self.circuit = circuit
         self.arch = arch
-        self.qpu = arch.by_kind("QPU")[0]
-        qsfs = arch.by_kind("QSF")
-        self.qsf = qsfs[0] if qsfs else None
-        self.lowered = lower_circuit(
-            circuit, self.qsf.state if self.qsf else None,
-            self.qsf.eps_magic if self.qsf else 2.1e-9)
-        self.t_qpu = self.qpu.t_cycle_s
+        self.t_qpu = qpu.t_cycle_s
         self.events: list[ScheduledEvent] = []
         self.audit: list[RouterDecision] = []
         self.warnings: list[str] = []
@@ -386,11 +415,10 @@ class _Scheduler:
         cores = []
         for m in self.arch.compute_modules():
             costs = _module_costs(m, self.qsf)
-            eps = logical_error_per_cycle(m.modality.p_phys,
-                                          m.modality.p_th, m.code.distance)
             for ci in range(m.cores):
                 cores.append(_Core(m, ci, f"{m.id}:core{ci}",
-                                   m.capacity_per_core, costs, eps))
+                                   m.capacity_per_core, costs,
+                                   costs["1q"][1]))
         # specialty cores first so an estimate tie dispatches to them
         cores.sort(key=lambda c: (c.module.specialty is None, c.module.id,
                                   c.core_idx))
@@ -428,19 +456,16 @@ class _Scheduler:
         mems.sort(key=lambda mm: (mm.module.kind != "STQM", mm.module.id))
         return mems
 
-    def _build_pools(self) -> dict[str, dict]:
-        pools: dict[str, dict] = {}
+    def _build_pools(self) -> dict[str, _Pool]:
+        pools: dict[str, _Pool] = {}
         if self.qsf is not None:
-            pools["shared"] = {"units": max(self.qsf.n_logical, 1),
-                               "prod": self.qsf.production_cycles,
-                               "t_cycle": self.qsf.t_cycle_s, "consumed": 0}
+            pools["shared"] = _factory_pool(self.qsf)
         for m in self.arch.by_kind("ASQPU"):
-            pools[m.id] = {"units": ASQPU_FACTORY_UNITS,
-                           "prod": 4 * m.code.distance,
-                           "t_cycle": m.t_cycle_s, "consumed": 0}
+            pools[m.id] = _Pool(ASQPU_FACTORY_UNITS, 4 * m.code.distance,
+                                m.t_cycle_s)
         return pools
 
-    def _pool_of(self, core: _Core) -> dict | None:
+    def _pool_of(self, core: _Core) -> _Pool | None:
         if core.module.kind == "ASQPU" and core.module.id in self.pools:
             return self.pools[core.module.id]
         return self.pools.get("shared")
@@ -496,17 +521,16 @@ class _Scheduler:
         return lst[i] if i < len(lst) else None
 
     def _memory_for(self, q: int, core: _Core) -> _Memory:
-        mem = self.q_mem.get(q)
-        if mem is not None:
-            return mem
-        for mm in self.memories:
-            if core.module.id in mm.links and not mm.full():
-                mm.cells[q] = len(mm.cells)
-                self.q_mem[q] = mm
-                return mm
-        raise CompileError(
-            f"no reachable memory cell for qubit {q} from {core.lane}; "
-            "compute capacity exhausted")
+        """The memory holding q, claiming a free reachable cell if none."""
+        mem = self._probe_memory(q, core)
+        if mem is None:
+            raise CompileError(
+                f"no reachable memory cell for qubit {q} from {core.lane}; "
+                "compute capacity exhausted")
+        if q not in self.q_mem:
+            mem.cells[q] = len(mem.cells)
+            self.q_mem[q] = mem
+        return mem
 
     def _probe_memory(self, q: int, core: _Core) -> _Memory | None:
         mem = self.q_mem.get(q)
@@ -748,9 +772,7 @@ class _Scheduler:
         if g.magic:
             pool = self._pool_of(core)
             if pool is not None:
-                pool["consumed"] += g.magic
-                start = max(start, pool["consumed"] * pool["prod"]
-                            * pool["t_cycle"] / pool["units"])
+                start = max(start, pool.take(g.magic))
         for q in g.qubits:
             arrival = core.incoming.pop(q, None)
             if arrival is not None:
@@ -758,9 +780,7 @@ class _Scheduler:
                 self.q_core[q] = core
             self._charge_idle(core, q, start)
         dur = cycles * core.module.t_cycle_s
-        kind = {"t": "t_inject", "rz": "t_inject", "toffoli_t": "t_inject",
-                "ccz": "ccz_inject"}.get(g.cost_key, "gate")
-        self._emit(start, dur, kind, core.module.id, core.lane, g.qubits,
+        self._emit(start, dur, _INJECT_KINDS.get(g.cost_key, "gate"), core.module.id, core.lane, g.qubits,
                    g.label, err, g.category)
         self.counters["cnot_count"] += g.n_cnot
         self.counters["t_count"] += g.n_t
@@ -849,7 +869,13 @@ class _Scheduler:
 
 def schedule(circuit: LogicalCircuit,
              arch: ArchitectureSpec) -> ScheduledProgram:
-    """Compile and schedule a circuit; deterministic for identical inputs."""
+    """Compile and schedule a circuit; deterministic for identical inputs.
+
+    An architecture without memory modules runs on the grid baseline, every
+    other one on the modular scheduler.
+    """
+    if not arch.memory_modules():
+        return schedule_baseline(circuit, arch)
     return _Scheduler(circuit, arch).run()
 
 
@@ -860,22 +886,16 @@ def schedule_baseline(circuit: LogicalCircuit,
     """Monolithic reference: square grid, persistent map, swap routing.
 
     Gates run as one serial stream; every mapped qubit is charged idle error
-    over the whole makespan outside its own gate time.
+    over the whole makespan outside its own gate time.  ``schedule`` picks
+    this model for an architecture without memory modules; it uses the
+    first QPU and its first factory only.
     """
-    problems = circuit.validate() + validate(arch)
-    if problems:
-        raise CompileError("; ".join(problems))
-    qpu = arch.by_kind("QPU")[0]
+    qpu, qsf, lowered = _front_end(circuit, arch)
     if circuit.n_qubits > qpu.n_logical:
         raise CompileError(f"{circuit.n_qubits} qubits exceed the device's "
                            f"{qpu.n_logical}")
-    qsfs = arch.by_kind("QSF")
-    qsf = qsfs[0] if qsfs else None
-    lowered = lower_circuit(circuit, qsf.state if qsf else None,
-                            qsf.eps_magic if qsf else 2.1e-9)
     costs = _module_costs(qpu, qsf)
-    eps = logical_error_per_cycle(qpu.modality.p_phys, qpu.modality.p_th,
-                                  qpu.code.distance)
+    eps = costs["1q"][1]
     t_cyc = qpu.t_cycle_s
     n = circuit.n_qubits
     side = math.isqrt(n - 1) + 1 if n else 1
@@ -886,7 +906,7 @@ def schedule_baseline(circuit: LogicalCircuit,
     busy = {q: 0.0 for q in range(n)}
     lane = f"{qpu.id}:core0"
     t = 0.0
-    consumed = 0
+    pool = _factory_pool(qsf) if qsf is not None else None
     swap_cycles = 3 * qpu.code.distance
     swap_err = -math.expm1(3 * math.log1p(-costs["2q"][1]))
 
@@ -944,15 +964,13 @@ def schedule_baseline(circuit: LogicalCircuit,
                 route(extra, anchor, stop, placed)
                 placed.add(extra)
         cycles, err = costs[g.cost_key]
-        if g.magic and qsf is not None:
-            consumed += g.magic
-            t = max(t, consumed * qsf.production_cycles * qsf.t_cycle_s
-                    / max(qsf.n_logical, 1))
+        if g.magic and pool is not None:
+            t = max(t, pool.take(g.magic))
         dur = cycles * t_cyc
-        kind = {"t": "t_inject", "rz": "t_inject", "toffoli_t": "t_inject",
-                "ccz": "ccz_inject"}.get(g.cost_key, "gate")
-        events.append(ScheduledEvent(t, dur, kind, qpu.id, lane, g.qubits,
-                                     g.label, err, g.category))
+        events.append(ScheduledEvent(t, dur,
+                                     _INJECT_KINDS.get(g.cost_key, "gate"),
+                                     qpu.id, lane, g.qubits, g.label, err,
+                                     g.category))
         counters["cnot_count"] += g.n_cnot
         counters["t_count"] += g.n_t
         counters["swap_count"] += g.n_swap

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 from .arch import ArchitectureSpec, load_architecture
 from .circuits import LogicalCircuit
-from .compiler import (CompileError, error_budget, schedule,
-                       schedule_baseline)
+from .compiler import CompileError, error_budget, schedule
 from .generators import generate_rsa_subroutine
 from .qec import TransferInfeasible
 from .resources import CostWeights, count_architecture, space_cost
@@ -113,8 +112,8 @@ def rsa_estimate_compiled(arch: str | ArchitectureSpec,
                           weights: CostWeights = CostWeights()) -> RsaEstimate:
     """Run estimate with per-call durations measured by compilation.
 
-    Each subroutine circuit is scheduled on the architecture; its makespan
-    replaces the reference duration.  The compiled shot fidelity (the product
+    Each subroutine circuit is scheduled on the architecture with the model
+    ``schedule`` picks for it; its makespan replaces the reference duration.  The compiled shot fidelity (the product
     of per-call success probabilities over all calls) is reported separately
     and does not feed the runtime, which stays pinned to ``fidelity`` so that
     runs remain comparable across architectures.
@@ -160,10 +159,7 @@ def compare_architectures(circuit: LogicalCircuit,
         row: dict = {k: None for k in COMPARISON_FIELDS}
         row["arch"] = spec.name
         try:
-            if spec.memory_modules():
-                prog = schedule(circuit, spec)
-            else:
-                prog = schedule_baseline(circuit, spec)
+            prog = schedule(circuit, spec)
             budget = error_budget(prog)
             counts = count_architecture(spec)
         except (CompileError, TransferInfeasible, ValueError) as exc:

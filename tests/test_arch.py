@@ -1,6 +1,7 @@
 """Architecture model, builtin catalog, and config round-trip tests."""
 
 import dataclasses
+import math
 import pathlib
 
 import pytest
@@ -114,6 +115,17 @@ def test_parse_rejects_malformed_text():
         parse_config_text(good.replace("protocol = transversal", "eps_tele = 1"))
 
 
+@pytest.mark.parametrize(("section", "key"), [
+    ("[link qpu0 stqm0]", "bell_rate_hz = 100000000.0"),
+    ("[link qpu0 stqm0]", "bell_eps = 0.001"),
+    ("[module stqm0]", "transfer_distance = 19"),
+])
+def test_parse_rejects_removed_keys(section, key):
+    good = to_config_text(builtin_architecture("A1"))
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config_text(good.replace(section, f"{section}\n{key}"))
+
+
 def test_validate_flags_structural_problems():
     spec = builtin_architecture("A1")
     stqm = spec.module("stqm0")
@@ -146,6 +158,14 @@ def test_validate_flags_structural_problems():
     qpu = spec.module("qpu0")
     qpu.modality = dataclasses.replace(qpu.modality, p_phys=1e-2)
     assert any("below" in p for p in validate(spec))
+
+    spec = builtin_architecture("A1")
+    spec.module("stqm0").kind = "QB"
+    assert any("unknown kind" in p for p in validate(spec))
+
+    spec = builtin_architecture("A1")
+    spec.links[0].eps_tele = math.inf
+    assert any("eps_tele must be finite" in p for p in validate(spec))
 
 
 def test_derive_boundary():

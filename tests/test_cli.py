@@ -72,12 +72,13 @@ def test_run_artifacts_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_run_baseline_flag(tmp_path):
+def test_run_memoryless_arch_uses_grid(tmp_path):
     out = tmp_path / "b"
     assert main(["run", "--workload", "aqft:n=9,k_th=3", "--arch",
                  "baseline1000", "--out", str(out)]) == 0
     text = (out / "schedule.txt").read_text()
     assert "transfer_write" not in text
+    assert "mapped_idle" in text
 
 
 def test_run_exit_codes():
@@ -86,6 +87,18 @@ def test_run_exit_codes():
     assert main(["run", "--workload", "aqft:n=8", "--arch", "A1",
                  "--override", "qpu.d=14"]) == 3
     assert main(["run", "--workload", "aqft:n=2000", "--arch", "A1"]) == 4
+
+
+@pytest.mark.parametrize("override", [
+    "qpu0.t_cycle_s=nan",
+    "qpu0.t_cycle_s=inf",
+    "stqm0.t2_s=nan",
+    "stqm0.t1_s=inf",
+    "qpu0.code_anc_fraction=nan",
+])
+def test_run_rejects_non_finite_override(override):
+    assert main(["run", "--workload", "aqft:n=8,k_th=3", "--arch", "A1",
+                 "--override", override]) == 3
 
 
 def test_run_override_applies(capsys):

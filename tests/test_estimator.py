@@ -1,11 +1,13 @@
 """Factoring-run arithmetic and the architecture comparison driver."""
 
+import json
 import math
 
 import pytest
 
 from hetqc.arch import builtin_architecture
 from hetqc.circuits import LogicalCircuit
+from hetqc.cli import main
 from hetqc.estimator import (COMPARISON_FIELDS, RSA_ATTEMPTS, RSA_CALLS,
                              RSA_RETRY_OVERHEAD, RSA_SHOT_FIDELITY,
                              RSA_TAU_MONOLITHIC, compare_architectures,
@@ -87,6 +89,18 @@ def test_estimate_compiled_measures_durations():
     assert est.fidelity == RSA_SHOT_FIDELITY
     assert est.shot_s == pytest.approx(
         math.fsum(RSA_CALLS[k] * est.tau_compiled_s[k] for k in RSA_CALLS))
+
+
+def test_estimate_compiled_matches_run_on_grid(tmp_path, capsys):
+    # one rule picks the model: the Mono adder costs the same in both paths
+    est = rsa_estimate_compiled("Mono")
+    out = tmp_path / "run"
+    assert main(["run", "--workload", "rsa:kind=adder33", "--arch", "Mono",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    summary = json.loads((out / "summary.json").read_text())
+    assert est.tau_compiled_s["adder"] == summary["makespan_s"]
+    assert summary["makespan_s"] == pytest.approx(38.857e-3, rel=1e-4)
 
 
 def test_compare_architectures_rows():
