@@ -240,8 +240,8 @@ def cmd_rsa(args) -> int:
         if est.fidelity_compiled is not None:
             taus = ", ".join(f"{k}={v:.3e}"
                              for k, v in sorted(est.tau_compiled_s.items()))
-            print(f"    compiled fidelity {est.fidelity_compiled:.4g}, "
-                  f"tau: {taus}")
+            print(f"    compiled fidelity {est.fidelity_compiled:.4g} "
+                  f"(log10 {est.fidelity_compiled_log10:.6g}), tau: {taus}")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -253,6 +253,7 @@ def cmd_rsa(args) -> int:
             "coupler_cost_mdays": e.coupler_cost_mdays,
             "tau_s": e.tau_s,
             "fidelity_compiled_prob": e.fidelity_compiled,
+            "fidelity_compiled_log10": e.fidelity_compiled_log10,
             "tau_compiled_s": e.tau_compiled_s,
         } for e in results]
         _write_json(out / "rsa.json", payload)

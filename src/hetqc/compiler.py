@@ -14,13 +14,13 @@ dwell, any swap legs, and the read for one qubit, in that order.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .arch import ArchitectureSpec, LinkSpec, ModuleSpec, validate
 from .circuits import GateOp, LogicalCircuit
-from .qec import (TransferInfeasible, TransferParams, idle_error,
-                  logical_error_per_cycle, stqm_storage_valid,
+from .qec import (TransferInfeasible, TransferParams, TransferResult,
+                  idle_error, logical_error_per_cycle, stqm_storage_valid,
                   transfer_lattice_surgery, transfer_transversal)
 from .resources import transfer_patch_layout
 
@@ -122,6 +122,9 @@ class ErrorBudget:
         for ev in events:
             if ev.error > 0.0:
                 parts[ev.category].append(-math.log1p(-min(ev.error, 1 - 1e-16)))
+            elif math.isnan(ev.error):
+                raise ValueError(f"NaN error on {ev.kind} event {ev.label} "
+                                 f"at {ev.t_start_s!r} s on {ev.lane}")
         logs = {c: math.fsum(parts[c]) for c in CATEGORIES}
         log_total = math.fsum(logs.values())
         if log_total == 0.0:
@@ -292,24 +295,51 @@ def consolidate_blocks(lowered: list[LoweredGate],
 
     Earliest-fit: a gate joins the first block at or after its dependency
     frontier whose tag matches and whose support stays within the bound.
+
+    ``last_touch`` never decreases, so no block past the frontier holds any
+    of the gate's qubits and there a fit is a matter of free room alone.
+    Only the frontier block needs the union test; the first fitting block
+    after it comes from a per-tag index of open blocks, found by bisection.
+    Room is counted only up to the largest gate arity, so the index costs
+    the same whatever the core capacity.
     """
-    max_qubits = max(max_qubits,
-                     max((len(g.qubits) for g in lowered), default=1))
+    max_arity = max((len(g.qubits) for g in lowered), default=1)
+    max_qubits = max(max_qubits, max_arity)
     blocks: list[UnitaryBlock] = []
     last_touch: dict[int, int] = {}
+    # tag -> [need] -> ascending indices of blocks with room >= need
+    open_blocks: dict[str | None, list[list[int]]] = {}
     for gi, g in enumerate(lowered):
-        frontier = max((last_touch.get(q, 0) for q in g.qubits), default=0)
+        qs = set(g.qubits)
+        frontier = max([last_touch.get(q, 0) for q in qs], default=0)
         chosen = None
-        for bi in range(frontier, len(blocks)):
-            b = blocks[bi]
-            if b.tag == g.tag and len(b.qubits | set(g.qubits)) <= max_qubits:
+        if frontier < len(blocks):
+            b = blocks[frontier]
+            if b.tag == g.tag and len(b.qubits | qs) <= max_qubits:
                 chosen = b
-                break
+        if chosen is None and g.tag in open_blocks:
+            fits = open_blocks[g.tag][len(qs)]
+            i = bisect_right(fits, frontier)
+            if i < len(fits):
+                chosen = blocks[fits[i]]
         if chosen is None:
             chosen = UnitaryBlock(len(blocks), [], set(), g.tag)
             blocks.append(chosen)
+            if g.tag not in open_blocks:
+                open_blocks[g.tag] = [[] for _ in range(max_arity + 1)]
+            for fits in open_blocks[g.tag]:
+                fits.append(chosen.index)
+        before = len(chosen.qubits)
         chosen.gates.append(gi)
         chosen.qubits.update(g.qubits)
+        free = max_qubits - len(chosen.qubits)
+        if free < max_arity:
+            # drop the block from the lists of needs it no longer meets
+            by_room = open_blocks[g.tag]
+            for need in range(free + 1,
+                              min(max_qubits - before, max_arity) + 1):
+                fits = by_room[need]
+                del fits[bisect_left(fits, chosen.index)]
         for q in g.qubits:
             prev = last_touch.get(q)
             if prev is not None and prev != chosen.index:
@@ -370,6 +400,9 @@ class _Memory:
     cells: dict[int, int] = field(default_factory=dict)         # qubit -> cell
     cell_ready: dict[int, float] = field(default_factory=dict)
     write_end: dict[int, float] = field(default_factory=dict)
+    # compute module id -> bare boundary hop, or why it is infeasible
+    hops: dict[str, TransferResult | TransferInfeasible] = field(
+        default_factory=dict)
 
     def full(self) -> bool:
         return len(self.cells) >= self.module.n_logical
@@ -389,6 +422,7 @@ class _Scheduler:
         self.cores = self._build_cores()
         self.memories = self._build_memories()
         self.pools = self._build_pools()
+        self._check_capacity()
         self.blocks = consolidate_blocks(
             self.lowered, max(c.capacity for c in self.cores))
         self._assign_blocks()
@@ -455,6 +489,26 @@ class _Scheduler:
         # short-term memory is the preferred eviction target
         mems.sort(key=lambda mm: (mm.module.kind != "STQM", mm.module.id))
         return mems
+
+    def _check_capacity(self) -> None:
+        """Refuse a circuit whose live qubits cannot all find a home.
+
+        Every touched qubit that is not measured last ends the run in a core
+        slot or in a memory cell, and cells are never released, so this is
+        necessary for success; it spares a doomed compile its full run.
+        """
+        last_key: dict[int, str] = {}
+        for g in self.lowered:
+            for q in g.qubits:
+                last_key[q] = g.cost_key
+        live = sum(key != "measure" for key in last_key.values())
+        slots = sum(c.capacity for c in self.cores)
+        cells = sum(mm.module.n_logical for mm in self.memories)
+        if live > slots + cells:
+            raise CompileError(
+                f"{live} qubits stay live to the end but the architecture "
+                f"holds {slots} compute slots and {cells} reachable memory "
+                "cells; compute capacity exhausted")
 
     def _build_pools(self) -> dict[str, _Pool]:
         pools: dict[str, _Pool] = {}
@@ -553,38 +607,56 @@ class _Scheduler:
         err = -math.expm1(3 * dist * math.log1p(-eps_cnot))
         return dist, 3 * dist * d_qm * mem.t_qm_eff, err
 
+    def _hop_params(self, mem: _Memory, core: _Core,
+                    eps_eff_idle: float = 0.0) -> TransferParams:
+        link = mem.links[core.module.id]
+        if link.protocol == "transversal":
+            return TransferParams(
+                eps_qpu=core.eps_cycle, d_qpu=core.module.code.distance,
+                t_qpu_s=core.module.t_cycle_s,
+                eps_th=core.module.modality.p_th, eps_tele=link.eps_tele,
+                eps_eff_idle=eps_eff_idle)
+        return TransferParams(
+            eps_qpu=core.eps_cycle, d_qpu=core.module.code.distance,
+            t_qpu_s=core.module.t_cycle_s, eps_qm=mem.eps_cycle or 0.0,
+            d_qm=mem.module.code.distance, t_qm_s=mem.t_qm_eff)
+
+    def _hop(self, mem: _Memory, core: _Core) -> TransferResult:
+        """The bare boundary hop, computed on first use per module pair.
+
+        An infeasible hop raises at every use, not when the scheduler is
+        built, so a circuit that never transfers still compiles.
+        """
+        hop = mem.hops.get(core.module.id)
+        if hop is None:
+            params = self._hop_params(mem, core)
+            try:
+                if mem.links[core.module.id].protocol == "transversal":
+                    hop = transfer_transversal(params)
+                else:
+                    hop = transfer_lattice_surgery(params)
+            except TransferInfeasible as exc:
+                hop = exc
+            mem.hops[core.module.id] = hop
+        if isinstance(hop, TransferInfeasible):
+            raise TransferInfeasible(*hop.args)
+        return hop
+
     def _transfer(self, mem: _Memory, core: _Core, dwell_s: float,
                   reading: bool) -> tuple[float, float, float]:
         """(duration_s, hop_error, storage_error) for one boundary hop."""
-        link = mem.links[core.module.id]
-        if link.protocol == "transversal":
-            d_qpu = core.module.code.distance
-            bare = transfer_transversal(TransferParams(
-                eps_qpu=core.eps_cycle, d_qpu=d_qpu,
-                t_qpu_s=core.module.t_cycle_s,
-                eps_th=core.module.modality.p_th, eps_tele=link.eps_tele))
-            if not reading:
-                return bare.duration_s, bare.error, 0.0
-            if mem.eps_cycle is None:
-                # passive store: the dwell's physical error rides through the
-                # hop and is corrected on arrival; charge only the residue
-                full = transfer_transversal(TransferParams(
-                    eps_qpu=core.eps_cycle, d_qpu=d_qpu,
-                    t_qpu_s=core.module.t_cycle_s,
-                    eps_th=core.module.modality.p_th, eps_tele=link.eps_tele,
-                    eps_eff_idle=dwell_s / mem.module.modality.t2_s))
-                return (bare.duration_s, bare.error,
-                        max(full.error - bare.error, 0.0))
-            storage = idle_error(mem.eps_cycle, dwell_s / mem.t_qm_eff)
-            return bare.duration_s, bare.error, storage
-        res = transfer_lattice_surgery(TransferParams(
-            eps_qpu=core.eps_cycle, d_qpu=core.module.code.distance,
-            t_qpu_s=core.module.t_cycle_s, eps_qm=mem.eps_cycle or 0.0,
-            d_qm=mem.module.code.distance, t_qm_s=mem.t_qm_eff))
+        hop = self._hop(mem, core)
         if not reading:
-            return res.duration_s, res.error, 0.0
+            return hop.duration_s, hop.error, 0.0
+        if mem.eps_cycle is None \
+                and mem.links[core.module.id].protocol == "transversal":
+            # passive store: the dwell's physical error rides through the
+            # hop and is corrected on arrival; charge only the residue
+            full = transfer_transversal(self._hop_params(
+                mem, core, dwell_s / mem.module.modality.t2_s))
+            return hop.duration_s, hop.error, max(full.error - hop.error, 0.0)
         storage = idle_error(mem.eps_cycle or 0.0, dwell_s / mem.t_qm_eff)
-        return res.duration_s, res.error, storage
+        return hop.duration_s, hop.error, storage
 
     def _move_cost(self, mem: _Memory, core: _Core, q: int,
                    dwell_s: float) -> float:
@@ -647,9 +719,8 @@ class _Scheduler:
         cell_lane = f"{mem.module.id}:q{q}"
         t0 = max(t_issue, mem.cell_ready[q])
         if target_s is not None:
-            hop_dur, _, _ = self._transfer(mem, core, 0.0, reading=True)
             _, leg_dur, _ = self._legs(mem, q)
-            t0 = max(t0, target_s - hop_dur - leg_dur)
+            t0 = max(t0, target_s - self._hop(mem, core).duration_s - leg_dur)
         dwell = max(t0 - mem.write_end[q], 0.0)
         if mem.eps_cycle is None and not stqm_storage_valid(
                 mem.module.modality, dwell, core.module.modality.p_phys):

@@ -76,6 +76,8 @@ class RsaEstimate:
     tau_s: dict[str, float]
     fidelity_compiled: float | None = None
     tau_compiled_s: dict[str, float] | None = None
+    # log10 of fidelity_compiled, finite where the product underflows to 0
+    fidelity_compiled_log10: float | None = None
 
 
 def rsa_estimate(arch: str | ArchitectureSpec,
@@ -113,10 +115,12 @@ def rsa_estimate_compiled(arch: str | ArchitectureSpec,
     """Run estimate with per-call durations measured by compilation.
 
     Each subroutine circuit is scheduled on the architecture with the model
-    ``schedule`` picks for it; its makespan replaces the reference duration.  The compiled shot fidelity (the product
-    of per-call success probabilities over all calls) is reported separately
-    and does not feed the runtime, which stays pinned to ``fidelity`` so that
-    runs remain comparable across architectures.
+    ``schedule`` picks for it; its makespan replaces the reference duration.
+    The compiled shot fidelity (the product of per-call success
+    probabilities over all calls) is reported separately and does not feed
+    the runtime, which stays pinned to ``fidelity`` so that runs remain
+    comparable across architectures.  Its log10 is reported too, because
+    over millions of calls the product itself can underflow to 0.
     """
     spec = load_architecture(arch) if isinstance(arch, str) else arch
     taus: dict[str, float] = {}
@@ -130,7 +134,8 @@ def rsa_estimate_compiled(arch: str | ArchitectureSpec,
     return RsaEstimate(base.arch, base.shot_s, base.runtime_days,
                        base.fidelity, base.qubits_total,
                        base.qubit_cost_mdays, base.coupler_cost_mdays,
-                       base.tau_s, math.exp(log_f), taus)
+                       base.tau_s, math.exp(log_f), taus,
+                       log_f / math.log(10))
 
 
 # --------------------------------------------------------- comparison table

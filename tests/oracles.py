@@ -148,6 +148,40 @@ def slow_logical_error(p: float, p_th: float, d: int, a: float = 0.03):
     return a * (p / p_th) ** ((d + 1) / 2)
 
 
+# ------------------------------------------------------ block consolidation
+
+def consolidate_blocks_linear(lowered, max_qubits: int) -> list[tuple]:
+    """Earliest-fit grouping by a plain scan from the dependency frontier.
+
+    Each gate tries every block from the frontier on with the exact union
+    test, quadratic in the block count.  Returns one ``(index, gates,
+    qubits, tag, deps)`` tuple per block.
+    """
+    max_qubits = max(max_qubits,
+                     max((len(g.qubits) for g in lowered), default=1))
+    blocks: list[tuple] = []
+    last_touch: dict[int, int] = {}
+    for gi, g in enumerate(lowered):
+        frontier = max((last_touch.get(q, 0) for q in g.qubits), default=0)
+        chosen = None
+        for b in blocks[frontier:]:
+            if b[3] == g.tag and len(b[2] | set(g.qubits)) <= max_qubits:
+                chosen = b
+                break
+        if chosen is None:
+            chosen = (len(blocks), [], set(), g.tag, set())
+            blocks.append(chosen)
+        index, gates, qubits, _, deps = chosen
+        gates.append(gi)
+        qubits.update(g.qubits)
+        for q in g.qubits:
+            prev = last_touch.get(q)
+            if prev is not None and prev != index:
+                deps.add(prev)
+            last_touch[q] = index
+    return blocks
+
+
 # ------------------------------------------------- schedule invariant checks
 
 def check_lane_exclusive(program) -> list[str]:

@@ -89,6 +89,27 @@ def test_run_exit_codes():
     assert main(["run", "--workload", "aqft:n=2000", "--arch", "A1"]) == 4
 
 
+def _circuit_file(tmp_path, n_qubits, ops):
+    path = tmp_path / "c.txt"
+    path.write_text("\n".join(["name wide", f"qubits {n_qubits}", *ops])
+                    + "\n")
+    return f"file:{path}"
+
+
+def test_run_measured_qubits_do_not_count_against_capacity(tmp_path, capsys):
+    # 1200 qubits on A1's 3 slots + 1000 cells: each is measured out
+    ops = [line for q in range(1200) for line in (f"H q{q}", f"Measure q{q}")]
+    assert main(["run", "--workload", _circuit_file(tmp_path, 1200, ops),
+                 "--arch", "A1"]) == 0
+    capsys.readouterr()
+
+
+def test_run_untouched_qubits_do_not_count_against_capacity(tmp_path, capsys):
+    spec = _circuit_file(tmp_path, 1200, ["H q0", "CNOT q0 q1"])
+    assert main(["run", "--workload", spec, "--arch", "A1"]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("override", [
     "qpu0.t_cycle_s=nan",
     "qpu0.t_cycle_s=inf",

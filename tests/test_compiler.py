@@ -1,20 +1,23 @@
 """Lowering, block grouping, clock alignment, budgets, and scheduling."""
 
+import hashlib
 import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hetqc.arch import apply_override, builtin_architecture
+from hetqc import compiler
+from hetqc.arch import apply_override, builtin_architecture, validate
 from hetqc.circuits import LogicalCircuit
 from hetqc.compiler import (CompileError, ErrorBudget, EVENT_KINDS,
-                            consolidate_blocks, error_budget, lower_circuit,
-                            rz_t_count, schedule, schedule_baseline,
-                            synchronize_clocks)
+                            LoweredGate, ScheduledEvent, consolidate_blocks,
+                            error_budget, lower_circuit, rz_t_count, schedule,
+                            schedule_baseline, synchronize_clocks)
 from hetqc.generators import generate_aqft, generate_cuccaro_adder
+from hetqc.qec import TransferInfeasible
 
-from oracles import product_error, random_circuit
+from oracles import consolidate_blocks_linear, product_error, random_circuit
 
 
 def test_rz_t_count():
@@ -110,6 +113,28 @@ def test_consolidation_properties(seed, n_qubits, n_gates, max_qubits):
             last[q] = gi
 
 
+def _random_lowered(rng, n_qubits, n_gates):
+    gates = []
+    for _ in range(n_gates):
+        arity = rng.randint(1, min(3, n_qubits))
+        gates.append(LoweredGate("1q", "G",
+                                 tuple(rng.sample(range(n_qubits), arity)),
+                                 "gate_1q",
+                                 tag=rng.choice((None, "adder", "lookup"))))
+    return gates
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 3, 4, 5, 6, 7, 8, 1000])
+def test_consolidation_matches_linear_scan(capacity):
+    rng = random.Random(capacity)
+    for _ in range(150):
+        lowered = _random_lowered(rng, rng.randint(1, 12), rng.randint(0, 80))
+        blocks = consolidate_blocks(lowered, capacity)
+        assert [(b.index, b.gates, b.qubits, b.tag, b.deps)
+                for b in blocks] \
+            == consolidate_blocks_linear(lowered, capacity)
+
+
 def test_synchronize_clocks_cases():
     eff, stretched = synchronize_clocks(5e-5, 1e-6, 5e-5, 1e-3)
     assert eff == pytest.approx(5e-5)
@@ -145,6 +170,13 @@ def test_error_budget_empty():
     assert set(c for c, _ in budget.rows()) == {
         "qpu_idle", "qm_idle", "gate_1q", "gate_2q", "gate_t", "transfer",
         "measure"}
+
+
+def test_error_budget_rejects_nan():
+    ev = ScheduledEvent(0.0, 1e-6, "gate", "qpu0", "qpu0:core0", (0,), "H",
+                        math.nan, "gate_1q")
+    with pytest.raises(ValueError, match="NaN"):
+        ErrorBudget.from_events([ev])
 
 
 def _check_program(prog, n_qubits):
@@ -185,6 +217,37 @@ def test_schedule_rejects_overflow():
         c.add("H", q)
     with pytest.raises(CompileError):
         schedule(c, builtin_architecture("A1"))  # 3 + 1000 slots available
+
+
+def test_capacity_check_refuses_before_consolidation(monkeypatch):
+    def never(*args):
+        raise AssertionError("consolidated a circuit that cannot fit")
+
+    monkeypatch.setattr(compiler, "consolidate_blocks", never)
+    c = LogicalCircuit("wide", 1100)
+    for q in range(1100):
+        c.add("H", q)
+    c.add("Measure", 0)  # a measured qubit needs no home at the end
+    with pytest.raises(CompileError, match="1099 qubits stay live"):
+        schedule(c, builtin_architecture("A1"))  # 3 slots + 1000 cells
+
+
+def test_infeasible_hop_raises_only_when_used():
+    arch = builtin_architecture("A1")
+    arch.links[0].eps_tele = 0.05  # teleportation above the code threshold
+    assert validate(arch) == []
+    c = LogicalCircuit("lazy", 2)
+    for kind, *qs in (("H", 0), ("CNOT", 0, 1), ("H", 0), ("H", 1), ("H", 0),
+                      ("Measure", 0), ("Measure", 1)):
+        c.add(kind, *qs)
+    prog = schedule(c, arch)
+    router = [d for d in prog.audit if d.reason == "router"]
+    assert router and all(d.cost_move == math.inf for d in router)
+    # hash of the schedule made without the hop cache
+    assert hashlib.sha256(prog.to_text().encode()).hexdigest() == \
+        "9dedac526fa6ebca1663571557cd8873433fb308684a30d2a346ba01af3bab9c"
+    with pytest.raises(TransferInfeasible):
+        schedule(generate_aqft(8), arch)
 
 
 def test_factory_pool_throttles_magic():

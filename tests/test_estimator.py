@@ -103,6 +103,22 @@ def test_estimate_compiled_matches_run_on_grid(tmp_path, capsys):
     assert summary["makespan_s"] == pytest.approx(38.857e-3, rel=1e-4)
 
 
+def test_estimate_compiled_log_fidelity_survives_underflow(tmp_path, capsys):
+    # millions of baseline1000 calls: the product underflows, its log does not
+    est = rsa_estimate_compiled("baseline1000")
+    assert est.fidelity_compiled == 0.0
+    assert math.isfinite(est.fidelity_compiled_log10)
+    assert est.fidelity_compiled_log10 < 0.0
+    out = tmp_path / "rsa"
+    assert main(["rsa", "--compiled", "--archs", "baseline1000",
+                 "--out", str(out)]) == 0
+    assert f"(log10 {est.fidelity_compiled_log10:.6g})" \
+        in capsys.readouterr().out
+    payload = json.loads((out / "rsa.json").read_text())
+    assert payload[0]["fidelity_compiled_log10"] \
+        == est.fidelity_compiled_log10
+
+
 def test_compare_architectures_rows():
     circuit = generate_aqft(10, k_th=4)
     rows = compare_architectures(circuit, ["baseline1000", "A1"])

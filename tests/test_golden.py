@@ -28,6 +28,12 @@ SCHEDULE_SHA256 = {
         "08a321d744ed4d4e7d289d5b5e4bc2cafd820e8eeed26aad0077f1c0388677cf",
     ("rsa:kind=adder33", "B5"):
         "29c2a0cb1e9f27d84e55e1eea99aa7bc5f99ce36e6f6ed9dcc2de62debb24597",
+    # medium cases: block consolidation past the dependency frontier at
+    # volume, and lattice-surgery hops into active memory
+    ("aqft:n=200,k_th=9", "A1"):
+        "fe4dcae987d5bbf73c9f8279168e5a0567a85fc66f7fecd0428e0c816add847b",
+    ("hubbard:lx=6,ly=6,steps=1", "A2"):
+        "15ffd4e7916e8cb0abc4e3f2b95e51e9f5dfa103ba7e6f113fc292515417449e",
 }
 
 COMPARISON_SHA256 = \
