@@ -6,9 +6,10 @@ from .arch import (ArchitectureSpec, BUILTIN_NAMES, CodeSpec, ConfigError,
                    load_architecture, parse_config_text, to_config_text,
                    validate)
 from .circuits import GateOp, LogicalCircuit
-from .compiler import (CompileError, ErrorBudget, RouterDecision,
-                       ScheduledEvent, ScheduledProgram, error_budget,
-                       schedule, schedule_baseline, synchronize_clocks)
+from .compiler import (CompileError, ErrorBudget, InvalidCircuit,
+                       RouterDecision, ScheduledEvent, ScheduledProgram,
+                       error_budget, schedule, schedule_baseline,
+                       synchronize_clocks)
 from .estimator import (RsaEstimate, compare_architectures, rsa_estimate,
                         rsa_estimate_compiled, rsa_runtime_days,
                         rsa_shot_time)
@@ -19,7 +20,8 @@ from .qec import (RefreshRequired, TransferInfeasible, TransferParams,
                   TransferResult, equivalent_memory_distance, idle_error,
                   logical_error_per_cycle, stqm_max_dwell,
                   stqm_storage_error, stqm_storage_valid,
-                  transfer_lattice_surgery, transfer_transversal)
+                  transfer_lattice_surgery, transfer_transversal,
+                  transversal_error)
 from .resources import (CostWeights, PatchLayout, ResourceCounts,
                         count_architecture, count_homogeneous,
                         place_transfer_patches, space_cost,
@@ -33,7 +35,8 @@ __all__ = [
     "LinkSpec", "ModalitySpec", "ModuleSpec", "builtin_architecture",
     "load_architecture", "parse_config_text", "to_config_text", "validate",
     "GateOp", "LogicalCircuit",
-    "CompileError", "ErrorBudget", "RouterDecision", "ScheduledEvent",
+    "CompileError", "ErrorBudget", "InvalidCircuit", "RouterDecision",
+    "ScheduledEvent",
     "ScheduledProgram", "error_budget", "schedule", "schedule_baseline",
     "synchronize_clocks",
     "RsaEstimate", "compare_architectures", "rsa_estimate",
@@ -44,6 +47,7 @@ __all__ = [
     "TransferResult", "equivalent_memory_distance", "idle_error",
     "logical_error_per_cycle", "stqm_max_dwell", "stqm_storage_error",
     "stqm_storage_valid", "transfer_lattice_surgery", "transfer_transversal",
+    "transversal_error",
     "CostWeights", "PatchLayout", "ResourceCounts", "count_architecture",
     "count_homogeneous", "place_transfer_patches", "space_cost",
     "transfer_patch_layout",

@@ -20,7 +20,7 @@ from pathlib import Path
 from .arch import (BUILTIN_NAMES, ConfigError, apply_override,
                    load_architecture, to_config_text, validate)
 from .circuits import LogicalCircuit
-from .compiler import CompileError, error_budget, schedule
+from .compiler import CompileError, InvalidCircuit, error_budget, schedule
 from .estimator import (COMPARISON_FIELDS, compare_architectures,
                         rsa_estimate, rsa_estimate_compiled)
 from .generators import (generate_aqft, generate_cuccaro_adder,
@@ -127,12 +127,10 @@ def _load_arch(name: str, overrides: list[str]):
 
 
 def _compile(circ: LogicalCircuit, spec):
-    problems = circ.validate()
-    if problems:
-        raise _CliError("invalid circuit: " + "; ".join(problems),
-                        EXIT_VALIDATION)
     try:
         return schedule(circ, spec)
+    except InvalidCircuit as exc:
+        raise _CliError(f"invalid circuit: {exc}", EXIT_VALIDATION)
     except (CompileError, TransferInfeasible) as exc:
         raise _CliError(f"compilation failed: {exc}", EXIT_COMPILE)
 

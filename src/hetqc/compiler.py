@@ -16,12 +16,15 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import NamedTuple
 
 from .arch import ArchitectureSpec, LinkSpec, ModuleSpec, validate
 from .circuits import GateOp, LogicalCircuit
 from .qec import (TransferInfeasible, TransferParams, TransferResult,
                   idle_error, logical_error_per_cycle, stqm_storage_valid,
-                  transfer_lattice_surgery, transfer_transversal)
+                  transfer_lattice_surgery, transfer_transversal,
+                  transversal_error)
 from .resources import transfer_patch_layout
 
 #: budget categories, in reporting order
@@ -46,6 +49,10 @@ class CompileError(RuntimeError):
     """Raised when a circuit cannot be scheduled on an architecture."""
 
 
+class InvalidCircuit(CompileError):
+    """Raised when the circuit itself fails validation."""
+
+
 def rz_t_count(eps_magic: float) -> int:
     """T states for one synthesized rotation at the factory's output error."""
     if not 0 < eps_magic < 1:
@@ -53,8 +60,10 @@ def rz_t_count(eps_magic: float) -> int:
     return math.ceil(3 * math.log2(1 / eps_magic))
 
 
-@dataclass(frozen=True, slots=True)
-class ScheduledEvent:
+# Records made once per gate or event are named tuples: immutable like a
+# frozen dataclass, at about a quarter of its construction cost.
+
+class ScheduledEvent(NamedTuple):
     t_start_s: float
     duration_s: float
     kind: str
@@ -70,8 +79,11 @@ class ScheduledEvent:
         return self.t_start_s + self.duration_s
 
 
-@dataclass(frozen=True, slots=True)
-class RouterDecision:
+#: sort key of a schedule: (t_start_s, module, lane, kind, qubits)
+_EVENT_ORDER = itemgetter(0, 3, 4, 2, 5)
+
+
+class RouterDecision(NamedTuple):
     t_s: float
     core: str
     qubit: int
@@ -170,8 +182,7 @@ def synchronize_clocks(t_qm_s: float, t_qpu_s: float, t_min_s: float,
 
 # ------------------------------------------------------------- gate lowering
 
-@dataclass(frozen=True, slots=True)
-class LoweredGate:
+class LoweredGate(NamedTuple):
     cost_key: str  # 1q | 2q | measure | t | rz | ccz | toffoli_t
     label: str
     qubits: tuple[int, ...]
@@ -244,17 +255,26 @@ def lower_circuit(circuit: LogicalCircuit, factory_state: str | None,
 
 
 def _front_end(circuit: LogicalCircuit, arch: ArchitectureSpec
-               ) -> tuple[ModuleSpec, ModuleSpec | None, list[LoweredGate]]:
-    """(first QPU, first factory or None, lowered gates) of valid inputs."""
-    problems = circuit.validate() + validate(arch)
+               ) -> tuple[ModuleSpec, ModuleSpec | None]:
+    """(first QPU, first factory or None) of valid inputs.
+
+    The one validation of a compile: an invalid circuit raises
+    :class:`InvalidCircuit`, an invalid architecture :class:`CompileError`.
+    """
+    circuit_problems = circuit.validate()
+    problems = circuit_problems + validate(arch)
     if problems:
-        raise CompileError("; ".join(problems))
+        error = InvalidCircuit if circuit_problems else CompileError
+        raise error("; ".join(problems))
     qpu = arch.by_kind("QPU")[0]
     qsfs = arch.by_kind("QSF")
-    qsf = qsfs[0] if qsfs else None
-    lowered = lower_circuit(circuit, qsf.state if qsf else None,
-                            qsf.eps_magic if qsf else 2.1e-9)
-    return qpu, qsf, lowered
+    return qpu, qsfs[0] if qsfs else None
+
+
+def _lower(circuit: LogicalCircuit,
+           qsf: ModuleSpec | None) -> list[LoweredGate]:
+    return lower_circuit(circuit, qsf.state if qsf else None,
+                         qsf.eps_magic if qsf else 2.1e-9)
 
 
 def _module_costs(module: ModuleSpec,
@@ -398,6 +418,8 @@ class _Memory:
     eps_cycle: float | None                # None when storage is passive
     swap_dist: list[int]                   # per cell, all zero if k_swap == 0
     cells: dict[int, int] = field(default_factory=dict)         # qubit -> cell
+    # qubit -> (cell lane, (qubit,)), the lane and qubits of its events
+    lanes: dict[int, tuple[str, tuple[int]]] = field(default_factory=dict)
     cell_ready: dict[int, float] = field(default_factory=dict)
     write_end: dict[int, float] = field(default_factory=dict)
     # compute module id -> bare boundary hop, or why it is infeasible
@@ -410,7 +432,7 @@ class _Memory:
 
 class _Scheduler:
     def __init__(self, circuit: LogicalCircuit, arch: ArchitectureSpec):
-        qpu, self.qsf, self.lowered = _front_end(circuit, arch)
+        qpu, self.qsf = _front_end(circuit, arch)
         self.circuit = circuit
         self.arch = arch
         self.t_qpu = qpu.t_cycle_s
@@ -423,6 +445,7 @@ class _Scheduler:
         self.memories = self._build_memories()
         self.pools = self._build_pools()
         self._check_capacity()
+        self.lowered = _lower(circuit, self.qsf)
         self.blocks = consolidate_blocks(
             self.lowered, max(c.capacity for c in self.cores))
         self._assign_blocks()
@@ -496,12 +519,15 @@ class _Scheduler:
         Every touched qubit that is not measured last ends the run in a core
         slot or in a memory cell, and cells are never released, so this is
         necessary for success; it spares a doomed compile its full run.
+        It reads the circuit's ops, before lowering: every op touches all of
+        its qubits in some lowered gate, and ``Measure`` is the only op that
+        lowers to a ``measure`` gate, so the count is the same.
         """
-        last_key: dict[int, str] = {}
-        for g in self.lowered:
-            for q in g.qubits:
-                last_key[q] = g.cost_key
-        live = sum(key != "measure" for key in last_key.values())
+        last_kind: dict[int, str] = {}
+        for op in self.circuit.ops:
+            for q in op.qubits:
+                last_kind[q] = op.kind
+        live = sum(kind != "Measure" for kind in last_kind.values())
         slots = sum(c.capacity for c in self.cores)
         cells = sum(mm.module.n_logical for mm in self.memories)
         if live > slots + cells:
@@ -583,6 +609,7 @@ class _Scheduler:
                 "compute capacity exhausted")
         if q not in self.q_mem:
             mem.cells[q] = len(mem.cells)
+            mem.lanes[q] = (f"{mem.module.id}:q{q}", (q,))
             self.q_mem[q] = mem
         return mem
 
@@ -607,15 +634,13 @@ class _Scheduler:
         err = -math.expm1(3 * dist * math.log1p(-eps_cnot))
         return dist, 3 * dist * d_qm * mem.t_qm_eff, err
 
-    def _hop_params(self, mem: _Memory, core: _Core,
-                    eps_eff_idle: float = 0.0) -> TransferParams:
+    def _hop_params(self, mem: _Memory, core: _Core) -> TransferParams:
         link = mem.links[core.module.id]
         if link.protocol == "transversal":
             return TransferParams(
                 eps_qpu=core.eps_cycle, d_qpu=core.module.code.distance,
                 t_qpu_s=core.module.t_cycle_s,
-                eps_th=core.module.modality.p_th, eps_tele=link.eps_tele,
-                eps_eff_idle=eps_eff_idle)
+                eps_th=core.module.modality.p_th, eps_tele=link.eps_tele)
         return TransferParams(
             eps_qpu=core.eps_cycle, d_qpu=core.module.code.distance,
             t_qpu_s=core.module.t_cycle_s, eps_qm=mem.eps_cycle or 0.0,
@@ -648,13 +673,15 @@ class _Scheduler:
         hop = self._hop(mem, core)
         if not reading:
             return hop.duration_s, hop.error, 0.0
-        if mem.eps_cycle is None \
-                and mem.links[core.module.id].protocol == "transversal":
+        link = mem.links[core.module.id]
+        if mem.eps_cycle is None and link.protocol == "transversal":
             # passive store: the dwell's physical error rides through the
             # hop and is corrected on arrival; charge only the residue
-            full = transfer_transversal(self._hop_params(
-                mem, core, dwell_s / mem.module.modality.t2_s))
-            return hop.duration_s, hop.error, max(full.error - hop.error, 0.0)
+            full = transversal_error(
+                core.eps_cycle, core.module.code.distance,
+                core.module.modality.p_th, link.eps_tele,
+                dwell_s / mem.module.modality.t2_s)
+            return hop.duration_s, hop.error, max(full - hop.error, 0.0)
         storage = idle_error(mem.eps_cycle or 0.0, dwell_s / mem.t_qm_eff)
         return hop.duration_s, hop.error, storage
 
@@ -684,22 +711,22 @@ class _Scheduler:
         self._charge_idle(core, q, t)
         del core.residents[q]
         self.q_core.pop(q, None)
-        cell_lane = f"{mem.module.id}:q{q}"
+        cell_lane, qs = mem.lanes[q]
         t0, pad = self._align(mem, max(t, mem.cell_ready.get(q, 0.0)))
         if pad > 0:
             self._emit(t0 - pad, pad, "qec_cycle_stretch", core.module.id,
-                       cell_lane, (q,), "clock_pad",
+                       cell_lane, qs, "clock_pad",
                        idle_error(core.eps_cycle,
                                   pad / core.module.t_cycle_s), "qpu_idle")
         dur, err, _ = self._transfer(mem, core, 0.0, reading=False)
-        self._emit(t0, dur, "transfer_write", mem.module.id, cell_lane, (q,),
+        self._emit(t0, dur, "transfer_write", mem.module.id, cell_lane, qs,
                    "write", err, "transfer")
         self.counters["st_count"] += 1
         t_cell = t0 + dur
         dist, leg_dur, leg_err = self._legs(mem, q)
         if dist:
             self._emit(t_cell, leg_dur, "swap_route", mem.module.id,
-                       cell_lane, (q,), f"legs_in:{dist}", leg_err, "qm_idle")
+                       cell_lane, qs, f"legs_in:{dist}", leg_err, "qm_idle")
             self.counters["swap_count"] += dist
             t_cell += leg_dur
         mem.write_end[q] = t_cell
@@ -716,7 +743,7 @@ class _Scheduler:
         into compute-side idle.
         """
         mem = self.q_mem[q]
-        cell_lane = f"{mem.module.id}:q{q}"
+        cell_lane, qs = mem.lanes[q]
         t0 = max(t_issue, mem.cell_ready[q])
         if target_s is not None:
             _, leg_dur, _ = self._legs(mem, q)
@@ -730,23 +757,23 @@ class _Scheduler:
         dur, err, storage_err = self._transfer(mem, core, dwell, reading=True)
         if dwell > 0 or storage_err > 0:
             self._emit(mem.write_end[q], dwell, "idle_buffer", mem.module.id,
-                       cell_lane, (q,), "stored", storage_err, "qm_idle")
+                       cell_lane, qs, "stored", storage_err, "qm_idle")
         t_legs = t0
         dist, leg_dur, leg_err = self._legs(mem, q)
         if dist:
             self._emit(t_legs, leg_dur, "swap_route", mem.module.id,
-                       cell_lane, (q,), f"legs_out:{dist}", leg_err,
+                       cell_lane, qs, f"legs_out:{dist}", leg_err,
                        "qm_idle")
             self.counters["swap_count"] += dist
             t_legs += leg_dur
         t_read, pad = self._align(mem, t_legs)
         if pad > 0:
             self._emit(t_legs, pad, "qec_cycle_stretch", core.module.id,
-                       cell_lane, (q,), "clock_pad",
+                       cell_lane, qs, "clock_pad",
                        idle_error(core.eps_cycle,
                                   pad / core.module.t_cycle_s), "qpu_idle")
         self._emit(t_read, dur, "transfer_read", mem.module.id, cell_lane,
-                   (q,), "read", err, "transfer")
+                   qs, "read", err, "transfer")
         self.counters["st_count"] += 1
         mem.cell_ready[q] = t_read + dur
         del mem.write_end[q]
@@ -819,14 +846,13 @@ class _Scheduler:
                     progress = True
             if not progress:
                 raise CompileError("scheduler stalled on a dependency cycle")
-        makespan = max((ev.t_end_s for ev in self.events), default=0.0)
+        makespan = _makespan(self.events)
         for core in self.cores:
             for q in sorted(core.residents):
                 self._charge_idle(core, q, makespan)
         self._terminal_storage(makespan)
-        makespan = max((ev.t_end_s for ev in self.events), default=0.0)
-        self.events.sort(key=lambda ev: (ev.t_start_s, ev.module, ev.lane,
-                                         ev.kind, ev.qubits))
+        makespan = _makespan(self.events)
+        self.events.sort(key=_EVENT_ORDER)
         return ScheduledProgram(self.circuit.name, self.arch.name,
                                 self.events, makespan, self.counters,
                                 self.audit, len(self.blocks), self.warnings)
@@ -933,9 +959,14 @@ class _Scheduler:
                             "exceeds the recoverable storage window")
                 else:
                     err = idle_error(mem.eps_cycle, dwell / mem.t_qm_eff)
+                cell_lane, qs = mem.lanes[q]
                 self._emit(t0, dwell, "idle_buffer", mem.module.id,
-                           f"{mem.module.id}:q{q}", (q,), "stored", err,
-                           "qm_idle")
+                           cell_lane, qs, "stored", err, "qm_idle")
+
+
+def _makespan(events: list[ScheduledEvent]) -> float:
+    # named-tuple fields read faster than the t_end_s property or unpacking
+    return max((ev.t_start_s + ev.duration_s for ev in events), default=0.0)
 
 
 def schedule(circuit: LogicalCircuit,
@@ -961,10 +992,11 @@ def schedule_baseline(circuit: LogicalCircuit,
     this model for an architecture without memory modules; it uses the
     first QPU and its first factory only.
     """
-    qpu, qsf, lowered = _front_end(circuit, arch)
+    qpu, qsf = _front_end(circuit, arch)
     if circuit.n_qubits > qpu.n_logical:
         raise CompileError(f"{circuit.n_qubits} qubits exceed the device's "
                            f"{qpu.n_logical}")
+    lowered = _lower(circuit, qsf)
     costs = _module_costs(qpu, qsf)
     eps = costs["1q"][1]
     t_cyc = qpu.t_cycle_s
@@ -1058,16 +1090,15 @@ def schedule_baseline(circuit: LogicalCircuit,
                                      f"{qpu.id}:q{q}", (q,), "mapped_idle",
                                      idle_error(eps, dur / t_cyc),
                                      "qpu_idle"))
-    events.sort(key=lambda ev: (ev.t_start_s, ev.module, ev.lane, ev.kind,
-                                ev.qubits))
+    events.sort(key=_EVENT_ORDER)
     return ScheduledProgram(circuit.name, arch.name, events, makespan,
                             counters, [], 1, [])
 
 
 __all__ = [
     "CATEGORIES", "EVENT_KINDS", "ASQPU_FACTORY_UNITS", "CompileError",
-    "rz_t_count", "ScheduledEvent", "RouterDecision", "ScheduledProgram",
-    "ErrorBudget", "error_budget", "synchronize_clocks", "LoweredGate",
-    "lower_circuit", "UnitaryBlock", "consolidate_blocks", "schedule",
-    "schedule_baseline",
+    "InvalidCircuit", "rz_t_count", "ScheduledEvent", "RouterDecision",
+    "ScheduledProgram", "ErrorBudget", "error_budget", "synchronize_clocks",
+    "LoweredGate", "lower_circuit", "UnitaryBlock", "consolidate_blocks",
+    "schedule", "schedule_baseline",
 ]

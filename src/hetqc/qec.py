@@ -101,6 +101,23 @@ class TransferResult:
     duration_s: float
 
 
+def transversal_error(eps_qpu: float, d_qpu: int, eps_th: float,
+                      eps_tele: float, eps_eff_idle: float = 0.0) -> float:
+    """Error of one transversal teleportation, as :func:`transfer_transversal`.
+
+    The scalar form lets a caller price many dwell times without building a
+    :class:`TransferParams` for each.
+    """
+    if eps_th <= 0:
+        raise TransferInfeasible("memory threshold not set")
+    residue = eps_eff_idle + eps_tele
+    if residue >= eps_th:
+        raise TransferInfeasible(
+            f"idle+teleportation error {residue:.3e} reaches threshold "
+            f"{eps_th:.3e}")
+    return 2 * eps_qpu + (residue / eps_th) ** ((d_qpu + 1) / 2)
+
+
 def transfer_transversal(tp: TransferParams) -> TransferResult:
     """Transversal teleportation across a photonic link.
 
@@ -109,14 +126,8 @@ def transfer_transversal(tp: TransferParams) -> TransferResult:
     compute cycles.  Raises :class:`TransferInfeasible` when the physical
     noise is not below threshold.
     """
-    if tp.eps_th <= 0:
-        raise TransferInfeasible("memory threshold not set")
-    residue = tp.eps_eff_idle + tp.eps_tele
-    if residue >= tp.eps_th:
-        raise TransferInfeasible(
-            f"idle+teleportation error {residue:.3e} reaches threshold "
-            f"{tp.eps_th:.3e}")
-    error = 2 * tp.eps_qpu + (residue / tp.eps_th) ** ((tp.d_qpu + 1) / 2)
+    error = transversal_error(tp.eps_qpu, tp.d_qpu, tp.eps_th, tp.eps_tele,
+                              tp.eps_eff_idle)
     return TransferResult(error, 2 * tp.t_qpu_s)
 
 
@@ -168,7 +179,7 @@ def stqm_max_dwell(modality: ModalitySpec, consumer_p_phys: float) -> float:
 __all__ = [
     "DEFAULT_PREFACTOR", "TransferInfeasible", "RefreshRequired",
     "logical_error_per_cycle", "idle_error", "equivalent_memory_distance",
-    "TransferParams", "TransferResult", "transfer_transversal",
-    "transfer_lattice_surgery", "stqm_storage_error", "stqm_storage_valid",
-    "stqm_max_dwell",
+    "TransferParams", "TransferResult", "transversal_error",
+    "transfer_transversal", "transfer_lattice_surgery", "stqm_storage_error",
+    "stqm_storage_valid", "stqm_max_dwell",
 ]

@@ -5,9 +5,11 @@ import json
 
 import pytest
 
+from hetqc import cli
 from hetqc.arch import builtin_architecture, parse_config_text, to_config_text
+from hetqc.circuits import GateOp, LogicalCircuit
 from hetqc.cli import build_workload, main
-from hetqc.generators import generate_cuccaro_adder
+from hetqc.generators import generate_aqft, generate_cuccaro_adder
 
 
 def test_build_workload_kinds(tmp_path):
@@ -87,6 +89,30 @@ def test_run_exit_codes():
     assert main(["run", "--workload", "aqft:n=8", "--arch", "A1",
                  "--override", "qpu.d=14"]) == 3
     assert main(["run", "--workload", "aqft:n=2000", "--arch", "A1"]) == 4
+
+
+def test_run_rejects_invalid_circuit(monkeypatch, capsys):
+    # generators only build valid circuits; this one bypasses the checks
+    bad = LogicalCircuit("bad", 2, [GateOp("CNOT", (0, 5))])
+    monkeypatch.setattr(cli, "generate_aqft", lambda n, k_th=None: bad)
+    for arch in ("A1", "Mono"):  # modular scheduler and grid model
+        assert main(["run", "--workload", "aqft:n=2", "--arch", arch]) == 3
+        err = capsys.readouterr().err
+        assert "invalid circuit: op 0:" in err
+
+
+def test_run_validates_circuit_once(monkeypatch, capsys):
+    calls = []
+    validate = LogicalCircuit.validate
+
+    def counted(self):
+        calls.append(self.name)
+        return validate(self)
+
+    monkeypatch.setattr(LogicalCircuit, "validate", counted)
+    assert main(["run", "--workload", "aqft:n=6", "--arch", "A1"]) == 0
+    capsys.readouterr()
+    assert calls == [generate_aqft(6).name]
 
 
 def _circuit_file(tmp_path, n_qubits, ops):

@@ -11,9 +11,10 @@ from hetqc import compiler
 from hetqc.arch import apply_override, builtin_architecture, validate
 from hetqc.circuits import LogicalCircuit
 from hetqc.compiler import (CompileError, ErrorBudget, EVENT_KINDS,
-                            LoweredGate, ScheduledEvent, consolidate_blocks,
-                            error_budget, lower_circuit, rz_t_count, schedule,
-                            schedule_baseline, synchronize_clocks)
+                            LoweredGate, RouterDecision, ScheduledEvent,
+                            consolidate_blocks, error_budget, lower_circuit,
+                            rz_t_count, schedule, schedule_baseline,
+                            synchronize_clocks)
 from hetqc.generators import generate_aqft, generate_cuccaro_adder
 from hetqc.qec import TransferInfeasible
 
@@ -221,8 +222,10 @@ def test_schedule_rejects_overflow():
 
 def test_capacity_check_refuses_before_consolidation(monkeypatch):
     def never(*args):
-        raise AssertionError("consolidated a circuit that cannot fit")
+        raise AssertionError("lowered a circuit that cannot fit")
 
+    # the check reads the circuit's ops, so nothing is lowered either
+    monkeypatch.setattr(compiler, "lower_circuit", never)
     monkeypatch.setattr(compiler, "consolidate_blocks", never)
     c = LogicalCircuit("wide", 1100)
     for q in range(1100):
@@ -230,6 +233,20 @@ def test_capacity_check_refuses_before_consolidation(monkeypatch):
     c.add("Measure", 0)  # a measured qubit needs no home at the end
     with pytest.raises(CompileError, match="1099 qubits stay live"):
         schedule(c, builtin_architecture("A1"))  # 3 slots + 1000 cells
+
+
+def test_capacity_refusal_wins_over_missing_factory():
+    # both checks would refuse; the capacity check runs before lowering
+    arch = builtin_architecture("A1")
+    arch.modules = [m for m in arch.modules if m.kind != "QSF"]
+    assert validate(arch) == []
+    c = LogicalCircuit("wide_t", 1100)
+    for q in range(1100):
+        c.add("T", q)
+    with pytest.raises(CompileError, match="1100 qubits stay live"):
+        schedule(c, arch)
+    with pytest.raises(CompileError, match="no factory module"):
+        schedule(generate_aqft(8), arch)
 
 
 def test_infeasible_hop_raises_only_when_used():
@@ -287,8 +304,45 @@ def test_baseline_routes_distant_pairs():
     assert any(ev.kind == "swap_route" for ev in prog.events)
 
 
-def test_baseline_rejects_oversized_circuit():
+def test_baseline_rejects_oversized_circuit(monkeypatch):
+    def never(*args):
+        raise AssertionError("lowered a circuit that cannot fit")
+
+    monkeypatch.setattr(compiler, "lower_circuit", never)
     c = LogicalCircuit("big", 1001)
     c.add("H", 1000)
     with pytest.raises(CompileError):
         schedule_baseline(c, builtin_architecture("baseline1000"))
+
+
+# ------------------------------------------------------------ record contract
+
+def test_records_are_immutable():
+    ev = ScheduledEvent(0.1, 0.2, "gate", "qpu0", "qpu0:core0", (1, 2),
+                        "CNOT", 1e-9, "gate_2q")
+    assert ev.t_end_s == 0.1 + 0.2
+    dec = RouterDecision(0.5, "qpu0:core0", 1, 3, 1e-9, 2e-9, False, "router")
+    gate = LoweredGate("2q", "CNOT", (1, 2), "gate_2q", n_cnot=1)
+    for record, name in ((ev, "t_start_s"), (ev, "qubits"), (dec, "moved"),
+                         (gate, "cost_key"), (gate, "tag")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    assert (gate.magic, gate.n_t, gate.n_swap, gate.tag, gate.src) == \
+        (0, 0, 0, None, -1)
+
+
+def test_event_order_key_matches_field_order():
+    # few distinct values per field, so ties reach every later field
+    rng = random.Random(2024)
+    lanes = ["qpu0:core0", "stqm0:q3", "stqm0:q12"]
+    events = [ScheduledEvent(rng.choice([0.0, 1e-6, 2.5e-6, 3e-6]),
+                             rng.random(), rng.choice(sorted(EVENT_KINDS)),
+                             rng.choice(["qpu0", "stqm0", "qpu1"]),
+                             rng.choice(lanes),
+                             tuple(rng.sample(range(6), rng.randint(1, 3))),
+                             "x", rng.random(), "transfer")
+              for _ in range(3000)]
+    old = sorted(events, key=lambda ev: (ev.t_start_s, ev.module, ev.lane,
+                                         ev.kind, ev.qubits))
+    assert [id(ev) for ev in sorted(events, key=compiler._EVENT_ORDER)] == \
+        [id(ev) for ev in old]

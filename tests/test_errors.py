@@ -1,6 +1,7 @@
 """Error-model unit tests: per-cycle scaling, idling, transfers, storage."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +10,8 @@ from hetqc.qec import (RefreshRequired, TransferInfeasible, TransferParams,
                        equivalent_memory_distance, idle_error,
                        logical_error_per_cycle, stqm_max_dwell,
                        stqm_storage_error, stqm_storage_valid,
-                       transfer_lattice_surgery, transfer_transversal)
+                       transfer_lattice_surgery, transfer_transversal,
+                       transversal_error)
 from hetqc.arch import ModalitySpec
 
 from oracles import product_error, slow_logical_error
@@ -95,6 +97,42 @@ def test_transversal_infeasible_cases():
         transfer_transversal(TransferParams(
             eps_qpu=1e-10, d_qpu=15, t_qpu_s=1e-6, eps_th=6e-3,
             eps_tele=5e-3, eps_eff_idle=2e-3))
+
+
+def _transversal_draw(rng):
+    """Random transversal inputs, a share of them at or past threshold."""
+    eps_th = rng.choice([0.0, -1e-3, rng.uniform(1e-3, 1e-2)])
+    if rng.random() < 0.7:
+        eps_th = rng.uniform(1e-3, 1e-2)
+    eps_tele = rng.uniform(0.0, 5e-3)
+    eps_eff_idle = rng.choice([0.0, rng.uniform(0.0, 1e-2)])
+    if eps_th > 0 and rng.random() < 0.1:
+        eps_eff_idle = eps_th - eps_tele  # residue exactly at threshold
+    return dict(eps_qpu=rng.uniform(0.0, 1e-6), d_qpu=rng.randrange(1, 40),
+                t_qpu_s=rng.uniform(1e-7, 1e-5), eps_th=eps_th,
+                eps_tele=eps_tele, eps_eff_idle=eps_eff_idle)
+
+
+def test_transversal_error_matches_transfer_transversal():
+    # the scheduler prices each passive-store read with the scalar form
+    rng = random.Random(4242)
+    outcomes = {"ok": 0, "threshold not set": 0, "reaches threshold": 0}
+    for _ in range(400):
+        kw = _transversal_draw(rng)
+        scalar_kw = {k: kw[k] for k in ("eps_qpu", "d_qpu", "eps_th",
+                                        "eps_tele", "eps_eff_idle")}
+        try:
+            expect = transfer_transversal(TransferParams(**kw)).error
+        except TransferInfeasible as exc:
+            with pytest.raises(TransferInfeasible) as got:
+                transversal_error(**scalar_kw)
+            assert got.value.args == exc.args
+            outcomes["threshold not set" if kw["eps_th"] <= 0
+                     else "reaches threshold"] += 1
+            continue
+        assert transversal_error(**scalar_kw).hex() == expect.hex()
+        outcomes["ok"] += 1
+    assert min(outcomes.values()) >= 30, outcomes
 
 
 def test_lattice_surgery_design_point():

@@ -3,8 +3,10 @@
 The hashes pin the scheduler's output byte for byte on a small set of
 workloads, covering the grid model (baseline1000, Mono), both memory
 kinds (A1 passive, A2/A3 active), and the multi-core B family with and
-without the adder core.  A refactor must leave every hash unchanged; a
-model change that moves one must say so where it is recorded.
+without the adder core.  Each ``run`` case pins all three of its artifacts
+(``schedule.txt``, ``summary.json``, ``budget.csv``).  A refactor must leave
+every hash unchanged; a model change that moves one must say so where it is
+recorded.
 """
 
 import hashlib
@@ -36,6 +38,37 @@ SCHEDULE_SHA256 = {
         "15ffd4e7916e8cb0abc4e3f2b95e51e9f5dfa103ba7e6f113fc292515417449e",
 }
 
+#: (summary.json, budget.csv) of the same runs
+SUMMARY_BUDGET_SHA256 = {
+    ("aqft:n=32,k_th=5", "A1"):
+        ("2f417559662c06df883123a2e3f96b4fac2a38d1ca9fb01f443361007c7235e9",
+         "aed873ad35bcde66a39f5efe30cb076b3fc07891f605809677d993351d94702b"),
+    ("aqft:n=32,k_th=5", "A2"):
+        ("292a594e060e30d8e10309ae9503146963ce160ed1e905a686c5814d0e46cf03",
+         "83ab5f30cf3440f16043e419f0ebcbffef326a234a5675c72b2f0763e0ea37cb"),
+    ("aqft:n=32,k_th=5", "A3"):
+        ("e1c6adcc2c46863a7e5d7f005ad10b6411f067b3eba91c4855e8b72240820e3f",
+         "e14b74a6365404497ee460da5a3254aaa14264c034884df072e8449e1162e2b7"),
+    ("aqft:n=32,k_th=5", "baseline1000"):
+        ("5893f5cdb8112d5c5a26d7b3bd268916cde590927162320763ff1969b39a73ab",
+         "f2799f55e7515ef1b81b3e3cb4d4360ab22ca8101fcf660bc0286888fc6e7dab"),
+    ("aqft:n=32,k_th=5", "Mono"):
+        ("b8089240af02705b4581c1fd2ef7dca4ea08f2777b3a92dff0f9605ab5acb407",
+         "0e80914ab177f7b607e65c1de13058ea677a48402a2bcc74e1e1a5ff9a798441"),
+    ("rsa:kind=adder33", "B2"):
+        ("5db44d2124b25d1076fa11954f64e1a20dfab5fd6d5ae2b9345bbfa7742492ba",
+         "6994d12770e84158eab057e94f8cf7d0ca0b09af54a84b353db2e14d54206ecb"),
+    ("rsa:kind=adder33", "B5"):
+        ("f850d38577397c8ee664be566e350f90a7b1959fe8f419cc522badff1029c11b",
+         "6994d12770e84158eab057e94f8cf7d0ca0b09af54a84b353db2e14d54206ecb"),
+    ("aqft:n=200,k_th=9", "A1"):
+        ("7a1584ffbb7a3950a5f7d1bfd68b7ae3154adf6312396378c71a2ec87e934606",
+         "b3149a7f7d0f946758efbc3b7c672651877abd03c77a5c5c93594058d834aea7"),
+    ("hubbard:lx=6,ly=6,steps=1", "A2"):
+        ("651a1cbf11b187554429b3eff2a8aa2d6d17f64a3ea307ce5333c4eb655a4c47",
+         "f707e2d12de56e62fd33bdfc95f49094a1034429e12a3ce0814bb9a588dd8555"),
+}
+
 COMPARISON_SHA256 = \
     "e60a6c0db6f9d86194cc2e3fec93cedb68708f9eb30f2f83d8189c10667b9881"
 
@@ -51,6 +84,8 @@ def test_run_schedule_golden(tmp_path, capsys, workload, arch):
                  "--out", str(out)]) == 0
     capsys.readouterr()
     assert _sha256(out / "schedule.txt") == SCHEDULE_SHA256[(workload, arch)]
+    assert (_sha256(out / "summary.json"), _sha256(out / "budget.csv")) == \
+        SUMMARY_BUDGET_SHA256[(workload, arch)]
 
 
 def test_sweep_comparison_golden(tmp_path, capsys):
