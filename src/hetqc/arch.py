@@ -149,6 +149,11 @@ def derive_boundary(spec: ArchitectureSpec, link: LinkSpec | None = None) -> Bou
     return Boundary(n_bdry, d_bdry, d_time)
 
 
+#: accepted QEC cycle times, seconds: wider than any hardware's, and narrow
+#: enough that cycle ratios, cycle counts and makespans stay finite
+CYCLE_TIME_RANGE_S = (1e-12, 1e3)
+
+
 def _non_finite(where: str, *parts) -> list[str]:
     """One diagnostic per float field of ``parts`` that is NaN or infinite."""
     return [f"{where}: {f.name} must be finite"
@@ -179,13 +184,17 @@ def validate(spec: ArchitectureSpec) -> list[str]:
             out.append(f"{where}: surface distance must be odd and >= 3")
         if m.code.c_anc < 0:
             out.append(f"{where}: negative ancilla fraction")
-        if not 0 <= m.modality.p_phys < m.modality.p_th:
-            out.append(f"{where}: p_phys {m.modality.p_phys} not below "
-                       f"threshold {m.modality.p_th}")
-        if m.modality.t2_s > 2 * m.modality.t1_s:
+        if not 0 < m.modality.p_phys < m.modality.p_th:
+            out.append(f"{where}: p_phys {m.modality.p_phys} not positive "
+                       f"and below threshold {m.modality.p_th}")
+        if m.modality.t1_s <= 0 or m.modality.t2_s <= 0:
+            out.append(f"{where}: non-positive T1 or T2")
+        elif m.modality.t2_s > 2 * m.modality.t1_s:
             out.append(f"{where}: T2 exceeds 2*T1")
-        if m.t_cycle_s <= 0:
-            out.append(f"{where}: non-positive cycle time")
+        lo, hi = CYCLE_TIME_RANGE_S
+        if not lo <= m.t_cycle_s <= hi:
+            out.append(f"{where}: cycle time {m.t_cycle_s} s outside "
+                       f"[{lo}, {hi}] s")
         if m.t_cycle_min_s is not None and m.t_cycle_max_s is not None:
             if m.t_cycle_min_s > m.t_cycle_max_s:
                 out.append(f"{where}: cycle-time range inverted")
@@ -559,5 +568,5 @@ __all__ = [
     "ModuleSpec", "LinkSpec", "ArchitectureSpec", "Boundary",
     "derive_boundary", "validate", "builtin_architecture", "BUILTIN_NAMES",
     "to_config_text", "parse_config_text", "apply_override",
-    "load_architecture",
+    "load_architecture", "CYCLE_TIME_RANGE_S",
 ]

@@ -85,7 +85,6 @@ class LogicalCircuit:
     name: str
     n_qubits: int
     ops: list[GateOp] = field(default_factory=list)
-    roles: dict[int, str] = field(default_factory=dict)  # q -> "ancilla"
     metadata: dict = field(default_factory=dict)
 
     def add(self, kind: str, *qubits: int, angle: float | None = None,
@@ -181,7 +180,7 @@ class LogicalCircuit:
 
     def copy(self) -> "LogicalCircuit":
         return LogicalCircuit(self.name, self.n_qubits, list(self.ops),
-                              dict(self.roles), dict(self.metadata))
+                              dict(self.metadata))
 
 
 def _check_op(op: GateOp, n_qubits: int) -> str | None:

@@ -163,7 +163,8 @@ def cmd_run(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "summary.json", summary)
-        (out / "schedule.txt").write_text(prog.to_text(), encoding="utf-8")
+        with (out / "schedule.txt").open("w", encoding="utf-8") as fh:
+            fh.writelines(prog.lines())
         with (out / "budget.csv").open("w", newline="",
                                        encoding="utf-8") as fh:
             w = csv.writer(fh)

@@ -17,7 +17,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .arch import ArchitectureSpec, LinkSpec, ModuleSpec, validate
 from .circuits import GateOp, LogicalCircuit
@@ -105,16 +105,43 @@ class ScheduledProgram:
     n_blocks: int
     warnings: list[str] = field(default_factory=list)
 
+    def lines(self) -> Iterator[str]:
+        """The lines of :meth:`to_text`, each ending in a newline.
+
+        A schedule repeats few durations, errors and (kind, module, lane,
+        label, qubits) middles across many events, so each distinct one is
+        formatted once; only the start time is formatted per event.
+        """
+        yield f"circuit {self.circuit_name} on {self.arch_name}\n"
+        yield f"makespan_s {self.makespan_s!r}\n"
+        yield " ".join(f"{k}={v}" for k, v in sorted(self.counters.items())) \
+            + "\n"
+        yield "t_start_s duration_s kind module lane label qubits error\n"
+        reprs = _Reprs()
+        middles: dict[tuple, str] = {}
+        for t, dur, kind, module, lane, qubits, label, err, _ in self.events:
+            key = (kind, module, lane, label, qubits)
+            mid = middles.get(key)
+            if mid is None:
+                qs = ",".join(str(q) for q in qubits)
+                mid = middles[key] = f"{kind} {module} {lane} {label} {qs}"
+            yield f"{t!r} {reprs[dur]} {mid} {reprs[err]}\n"
+
     def to_text(self) -> str:
-        lines = [f"circuit {self.circuit_name} on {self.arch_name}",
-                 f"makespan_s {self.makespan_s!r}",
-                 " ".join(f"{k}={v}" for k, v in sorted(self.counters.items())),
-                 "t_start_s duration_s kind module lane label qubits error"]
-        for ev in self.events:
-            qs = ",".join(str(q) for q in ev.qubits)
-            lines.append(f"{ev.t_start_s!r} {ev.duration_s!r} {ev.kind} "
-                         f"{ev.module} {ev.lane} {ev.label} {qs} {ev.error!r}")
-        return "\n".join(lines) + "\n"
+        return "".join(self.lines())
+
+
+class _Reprs(dict):
+    """float -> its ``repr``, formatted on first lookup.
+
+    Zeros are not kept: ``0.0 == -0.0`` would make them share one entry.
+    """
+
+    def __missing__(self, x: float) -> str:
+        text = repr(x)
+        if x:
+            self[x] = text
+        return text
 
 
 @dataclass
@@ -131,12 +158,17 @@ class ErrorBudget:
     @classmethod
     def from_events(cls, events) -> "ErrorBudget":
         parts: dict[str, list[float]] = {c: [] for c in CATEGORIES}
-        for ev in events:
-            if ev.error > 0.0:
-                parts[ev.category].append(-math.log1p(-min(ev.error, 1 - 1e-16)))
-            elif math.isnan(ev.error):
-                raise ValueError(f"NaN error on {ev.kind} event {ev.label} "
-                                 f"at {ev.t_start_s!r} s on {ev.lane}")
+        # -log1p once per distinct error: events repeat few error values
+        logs_of: dict[float, float] = {}
+        for t, _, kind, _, lane, _, label, err, category in events:
+            if err > 0.0:
+                log = logs_of.get(err)
+                if log is None:
+                    log = logs_of[err] = -math.log1p(-min(err, 1 - 1e-16))
+                parts[category].append(log)
+            elif math.isnan(err):
+                raise ValueError(f"NaN error on {kind} event {label} "
+                                 f"at {t!r} s on {lane}")
         logs = {c: math.fsum(parts[c]) for c in CATEGORIES}
         log_total = math.fsum(logs.values())
         if log_total == 0.0:
@@ -277,6 +309,13 @@ def _lower(circuit: LogicalCircuit,
                          qsf.eps_magic if qsf else 2.1e-9)
 
 
+def _gate_counters(lowered: list[LoweredGate]) -> dict[str, int]:
+    """A schedule's counters before its transfers and routing swaps."""
+    return {"cnot_count": sum(g.n_cnot for g in lowered), "st_count": 0,
+            "t_count": sum(g.n_t for g in lowered),
+            "swap_count": sum(g.n_swap for g in lowered)}
+
+
 def _module_costs(module: ModuleSpec,
                   qsf: ModuleSpec | None) -> dict[str, tuple[int, float]]:
     """cost_key -> (cycles on this module, error per execution)."""
@@ -370,6 +409,37 @@ def consolidate_blocks(lowered: list[LoweredGate],
 
 # ------------------------------------------------------------ runtime model
 
+def _touch_tables(lowered: list[LoweredGate]
+                  ) -> tuple[dict[int, list[int]], list[int], list[int],
+                             list[int]]:
+    """(touches, first_slot, prev_gate, next_gate) of a lowered gate list.
+
+    ``touches`` maps each qubit to its gates in ascending order.  The other
+    three are flat lists, not one record per gate: gate ``gi``'s operands
+    own the slots ``first_slot[gi]`` up to ``first_slot[gi + 1]``, in the
+    order of its qubits, and for each slot ``prev_gate`` holds the gate
+    that touched that qubit last before ``gi`` and ``next_gate`` the one
+    that touches it next after ``gi``, -1 for none.
+    """
+    touches: dict[int, list[int]] = {}
+    first, prev, nxt = [0], [], []
+    last_slot: dict[int, int] = {}  # qubit -> slot of its latest touch
+    for gi, g in enumerate(lowered):
+        for q in g.qubits:
+            mine = touches.setdefault(q, [])
+            s = last_slot.get(q)
+            if s is None:
+                prev.append(-1)
+            else:
+                prev.append(mine[-1])
+                nxt[s] = gi
+            mine.append(gi)
+            last_slot[q] = len(nxt)
+            nxt.append(-1)
+        first.append(len(nxt))
+    return touches, first, prev, nxt
+
+
 @dataclass
 class _Pool:
     """Magic-state supply of ``units`` factories, ``prod`` cycles per state."""
@@ -403,7 +473,7 @@ class _Core:
     stream: list[int] = field(default_factory=list)
     pos: int = 0
     prefix: list[int] = field(default_factory=list)            # cycles
-    stream_pos: dict[int, int] = field(default_factory=dict)
+    linked: bool = False       # some memory module has a link to this core
 
     def slots_used(self) -> int:
         return len(self.residents) + len(self.incoming)
@@ -417,9 +487,10 @@ class _Memory:
     stretched: bool
     eps_cycle: float | None                # None when storage is passive
     swap_dist: list[int]                   # per cell, all zero if k_swap == 0
-    cells: dict[int, int] = field(default_factory=dict)         # qubit -> cell
-    # qubit -> (cell lane, (qubit,)), the lane and qubits of its events
-    lanes: dict[int, tuple[str, tuple[int]]] = field(default_factory=dict)
+    # qubit -> (lane, (qubit,), swap steps, leg duration, leg error) of
+    # the cell it claimed, fixed from the claim on
+    cells: dict[int, tuple[str, tuple[int], int, float, float]] = field(
+        default_factory=dict)
     cell_ready: dict[int, float] = field(default_factory=dict)
     write_end: dict[int, float] = field(default_factory=dict)
     # compute module id -> bare boundary hop, or why it is infeasible
@@ -428,6 +499,18 @@ class _Memory:
 
     def full(self) -> bool:
         return len(self.cells) >= self.module.n_logical
+
+    # transfer legs: physical transport inside the memory lattice before and
+    # after the boundary hop, three memory CNOTs per swap step
+    def legs(self, cell: int) -> tuple[int, float, float]:
+        """(swap steps, duration_s, error) of each leg of a cell's transfer."""
+        dist = self.swap_dist[cell]
+        if dist == 0 or self.eps_cycle is None:
+            return 0, 0.0, 0.0
+        d_qm = self.module.code.distance
+        eps_cnot = idle_error(self.eps_cycle, d_qm)
+        err = -math.expm1(3 * dist * math.log1p(-eps_cnot))
+        return dist, 3 * dist * d_qm * self.t_qm_eff, err
 
 
 class _Scheduler:
@@ -439,26 +522,28 @@ class _Scheduler:
         self.events: list[ScheduledEvent] = []
         self.audit: list[RouterDecision] = []
         self.warnings: list[str] = []
-        self.counters = {"cnot_count": 0, "st_count": 0, "t_count": 0,
-                         "swap_count": 0}
         self.cores = self._build_cores()
         self.memories = self._build_memories()
+        for core in self.cores:
+            core.linked = any(core.module.id in mm.links
+                              for mm in self.memories)
         self.pools = self._build_pools()
         self._check_capacity()
         self.lowered = _lower(circuit, self.qsf)
+        self.counters = _gate_counters(self.lowered)
         self.blocks = consolidate_blocks(
             self.lowered, max(c.capacity for c in self.cores))
         self._assign_blocks()
-        self.touches: dict[int, list[int]] = {}
-        for gi, g in enumerate(self.lowered):
-            for q in g.qubits:
-                self.touches.setdefault(q, []).append(gi)
-        self.core_of_gate: dict[int, _Core] = {}
+        (self.touches, self.first_slot, self.prev_gate,
+         self.next_gate) = _touch_tables(self.lowered)
+        n = len(self.lowered)
+        self.core_of_gate: list[_Core | None] = [None] * n
+        self.stream_pos = [0] * n  # index of each gate in its core's stream
         for core in self.cores:
             run = 0
             core.prefix = [0]
             for pos, gi in enumerate(core.stream):
-                core.stream_pos[gi] = pos
+                self.stream_pos[gi] = pos
                 self.core_of_gate[gi] = core
                 run += core.costs[self.lowered[gi].cost_key][0]
                 core.prefix.append(run)
@@ -590,11 +675,6 @@ class _Scheduler:
                    "qpu_idle")
         core.residents[q] = until
 
-    def _prev_touch(self, q: int, gi: int) -> int | None:
-        lst = self.touches[q]
-        i = bisect_right(lst, gi - 1)
-        return lst[i - 1] if i > 0 else None
-
     def _next_touch(self, q: int, after_gate: int) -> int | None:
         lst = self.touches[q]
         i = bisect_right(lst, after_gate)
@@ -608,8 +688,8 @@ class _Scheduler:
                 f"no reachable memory cell for qubit {q} from {core.lane}; "
                 "compute capacity exhausted")
         if q not in self.q_mem:
-            mem.cells[q] = len(mem.cells)
-            mem.lanes[q] = (f"{mem.module.id}:q{q}", (q,))
+            mem.cells[q] = (f"{mem.module.id}:q{q}", (q,),
+                            *mem.legs(len(mem.cells)))
             self.q_mem[q] = mem
         return mem
 
@@ -621,18 +701,6 @@ class _Scheduler:
             if core.module.id in mm.links and not mm.full():
                 return mm
         return None
-
-    # transfer legs: physical transport inside the memory lattice before and
-    # after the boundary hop, three memory CNOTs per swap step
-    def _legs(self, mem: _Memory, q: int) -> tuple[int, float, float]:
-        cell = mem.cells.get(q)
-        dist = mem.swap_dist[cell] if cell is not None else 0
-        if dist == 0 or mem.eps_cycle is None:
-            return 0, 0.0, 0.0
-        d_qm = mem.module.code.distance
-        eps_cnot = idle_error(mem.eps_cycle, d_qm)
-        err = -math.expm1(3 * dist * math.log1p(-eps_cnot))
-        return dist, 3 * dist * d_qm * mem.t_qm_eff, err
 
     def _hop_params(self, mem: _Memory, core: _Core) -> TransferParams:
         link = mem.links[core.module.id]
@@ -667,12 +735,9 @@ class _Scheduler:
             raise TransferInfeasible(*hop.args)
         return hop
 
-    def _transfer(self, mem: _Memory, core: _Core, dwell_s: float,
-                  reading: bool) -> tuple[float, float, float]:
-        """(duration_s, hop_error, storage_error) for one boundary hop."""
-        hop = self._hop(mem, core)
-        if not reading:
-            return hop.duration_s, hop.error, 0.0
+    def _storage_error(self, mem: _Memory, core: _Core, hop: TransferResult,
+                       dwell_s: float) -> float:
+        """Error a read adds to its bare hop after ``dwell_s`` in the cell."""
         link = mem.links[core.module.id]
         if mem.eps_cycle is None and link.protocol == "transversal":
             # passive store: the dwell's physical error rides through the
@@ -681,19 +746,20 @@ class _Scheduler:
                 core.eps_cycle, core.module.code.distance,
                 core.module.modality.p_th, link.eps_tele,
                 dwell_s / mem.module.modality.t2_s)
-            return hop.duration_s, hop.error, max(full - hop.error, 0.0)
-        storage = idle_error(mem.eps_cycle or 0.0, dwell_s / mem.t_qm_eff)
-        return hop.duration_s, hop.error, storage
+            return max(full - hop.error, 0.0)
+        return idle_error(mem.eps_cycle or 0.0, dwell_s / mem.t_qm_eff)
 
     def _move_cost(self, mem: _Memory, core: _Core, q: int,
                    dwell_s: float) -> float:
         try:
-            _, w_err, _ = self._transfer(mem, core, 0.0, reading=False)
-            _, r_err, s_err = self._transfer(mem, core, dwell_s, reading=True)
+            hop = self._hop(mem, core)
+            s_err = self._storage_error(mem, core, hop, dwell_s)
         except TransferInfeasible:
             return math.inf
-        _, _, leg_err = self._legs(mem, q)
-        return w_err + r_err + s_err + 2 * leg_err
+        cell = mem.cells.get(q)
+        leg_err = cell[4] if cell is not None else 0.0
+        # a write and a read, each over the bare hop
+        return hop.error + hop.error + s_err + 2 * leg_err
 
     def _align(self, mem: _Memory, t: float) -> tuple[float, float]:
         """Round a transfer start up to a compute boundary when stretched."""
@@ -711,19 +777,18 @@ class _Scheduler:
         self._charge_idle(core, q, t)
         del core.residents[q]
         self.q_core.pop(q, None)
-        cell_lane, qs = mem.lanes[q]
+        cell_lane, qs, dist, leg_dur, leg_err = mem.cells[q]
         t0, pad = self._align(mem, max(t, mem.cell_ready.get(q, 0.0)))
         if pad > 0:
             self._emit(t0 - pad, pad, "qec_cycle_stretch", core.module.id,
                        cell_lane, qs, "clock_pad",
                        idle_error(core.eps_cycle,
                                   pad / core.module.t_cycle_s), "qpu_idle")
-        dur, err, _ = self._transfer(mem, core, 0.0, reading=False)
-        self._emit(t0, dur, "transfer_write", mem.module.id, cell_lane, qs,
-                   "write", err, "transfer")
+        hop = self._hop(mem, core)
+        self._emit(t0, hop.duration_s, "transfer_write", mem.module.id,
+                   cell_lane, qs, "write", hop.error, "transfer")
         self.counters["st_count"] += 1
-        t_cell = t0 + dur
-        dist, leg_dur, leg_err = self._legs(mem, q)
+        t_cell = t0 + hop.duration_s
         if dist:
             self._emit(t_cell, leg_dur, "swap_route", mem.module.id,
                        cell_lane, qs, f"legs_in:{dist}", leg_err, "qm_idle")
@@ -743,23 +808,22 @@ class _Scheduler:
         into compute-side idle.
         """
         mem = self.q_mem[q]
-        cell_lane, qs = mem.lanes[q]
+        cell_lane, qs, dist, leg_dur, leg_err = mem.cells[q]
+        hop = self._hop(mem, core)
         t0 = max(t_issue, mem.cell_ready[q])
         if target_s is not None:
-            _, leg_dur, _ = self._legs(mem, q)
-            t0 = max(t0, target_s - self._hop(mem, core).duration_s - leg_dur)
+            t0 = max(t0, target_s - hop.duration_s - leg_dur)
         dwell = max(t0 - mem.write_end[q], 0.0)
         if mem.eps_cycle is None and not stqm_storage_valid(
                 mem.module.modality, dwell, core.module.modality.p_phys):
             self.warnings.append(
                 f"qubit {q}: stored {dwell:.3e} s, beyond the consumer's "
                 f"physical rate {core.module.modality.p_phys}")
-        dur, err, storage_err = self._transfer(mem, core, dwell, reading=True)
+        storage_err = self._storage_error(mem, core, hop, dwell)
         if dwell > 0 or storage_err > 0:
             self._emit(mem.write_end[q], dwell, "idle_buffer", mem.module.id,
                        cell_lane, qs, "stored", storage_err, "qm_idle")
         t_legs = t0
-        dist, leg_dur, leg_err = self._legs(mem, q)
         if dist:
             self._emit(t_legs, leg_dur, "swap_route", mem.module.id,
                        cell_lane, qs, f"legs_out:{dist}", leg_err,
@@ -772,13 +836,14 @@ class _Scheduler:
                        cell_lane, qs, "clock_pad",
                        idle_error(core.eps_cycle,
                                   pad / core.module.t_cycle_s), "qpu_idle")
-        self._emit(t_read, dur, "transfer_read", mem.module.id, cell_lane,
-                   qs, "read", err, "transfer")
+        t_arrive = t_read + hop.duration_s
+        self._emit(t_read, hop.duration_s, "transfer_read", mem.module.id,
+                   cell_lane, qs, "read", hop.error, "transfer")
         self.counters["st_count"] += 1
-        mem.cell_ready[q] = t_read + dur
+        mem.cell_ready[q] = t_arrive
         del mem.write_end[q]
-        core.incoming[q] = t_read + dur
-        return t_read + dur
+        core.incoming[q] = t_arrive
+        return t_arrive
 
     def _force_slot(self, core: _Core, t: float, protected: set[int]) -> None:
         victims = [q for q in core.residents if q not in protected]
@@ -822,25 +887,27 @@ class _Scheduler:
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> ScheduledProgram:
-        scheduled: set[int] = set()
         done = 0
         total = len(self.lowered)
+        # one flag per gate plus a set one at the end, which a previous
+        # gate of -1 (none) reads
+        scheduled = bytearray(total + 1)
+        scheduled[total] = 1
+        first, prev = self.first_slot, self.prev_gate
         while done < total:
             progress = False
             for core in self.cores:
                 while core.pos < len(core.stream):
                     gi = core.stream[core.pos]
-                    g = self.lowered[gi]
                     blocked = False
-                    for q in g.qubits:
-                        prev = self._prev_touch(q, gi)
-                        if prev is not None and prev not in scheduled:
+                    for s in range(first[gi], first[gi + 1]):
+                        if not scheduled[prev[s]]:
                             blocked = True
                             break
                     if blocked:
                         break
-                    self._execute(core, gi, g)
-                    scheduled.add(gi)
+                    self._execute(core, gi, self.lowered[gi])
+                    scheduled[gi] = 1
                     core.pos += 1
                     done += 1
                     progress = True
@@ -879,9 +946,6 @@ class _Scheduler:
         dur = cycles * core.module.t_cycle_s
         self._emit(start, dur, _INJECT_KINDS.get(g.cost_key, "gate"), core.module.id, core.lane, g.qubits,
                    g.label, err, g.category)
-        self.counters["cnot_count"] += g.n_cnot
-        self.counters["t_count"] += g.n_t
-        self.counters["swap_count"] += g.n_swap
         core.t_free = start + dur
         for q in g.qubits:
             core.residents[q] = start + dur
@@ -903,24 +967,24 @@ class _Scheduler:
 
     def _route(self, core: _Core, gi: int, g: LoweredGate,
                t_end: float) -> None:
-        for q in g.qubits:
+        for s, q in enumerate(g.qubits, self.first_slot[gi]):
             if q not in core.residents:
                 continue
-            nxt = self._next_touch(q, gi)
-            if nxt is None:
+            nxt = self.next_gate[s]
+            if nxt < 0:
                 if g.cost_key == "measure":
                     # measured out: the slot is simply released
                     del core.residents[q]
                     self.q_core.pop(q, None)
-                elif any(core.module.id in mm.links for mm in self.memories):
+                elif core.linked:
                     self._write_out(core, q, t_end, "terminal")
                 continue
             if self.core_of_gate[nxt] is not core:
-                if any(core.module.id in mm.links for mm in self.memories):
+                if core.linked:
                     self._write_out(core, q, t_end, "cross_core")
                 continue
-            gap = (core.prefix[core.stream_pos[nxt]]
-                   - core.prefix[core.stream_pos[gi] + 1])
+            gap = (core.prefix[self.stream_pos[nxt]]
+                   - core.prefix[self.stream_pos[gi] + 1])
             if gap <= 0:
                 continue
             mem = self._probe_memory(q, core)
@@ -950,8 +1014,8 @@ class _Scheduler:
                     continue
                 if mem.eps_cycle is None:
                     try:
-                        _, _, err = self._transfer(mem, consumer, dwell,
-                                                   reading=True)
+                        err = self._storage_error(
+                            mem, consumer, self._hop(mem, consumer), dwell)
                     except TransferInfeasible:
                         err = 1.0 - 1e-16
                         self.warnings.append(
@@ -959,7 +1023,7 @@ class _Scheduler:
                             "exceeds the recoverable storage window")
                 else:
                     err = idle_error(mem.eps_cycle, dwell / mem.t_qm_eff)
-                cell_lane, qs = mem.lanes[q]
+                cell_lane, qs = mem.cells[q][:2]
                 self._emit(t0, dwell, "idle_buffer", mem.module.id,
                            cell_lane, qs, "stored", err, "qm_idle")
 
@@ -1005,7 +1069,7 @@ def schedule_baseline(circuit: LogicalCircuit,
     pos = {q: (q // side, q % side) for q in range(n)}
     cell = {p: q for q, p in pos.items()}
     events: list[ScheduledEvent] = []
-    counters = {"cnot_count": 0, "st_count": 0, "t_count": 0, "swap_count": 0}
+    counters = _gate_counters(lowered)
     busy = {q: 0.0 for q in range(n)}
     lane = f"{qpu.id}:core0"
     t = 0.0
@@ -1074,9 +1138,6 @@ def schedule_baseline(circuit: LogicalCircuit,
                                      _INJECT_KINDS.get(g.cost_key, "gate"),
                                      qpu.id, lane, g.qubits, g.label, err,
                                      g.category))
-        counters["cnot_count"] += g.n_cnot
-        counters["t_count"] += g.n_t
-        counters["swap_count"] += g.n_swap
         for q in g.qubits:
             busy[q] += dur
         t += dur

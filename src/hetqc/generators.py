@@ -79,7 +79,6 @@ def generate_cuccaro_adder(bits: int) -> LogicalCircuit:
         raise ValueError("bits must be >= 1")
     n = 2 * bits + 2
     c = LogicalCircuit(f"cuccaro_adder_{bits}", n)
-    c.roles[0] = "ancilla"
     a = [1 + i for i in range(bits)]
     b = [1 + bits + i for i in range(bits)]
     z = 2 * bits + 1
@@ -181,8 +180,6 @@ def generate_rsa_subroutine(kind: str, **params) -> LogicalCircuit:
         addr = list(range(6))
         unary = list(range(6, 11))
         target = list(range(11, 70))
-        for u in unary:
-            c.roles[u] = "ancilla"
         c.add("CNOT", addr[0], unary[0], tag="lookup")
         for i in range(count):
             a = addr[i % 6]
@@ -197,8 +194,6 @@ def generate_rsa_subroutine(kind: str, **params) -> LogicalCircuit:
         if params:
             raise ValueError(f"unknown parameters {sorted(params)}")
         c = LogicalCircuit("rsa_phaseup6", 14)
-        for q in range(6, 14):
-            c.roles[q] = "ancilla"
         for i in range(count):
             c.add("CCZ", i % 6, 6 + i % 8, 6 + (i + 3) % 8, tag="phaseup")
         c.metadata = {"workload": "rsa_phaseup6", "ccz_count": count}

@@ -8,6 +8,7 @@ from the compiler or resource modules beyond plain data types.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 
 import numpy as np
@@ -180,6 +181,47 @@ def consolidate_blocks_linear(lowered, max_qubits: int) -> list[tuple]:
                 deps.add(prev)
             last_touch[q] = index
     return blocks
+
+
+# ------------------------------------------------------ gate neighbourhood
+
+def touch_neighbours_bisect(lowered) -> list[tuple[list[int], list[int]]]:
+    """Per gate: (previous, next) gate touching each operand, -1 for none.
+
+    Found by bisection in each qubit's ascending list of touching gates,
+    one lookup per operand, as the scheduler once did per gate.
+    """
+    touches: dict[int, list[int]] = {}
+    for gi, g in enumerate(lowered):
+        for q in g.qubits:
+            touches.setdefault(q, []).append(gi)
+    out = []
+    for gi, g in enumerate(lowered):
+        prev, nxt = [], []
+        for q in g.qubits:
+            lst = touches[q]
+            i = bisect_right(lst, gi - 1)
+            prev.append(lst[i - 1] if i > 0 else -1)
+            j = bisect_right(lst, gi)
+            nxt.append(lst[j] if j < len(lst) else -1)
+        out.append((prev, nxt))
+    return out
+
+
+# ------------------------------------------------------------ error budget
+
+def error_budget_uncached(events, categories) -> tuple[float, dict]:
+    """(total, per-category mass), one ``-log1p`` per positive event error."""
+    parts = {c: [] for c in categories}
+    for ev in events:
+        if ev.error > 0.0:
+            parts[ev.category].append(-math.log1p(-min(ev.error, 1 - 1e-16)))
+    logs = {c: math.fsum(parts[c]) for c in categories}
+    log_total = math.fsum(logs.values())
+    if log_total == 0.0:
+        return 0.0, {c: 0.0 for c in categories}
+    total = -math.expm1(-log_total)
+    return total, {c: total * (logs[c] / log_total) for c in categories}
 
 
 # ------------------------------------------------- schedule invariant checks

@@ -6,8 +6,8 @@ import pathlib
 
 import pytest
 
-from hetqc.arch import (BUILTIN_NAMES, ConfigError, ModuleSpec,
-                        apply_override, builtin_architecture,
+from hetqc.arch import (BUILTIN_NAMES, CYCLE_TIME_RANGE_S, ConfigError,
+                        ModuleSpec, apply_override, builtin_architecture,
                         derive_boundary, load_architecture,
                         parse_config_text, to_config_text, validate)
 
@@ -158,6 +158,26 @@ def test_validate_flags_structural_problems():
     qpu = spec.module("qpu0")
     qpu.modality = dataclasses.replace(qpu.modality, p_phys=1e-2)
     assert any("below" in p for p in validate(spec))
+
+    spec = builtin_architecture("A3")
+    qpu = spec.module("qpu0")
+    qpu.modality = dataclasses.replace(qpu.modality, p_phys=0.0)
+    assert any("p_phys 0.0 not positive" in p for p in validate(spec))
+
+    for t1_s, t2_s in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.0, -1.0)):
+        spec = builtin_architecture("A1")
+        stqm = spec.module("stqm0")
+        stqm.modality = dataclasses.replace(stqm.modality, t1_s=t1_s,
+                                            t2_s=t2_s)
+        assert any("non-positive T1 or T2" in p for p in validate(spec))
+
+    for t_cycle_s in (5e-324, 1e-13, 1e4):
+        spec = builtin_architecture("A2")
+        spec.module("qpu0").t_cycle_s = t_cycle_s
+        assert any("cycle time" in p for p in validate(spec))
+    spec = builtin_architecture("A2")
+    spec.module("qpu0").t_cycle_s = CYCLE_TIME_RANGE_S[0]
+    assert validate(spec) == []
 
     spec = builtin_architecture("A1")
     spec.module("stqm0").kind = "QB"

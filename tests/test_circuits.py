@@ -182,7 +182,12 @@ def test_cuccaro_shape():
     bits = 4
     c = generate_cuccaro_adder(bits)
     assert c.n_qubits == 2 * bits + 2
-    assert c.roles[0] == "ancilla"
+    # qubit 0 is the carry-in ancilla: only the first MAJ (on a0, b0) and
+    # the last UMA use it
+    a0, b0 = 1, bits + 1
+    assert [(op.kind, op.qubits) for op in c.ops if 0 in op.qubits] == [
+        ("CNOT", (a0, 0)), ("Toffoli", (0, b0, a0)),
+        ("Toffoli", (0, b0, a0)), ("CNOT", (a0, 0)), ("CNOT", (0, b0))]
     assert c.count_kind("Toffoli") == 2 * bits
     assert c.count_kind("CNOT") == 4 * bits + 1
     assert all(op.tag == "adder" for op in c.ops)

@@ -148,6 +148,19 @@ def test_run_rejects_non_finite_override(override):
                  "--override", override]) == 3
 
 
+@pytest.mark.parametrize(("arch", "override", "message"), [
+    ("A3", "qpu0.p_phys=0", "p_phys 0.0 not positive"),
+    ("A1", "stqm0.t2_s=0", "non-positive T1 or T2"),
+    ("A2", "qpu0.t_cycle_s=5e-324", "cycle time 5e-324 s outside"),
+])
+def test_run_rejects_override_that_would_crash(capsys, arch, override,
+                                              message):
+    # each once reached the compiler and ended in a traceback
+    assert main(["run", "--workload", "aqft:n=8,k_th=3", "--arch", arch,
+                 "--override", override]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_run_override_applies(capsys):
     assert main(["run", "--workload", "aqft:n=8,k_th=3", "--arch", "A2",
                  "--override", "raqm.n=900"]) == 0

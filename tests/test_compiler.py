@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hetqc import compiler
 from hetqc.arch import apply_override, builtin_architecture, validate
 from hetqc.circuits import LogicalCircuit
-from hetqc.compiler import (CompileError, ErrorBudget, EVENT_KINDS,
+from hetqc.compiler import (CATEGORIES, CompileError, ErrorBudget, EVENT_KINDS,
                             LoweredGate, RouterDecision, ScheduledEvent,
                             consolidate_blocks, error_budget, lower_circuit,
                             rz_t_count, schedule, schedule_baseline,
@@ -18,7 +18,8 @@ from hetqc.compiler import (CompileError, ErrorBudget, EVENT_KINDS,
 from hetqc.generators import generate_aqft, generate_cuccaro_adder
 from hetqc.qec import TransferInfeasible
 
-from oracles import consolidate_blocks_linear, product_error, random_circuit
+from oracles import (consolidate_blocks_linear, error_budget_uncached,
+                     product_error, random_circuit, touch_neighbours_bisect)
 
 
 def test_rz_t_count():
@@ -173,6 +174,23 @@ def test_error_budget_empty():
         "measure"}
 
 
+def test_error_budget_matches_uncached_reference():
+    rng = random.Random(31)
+    # repeats, both zeros, 1.0 and the clamp edge, so cache hits abound
+    pool = [0.0, -0.0, 1.0, 1 - 1e-16, 5e-324, 1e-12, 3.3e-7, 0.25] + \
+        [rng.random() * 1e-3 for _ in range(6)]
+    for _ in range(40):
+        events = [ScheduledEvent(rng.random(), 1e-6, "gate", "qpu0",
+                                 "qpu0:core0", (0,), "H", rng.choice(pool),
+                                 rng.choice(CATEGORIES))
+                  for _ in range(rng.randint(0, 300))]
+        budget = ErrorBudget.from_events(events)
+        total, categories = error_budget_uncached(events, CATEGORIES)
+        assert budget.total.hex() == total.hex()
+        assert {c: v.hex() for c, v in budget.categories.items()} == \
+            {c: v.hex() for c, v in categories.items()}
+
+
 def test_error_budget_rejects_nan():
     ev = ScheduledEvent(0.0, 1e-6, "gate", "qpu0", "qpu0:core0", (0,), "H",
                         math.nan, "gate_1q")
@@ -313,6 +331,21 @@ def test_baseline_rejects_oversized_circuit(monkeypatch):
     c.add("H", 1000)
     with pytest.raises(CompileError):
         schedule_baseline(c, builtin_architecture("baseline1000"))
+
+
+def test_touch_tables_match_bisection():
+    for seed in range(150):
+        rng = random.Random(4100 + seed)
+        circuit = random_circuit(rng, rng.randint(1, 30), rng.randint(0, 120))
+        lowered = lower_circuit(circuit, rng.choice(["T", "CCZ"]), 2.1e-9)
+        touches, first, prev, nxt = compiler._touch_tables(lowered)
+        assert len(first) == len(lowered) + 1
+        assert [(prev[first[gi]:first[gi + 1]], nxt[first[gi]:first[gi + 1]])
+                for gi in range(len(lowered))] == \
+            touch_neighbours_bisect(lowered)
+        assert touches == {q: [gi for gi, g in enumerate(lowered)
+                               if q in g.qubits] for q in touches}
+        assert set(touches) == {q for g in lowered for q in g.qubits}
 
 
 # ------------------------------------------------------------ record contract

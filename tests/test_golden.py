@@ -10,10 +10,15 @@ recorded.
 """
 
 import hashlib
+import random
 
 import pytest
 
-from hetqc.cli import main
+from hetqc.arch import load_architecture
+from hetqc.cli import build_workload, main
+from hetqc.compiler import schedule
+
+from oracles import random_circuit
 
 SCHEDULE_SHA256 = {
     ("aqft:n=32,k_th=5", "A1"):
@@ -69,6 +74,20 @@ SUMMARY_BUDGET_SHA256 = {
          "f707e2d12de56e62fd33bdfc95f49094a1034429e12a3ce0814bb9a588dd8555"),
 }
 
+#: the ``file:`` text of ``random_circuit(random.Random(7001), 40, 120)``:
+#: on A3 the router evicts for capacity, on B1 it writes out across cores,
+#: two paths the cases above never take.  The B1 hashes pin today's output,
+#: including the multi-core overlap of ROADMAP item 1, so the fix of that
+#: item will re-pin them.
+RANDOM_FILE_SHA256 = {
+    "A3": ("b2a644c30ba5d795641cdda4d118f0183eb54e3f1629f4dacf0b5fea0e499087",
+           "63b9f96b38268c4ce837a745d6a9eb6e490af841b838f8a33774720ac2a239d9",
+           "1f20eb30db56f8ed667be15d4c9f50cc3d754257c2cfc406b16709c6c9a5ecad"),
+    "B1": ("d8ff5cf641680088ce05e0e4ef71fcb9f5faf7a005e329088595829195e7d1d8",
+           "97c3e0edd1a3c4a170ff7a9765e73d7b091bad0a9bceddfbe8306b69ed86a605",
+           "cf8a2bdc43a5495a4092c57b5749763bd0f1b3bec8f0b1a41ac0cc921d1161e5"),
+}
+
 COMPARISON_SHA256 = \
     "e60a6c0db6f9d86194cc2e3fec93cedb68708f9eb30f2f83d8189c10667b9881"
 
@@ -86,6 +105,44 @@ def test_run_schedule_golden(tmp_path, capsys, workload, arch):
     assert _sha256(out / "schedule.txt") == SCHEDULE_SHA256[(workload, arch)]
     assert (_sha256(out / "summary.json"), _sha256(out / "budget.csv")) == \
         SUMMARY_BUDGET_SHA256[(workload, arch)]
+    _assert_streamed_as_to_text(out, workload, arch)
+
+
+def _assert_streamed_as_to_text(out, workload, arch):
+    """``run`` streams schedule.txt; the bytes are those of ``to_text``."""
+    prog = schedule(build_workload(workload), load_architecture(arch))
+    assert (out / "schedule.txt").read_bytes() == \
+        prog.to_text().encode("utf-8")
+
+
+@pytest.mark.parametrize("arch", list(RANDOM_FILE_SHA256))
+def test_run_random_file_golden(tmp_path, capsys, arch):
+    path = tmp_path / "circuit.txt"
+    path.write_text(random_circuit(random.Random(7001), 40, 120).to_text(),
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--workload", f"file:{path}", "--arch", arch,
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert tuple(_sha256(out / name) for name in
+                 ("schedule.txt", "summary.json", "budget.csv")) == \
+        RANDOM_FILE_SHA256[arch]
+    _assert_streamed_as_to_text(out, f"file:{path}", arch)
+
+
+@pytest.mark.parametrize("arch", ["A1", "Mono"])
+def test_run_streams_empty_schedule(tmp_path, capsys, arch):
+    path = tmp_path / "empty.txt"
+    path.write_text("name empty\nqubits 2\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--workload", f"file:{path}", "--arch", arch,
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    _assert_streamed_as_to_text(out, f"file:{path}", arch)
+    assert (out / "schedule.txt").read_text(encoding="utf-8") == (
+        f"circuit empty on {arch}\nmakespan_s 0.0\n"
+        "cnot_count=0 st_count=0 swap_count=0 t_count=0\n"
+        "t_start_s duration_s kind module lane label qubits error\n")
 
 
 def test_sweep_comparison_golden(tmp_path, capsys):

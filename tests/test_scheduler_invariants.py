@@ -4,14 +4,21 @@ A seeded corpus of circuits (up to 64 logical qubits) is spread round-robin
 over the three memory-backed builtins.  Every schedule must be reproducible,
 keep each lane exclusive, pair writes with reads, route only when the move
 is cheaper than idling, and never fall back to swap routing.
+
+A property test then draws physical parameters on A1/A2: every config that
+``validate`` accepts compiles to finite numbers or is refused cleanly.
 """
 
+import dataclasses
+import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hetqc.arch import builtin_architecture
-from hetqc.compiler import EVENT_KINDS, schedule
+from hetqc.arch import builtin_architecture, validate
+from hetqc.compiler import CompileError, EVENT_KINDS, error_budget, schedule
+from hetqc.qec import TransferInfeasible
 
 from oracles import (check_lane_exclusive, check_no_routing_swaps,
                      check_router_audit, check_transfer_pairing,
@@ -49,3 +56,61 @@ def test_random_schedule_invariants(index):
         assert ev.t_end_s <= prog.makespan_s + 1e-12
         assert all(0 <= q < circuit.n_qubits for q in ev.qubits
                    if ev.kind == "gate")
+
+
+# ------------------------------------------- validated configs stay finite
+
+#: per field, edge values (zero, subnormal, huge) mixed with plausible ones
+_MODULE_FIELDS = {
+    "p_phys": st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 5.99e-3]),
+                        st.floats(1e-12, 2e-2)),
+    "t2_s": st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e300]),
+                      st.floats(1e-9, 1e5)),
+    "t_cycle_s": st.one_of(st.sampled_from([5e-324, 1e-300, 1e-12, 1e3]),
+                           st.floats(1e-9, 1e-1)),
+    "code_distance": st.integers(1, 61),
+}
+_EPS_TELE = st.one_of(st.sampled_from([0.0, 0.999999]),
+                      st.floats(0.0, 1.0, exclude_max=True))
+
+
+@st.composite
+def _drawn_config(draw):
+    spec = builtin_architecture(draw(st.sampled_from(["A1", "A2"])))
+    for _ in range(draw(st.integers(0, 4))):
+        key = draw(st.sampled_from(sorted(_MODULE_FIELDS) + ["eps_tele"]))
+        if key == "eps_tele":
+            spec.links[0].eps_tele = draw(_EPS_TELE)
+            continue
+        m = draw(st.sampled_from(spec.modules))
+        value = draw(_MODULE_FIELDS[key])
+        if key == "code_distance":
+            m.code = dataclasses.replace(m.code, distance=value)
+        elif key == "t_cycle_s":
+            # widen a synchronization window so the nominal cycle stays in it
+            m.t_cycle_s = value
+            if m.t_cycle_min_s is not None:
+                m.t_cycle_min_s = min(m.t_cycle_min_s, value)
+            if m.t_cycle_max_s is not None:
+                m.t_cycle_max_s = max(m.t_cycle_max_s, value)
+        else:
+            m.modality = dataclasses.replace(m.modality, **{key: value})
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    circuit = random_circuit(rng, draw(st.integers(1, 12)),
+                             draw(st.integers(0, 40)))
+    return spec, circuit
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_drawn_config())
+def test_validated_config_schedules_finite(config):
+    spec, circuit = config
+    if validate(spec):
+        return
+    try:
+        prog = schedule(circuit, spec)
+    except (CompileError, TransferInfeasible):
+        return
+    assert math.isfinite(prog.makespan_s) and prog.makespan_s >= 0.0
+    assert 0.0 <= error_budget(prog).total <= 1.0
