@@ -9,15 +9,25 @@ resident or moves to memory.  Writes do not block the core, reads do.
 The per-lane rule: events that share a lane string never overlap in time.
 Core lanes carry gates; a memory cell lane carries the write, the stored
 dwell, any swap legs, and the read for one qubit, in that order.
+
+Both schedulers append their events to one :class:`EventStore`: columns
+of start, duration and error plus an interned key per event.  A
+:class:`ScheduledProgram` is built on that store; its ``events`` is the
+store itself, a lazy read-only sequence of :class:`ScheduledEvent` records
+in schedule order.  The makespan, the event count and the error budget read
+the columns and never sort; only the schedule text and reading the records
+do.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Iterator, NamedTuple
+from operator import add
+from typing import NamedTuple
 
 from .arch import ArchitectureSpec, LinkSpec, ModuleSpec, validate
 from .circuits import GateOp, LogicalCircuit
@@ -79,10 +89,6 @@ class ScheduledEvent(NamedTuple):
         return self.t_start_s + self.duration_s
 
 
-#: sort key of a schedule: (t_start_s, module, lane, kind, qubits)
-_EVENT_ORDER = itemgetter(0, 3, 4, 2, 5)
-
-
 class RouterDecision(NamedTuple):
     t_s: float
     core: str
@@ -94,11 +100,98 @@ class RouterDecision(NamedTuple):
     reason: str  # router | capacity | cross_core | terminal
 
 
+class EventStore(Sequence):
+    """The events of one schedule, kept as columns.
+
+    ``add`` appends an event: its start, duration and error go to
+    ``array('d')`` columns, and the rest, (kind, module, lane, qubits,
+    label, category), to ``key`` as an id interned in ``keys``.  A schedule
+    repeats few such keys over many events.  The columns stay in emission
+    order.
+
+    As a sequence the store is read-only and holds :class:`ScheduledEvent`
+    records in schedule order: by start time, then module, lane, kind and
+    qubits, with ties in emission order.  That order is worked out on the
+    first read of an element, never for ``len`` or the makespan.
+    """
+
+    __slots__ = ("start", "dur", "err", "key", "keys", "_ids", "_groups",
+                 "_group_of", "_order")
+
+    def __init__(self):
+        self.start = array("d")
+        self.dur = array("d")
+        self.err = array("d")
+        self.key = array("i")
+        self.keys: list[tuple] = []
+        self._ids: dict[tuple, int] = {}
+        # (module, lane, kind, qubits) -> group id, and each key's group:
+        # keys of one group sort together, in emission order
+        self._groups: dict[tuple, int] = {}
+        self._group_of: list[int] = []
+        self._order: array | None = None
+
+    def add(self, t_start_s: float, duration_s: float, kind: str,
+            module: str, lane: str, qubits: tuple[int, ...], label: str,
+            error: float, category: str) -> None:
+        """Append one event; the arguments are a ScheduledEvent's fields."""
+        k = (kind, module, lane, qubits, label, category)
+        i = self._ids.get(k)
+        if i is None:
+            i = self._ids[k] = len(self.keys)
+            self.keys.append(k)
+            groups = self._groups
+            self._group_of.append(groups.setdefault(
+                (module, lane, kind, qubits), len(groups)))
+        self.start.append(t_start_s)
+        self.dur.append(duration_s)
+        self.err.append(error)
+        self.key.append(i)
+
+    def makespan(self) -> float:
+        """The latest event end, 0.0 for no events."""
+        return max(map(add, self.start, self.dur), default=0.0)
+
+    def order(self) -> array:
+        """Column indices of the events in schedule order."""
+        if self._order is None or len(self._order) != len(self.key):
+            groups = list(self._groups)
+            by_rank = sorted(range(len(groups)), key=groups.__getitem__)
+            # the inverse permutation: each group's place in the ranking
+            rank = sorted(range(len(groups)), key=by_rank.__getitem__)
+            key_rank = list(map(rank.__getitem__, self._group_of))
+            event_rank = list(map(key_rank.__getitem__, self.key))
+            # two stable sorts: by start time, ties by rank, then emission
+            idx = sorted(range(len(self.key)), key=event_rank.__getitem__)
+            idx.sort(key=self.start.__getitem__)
+            self._order = array("i", idx)
+        return self._order
+
+    def record(self, i: int) -> ScheduledEvent:
+        """The event in column ``i``, counted in emission order."""
+        kind, module, lane, qubits, label, category = self.keys[self.key[i]]
+        return ScheduledEvent(self.start[i], self.dur[i], kind, module, lane,
+                              qubits, label, self.err[i], category)
+
+    def __len__(self) -> int:
+        return len(self.key)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self.record(j) for j in self.order()[i]]
+        return self.record(self.order()[i])
+
+    def __iter__(self) -> Iterator[ScheduledEvent]:
+        return map(self.record, self.order())
+
+
 @dataclass
 class ScheduledProgram:
+    """A schedule; ``events`` is the store both schedulers fill."""
+
     circuit_name: str
     arch_name: str
-    events: list[ScheduledEvent]
+    events: EventStore
     makespan_s: float
     counters: dict[str, int]
     audit: list[RouterDecision]
@@ -108,24 +201,23 @@ class ScheduledProgram:
     def lines(self) -> Iterator[str]:
         """The lines of :meth:`to_text`, each ending in a newline.
 
-        A schedule repeats few durations, errors and (kind, module, lane,
-        label, qubits) middles across many events, so each distinct one is
-        formatted once; only the start time is formatted per event.
+        A schedule repeats few durations, errors and keys across many
+        events, so each distinct one is formatted once; only the start time
+        is formatted per event.
         """
         yield f"circuit {self.circuit_name} on {self.arch_name}\n"
         yield f"makespan_s {self.makespan_s!r}\n"
         yield " ".join(f"{k}={v}" for k, v in sorted(self.counters.items())) \
             + "\n"
         yield "t_start_s duration_s kind module lane label qubits error\n"
+        store = self.events
+        middles = [f"{kind} {module} {lane} {label} {','.join(map(str, qs))}"
+                   for kind, module, lane, qs, label, _ in store.keys]
         reprs = _Reprs()
-        middles: dict[tuple, str] = {}
-        for t, dur, kind, module, lane, qubits, label, err, _ in self.events:
-            key = (kind, module, lane, label, qubits)
-            mid = middles.get(key)
-            if mid is None:
-                qs = ",".join(str(q) for q in qubits)
-                mid = middles[key] = f"{kind} {module} {lane} {label} {qs}"
-            yield f"{t!r} {reprs[dur]} {mid} {reprs[err]}\n"
+        start, dur, err, key = store.start, store.dur, store.err, store.key
+        for i in store.order():
+            yield (f"{start[i]!r} {reprs[dur[i]]} {middles[key[i]]} "
+                   f"{reprs[err[i]]}\n")
 
     def to_text(self) -> str:
         return "".join(self.lines())
@@ -144,6 +236,14 @@ class _Reprs(dict):
         return text
 
 
+class _Logs(dict):
+    """error -> ``-log1p(-error)``, clamped below 1, taken on first lookup."""
+
+    def __missing__(self, err: float) -> float:
+        log = self[err] = -math.log1p(-min(err, 1 - 1e-16))
+        return log
+
+
 @dataclass
 class ErrorBudget:
     """Total failure probability split over the seven fixed categories.
@@ -156,25 +256,40 @@ class ErrorBudget:
     categories: dict[str, float]
 
     @classmethod
-    def from_events(cls, events) -> "ErrorBudget":
+    def from_events(cls, events: Iterable[ScheduledEvent]) -> "ErrorBudget":
+        """Budget of any events; a schedule's store is read as it is.
+
+        One pass over the key and error columns files each positive error's
+        ``-log1p``, taken once per distinct error, under the category of its
+        key.  ``fsum`` rounds correctly, so the sums do not depend on the
+        order of the events.
+        """
+        if not isinstance(events, EventStore):
+            store = EventStore()
+            for ev in events:
+                store.add(*ev)
+            events = store
         parts: dict[str, list[float]] = {c: [] for c in CATEGORIES}
-        # -log1p once per distinct error: events repeat few error values
-        logs_of: dict[float, float] = {}
-        for t, _, kind, _, lane, _, label, err, category in events:
+        file_under = [parts[category].append
+                      for *_, category in events.keys]
+        logs_of = _Logs()
+        nan = False
+        for k, err in zip(events.key, events.err):
             if err > 0.0:
-                log = logs_of.get(err)
-                if log is None:
-                    log = logs_of[err] = -math.log1p(-min(err, 1 - 1e-16))
-                parts[category].append(log)
-            elif math.isnan(err):
-                raise ValueError(f"NaN error on {kind} event {label} "
-                                 f"at {t!r} s on {lane}")
+                file_under[k](logs_of[err])
+            elif err != err:
+                nan = True
+        if nan:
+            ev = next(ev for ev in events if math.isnan(ev.error))
+            raise ValueError(f"NaN error on {ev.kind} event {ev.label} "
+                             f"at {ev.t_start_s!r} s on {ev.lane}")
         logs = {c: math.fsum(parts[c]) for c in CATEGORIES}
         log_total = math.fsum(logs.values())
         if log_total == 0.0:
             return cls(0.0, {c: 0.0 for c in CATEGORIES})
         total = -math.expm1(-log_total)
-        return cls(total, {c: total * (logs[c] / log_total) for c in CATEGORIES})
+        return cls(total, {c: total * (logs[c] / log_total)
+                           for c in CATEGORIES})
 
     def rows(self) -> list[tuple[str, float]]:
         return [(c, self.categories[c]) for c in CATEGORIES]
@@ -519,7 +634,7 @@ class _Scheduler:
         self.circuit = circuit
         self.arch = arch
         self.t_qpu = qpu.t_cycle_s
-        self.events: list[ScheduledEvent] = []
+        self.events = EventStore()
         self.audit: list[RouterDecision] = []
         self.warnings: list[str] = []
         self.cores = self._build_cores()
@@ -659,20 +774,15 @@ class _Scheduler:
 
     # -- helpers -----------------------------------------------------------
 
-    def _emit(self, *args) -> ScheduledEvent:
-        ev = ScheduledEvent(*args)
-        self.events.append(ev)
-        return ev
-
     def _charge_idle(self, core: _Core, q: int, until: float) -> None:
         last = core.residents.get(q)
         if last is None or until <= last + 1e-15:
             return
         dur = until - last
-        self._emit(last, dur, "idle_buffer", core.module.id,
-                   f"{core.module.id}:q{q}", (q,), "resident_idle",
-                   idle_error(core.eps_cycle, dur / core.module.t_cycle_s),
-                   "qpu_idle")
+        self.events.add(last, dur, "idle_buffer", core.module.id,
+                        f"{core.module.id}:q{q}", (q,), "resident_idle",
+                        idle_error(core.eps_cycle,
+                                   dur / core.module.t_cycle_s), "qpu_idle")
         core.residents[q] = until
 
     def _next_touch(self, q: int, after_gate: int) -> int | None:
@@ -780,18 +890,20 @@ class _Scheduler:
         cell_lane, qs, dist, leg_dur, leg_err = mem.cells[q]
         t0, pad = self._align(mem, max(t, mem.cell_ready.get(q, 0.0)))
         if pad > 0:
-            self._emit(t0 - pad, pad, "qec_cycle_stretch", core.module.id,
-                       cell_lane, qs, "clock_pad",
-                       idle_error(core.eps_cycle,
-                                  pad / core.module.t_cycle_s), "qpu_idle")
+            self.events.add(t0 - pad, pad, "qec_cycle_stretch",
+                            core.module.id, cell_lane, qs, "clock_pad",
+                            idle_error(core.eps_cycle,
+                                       pad / core.module.t_cycle_s),
+                            "qpu_idle")
         hop = self._hop(mem, core)
-        self._emit(t0, hop.duration_s, "transfer_write", mem.module.id,
-                   cell_lane, qs, "write", hop.error, "transfer")
+        self.events.add(t0, hop.duration_s, "transfer_write", mem.module.id,
+                        cell_lane, qs, "write", hop.error, "transfer")
         self.counters["st_count"] += 1
         t_cell = t0 + hop.duration_s
         if dist:
-            self._emit(t_cell, leg_dur, "swap_route", mem.module.id,
-                       cell_lane, qs, f"legs_in:{dist}", leg_err, "qm_idle")
+            self.events.add(t_cell, leg_dur, "swap_route", mem.module.id,
+                            cell_lane, qs, f"legs_in:{dist}", leg_err,
+                            "qm_idle")
             self.counters["swap_count"] += dist
             t_cell += leg_dur
         mem.write_end[q] = t_cell
@@ -821,24 +933,27 @@ class _Scheduler:
                 f"physical rate {core.module.modality.p_phys}")
         storage_err = self._storage_error(mem, core, hop, dwell)
         if dwell > 0 or storage_err > 0:
-            self._emit(mem.write_end[q], dwell, "idle_buffer", mem.module.id,
-                       cell_lane, qs, "stored", storage_err, "qm_idle")
+            self.events.add(mem.write_end[q], dwell, "idle_buffer",
+                            mem.module.id, cell_lane, qs, "stored",
+                            storage_err, "qm_idle")
         t_legs = t0
         if dist:
-            self._emit(t_legs, leg_dur, "swap_route", mem.module.id,
-                       cell_lane, qs, f"legs_out:{dist}", leg_err,
-                       "qm_idle")
+            self.events.add(t_legs, leg_dur, "swap_route", mem.module.id,
+                            cell_lane, qs, f"legs_out:{dist}", leg_err,
+                            "qm_idle")
             self.counters["swap_count"] += dist
             t_legs += leg_dur
         t_read, pad = self._align(mem, t_legs)
         if pad > 0:
-            self._emit(t_legs, pad, "qec_cycle_stretch", core.module.id,
-                       cell_lane, qs, "clock_pad",
-                       idle_error(core.eps_cycle,
-                                  pad / core.module.t_cycle_s), "qpu_idle")
+            self.events.add(t_legs, pad, "qec_cycle_stretch",
+                            core.module.id, cell_lane, qs, "clock_pad",
+                            idle_error(core.eps_cycle,
+                                       pad / core.module.t_cycle_s),
+                            "qpu_idle")
         t_arrive = t_read + hop.duration_s
-        self._emit(t_read, hop.duration_s, "transfer_read", mem.module.id,
-                   cell_lane, qs, "read", hop.error, "transfer")
+        self.events.add(t_read, hop.duration_s, "transfer_read",
+                        mem.module.id, cell_lane, qs, "read", hop.error,
+                        "transfer")
         self.counters["st_count"] += 1
         mem.cell_ready[q] = t_arrive
         del mem.write_end[q]
@@ -913,13 +1028,12 @@ class _Scheduler:
                     progress = True
             if not progress:
                 raise CompileError("scheduler stalled on a dependency cycle")
-        makespan = _makespan(self.events)
+        makespan = self.events.makespan()
         for core in self.cores:
             for q in sorted(core.residents):
                 self._charge_idle(core, q, makespan)
         self._terminal_storage(makespan)
-        makespan = _makespan(self.events)
-        self.events.sort(key=_EVENT_ORDER)
+        makespan = self.events.makespan()
         return ScheduledProgram(self.circuit.name, self.arch.name,
                                 self.events, makespan, self.counters,
                                 self.audit, len(self.blocks), self.warnings)
@@ -944,8 +1058,9 @@ class _Scheduler:
                 self.q_core[q] = core
             self._charge_idle(core, q, start)
         dur = cycles * core.module.t_cycle_s
-        self._emit(start, dur, _INJECT_KINDS.get(g.cost_key, "gate"), core.module.id, core.lane, g.qubits,
-                   g.label, err, g.category)
+        self.events.add(start, dur, _INJECT_KINDS.get(g.cost_key, "gate"),
+                        core.module.id, core.lane, g.qubits, g.label, err,
+                        g.category)
         core.t_free = start + dur
         for q in g.qubits:
             core.residents[q] = start + dur
@@ -1024,13 +1139,8 @@ class _Scheduler:
                 else:
                     err = idle_error(mem.eps_cycle, dwell / mem.t_qm_eff)
                 cell_lane, qs = mem.cells[q][:2]
-                self._emit(t0, dwell, "idle_buffer", mem.module.id,
-                           cell_lane, qs, "stored", err, "qm_idle")
-
-
-def _makespan(events: list[ScheduledEvent]) -> float:
-    # named-tuple fields read faster than the t_end_s property or unpacking
-    return max((ev.t_start_s + ev.duration_s for ev in events), default=0.0)
+                self.events.add(t0, dwell, "idle_buffer", mem.module.id,
+                                cell_lane, qs, "stored", err, "qm_idle")
 
 
 def schedule(circuit: LogicalCircuit,
@@ -1068,7 +1178,7 @@ def schedule_baseline(circuit: LogicalCircuit,
     side = math.isqrt(n - 1) + 1 if n else 1
     pos = {q: (q // side, q % side) for q in range(n)}
     cell = {p: q for q, p in pos.items()}
-    events: list[ScheduledEvent] = []
+    events = EventStore()
     counters = _gate_counters(lowered)
     busy = {q: 0.0 for q in range(n)}
     lane = f"{qpu.id}:core0"
@@ -1081,9 +1191,8 @@ def schedule_baseline(circuit: LogicalCircuit,
         nonlocal t
         qa, qb = cell.get(a_pos), cell.get(b_pos)
         moved = tuple(q for q in (qa, qb) if q is not None)
-        events.append(ScheduledEvent(t, swap_cycles * t_cyc, "swap_route",
-                                     qpu.id, lane, moved, "swap", swap_err,
-                                     "gate_2q"))
+        events.add(t, swap_cycles * t_cyc, "swap_route", qpu.id, lane, moved,
+                   "swap", swap_err, "gate_2q")
         counters["swap_count"] += 1
         counters["cnot_count"] += 3
         for q in moved:
@@ -1134,10 +1243,8 @@ def schedule_baseline(circuit: LogicalCircuit,
         if g.magic and pool is not None:
             t = max(t, pool.take(g.magic))
         dur = cycles * t_cyc
-        events.append(ScheduledEvent(t, dur,
-                                     _INJECT_KINDS.get(g.cost_key, "gate"),
-                                     qpu.id, lane, g.qubits, g.label, err,
-                                     g.category))
+        events.add(t, dur, _INJECT_KINDS.get(g.cost_key, "gate"), qpu.id,
+                   lane, g.qubits, g.label, err, g.category)
         for q in g.qubits:
             busy[q] += dur
         t += dur
@@ -1147,11 +1254,8 @@ def schedule_baseline(circuit: LogicalCircuit,
         dur = makespan - busy[q]
         if dur <= 0:
             continue
-        events.append(ScheduledEvent(0.0, dur, "idle_buffer", qpu.id,
-                                     f"{qpu.id}:q{q}", (q,), "mapped_idle",
-                                     idle_error(eps, dur / t_cyc),
-                                     "qpu_idle"))
-    events.sort(key=_EVENT_ORDER)
+        events.add(0.0, dur, "idle_buffer", qpu.id, f"{qpu.id}:q{q}", (q,),
+                   "mapped_idle", idle_error(eps, dur / t_cyc), "qpu_idle")
     return ScheduledProgram(circuit.name, arch.name, events, makespan,
                             counters, [], 1, [])
 
@@ -1159,7 +1263,8 @@ def schedule_baseline(circuit: LogicalCircuit,
 __all__ = [
     "CATEGORIES", "EVENT_KINDS", "ASQPU_FACTORY_UNITS", "CompileError",
     "InvalidCircuit", "rz_t_count", "ScheduledEvent", "RouterDecision",
-    "ScheduledProgram", "ErrorBudget", "error_budget", "synchronize_clocks",
+    "EventStore", "ScheduledProgram", "ErrorBudget", "error_budget",
+    "synchronize_clocks",
     "LoweredGate", "lower_circuit", "UnitaryBlock", "consolidate_blocks",
     "schedule", "schedule_baseline",
 ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import deque
+from typing import NamedTuple
 
 import numpy as np
 
@@ -222,6 +223,53 @@ def error_budget_uncached(events, categories) -> tuple[float, dict]:
         return 0.0, {c: 0.0 for c in categories}
     total = -math.expm1(-log_total)
     return total, {c: total * (logs[c] / log_total) for c in categories}
+
+
+# ------------------------------------------------------------- event list
+
+class RefEvent(NamedTuple):
+    t_start_s: float
+    duration_s: float
+    kind: str
+    module: str
+    lane: str
+    qubits: tuple
+    label: str
+    error: float
+    category: str
+
+
+class EventListReference:
+    """A schedule kept as one named tuple per event, sorted on request.
+
+    Schedule order is a sort on (start, module, lane, kind, qubits) with
+    ties in emission order, each line formats every field afresh.
+    """
+
+    def __init__(self):
+        self.events: list[RefEvent] = []
+
+    def add(self, *fields) -> None:
+        self.events.append(RefEvent(*fields))
+
+    def ordered(self) -> list[RefEvent]:
+        return sorted(self.events, key=lambda ev: (
+            ev.t_start_s, ev.module, ev.lane, ev.kind, ev.qubits))
+
+    def makespan(self) -> float:
+        return max((ev.t_start_s + ev.duration_s for ev in self.events),
+                   default=0.0)
+
+    def body_lines(self) -> list[str]:
+        """The schedule text's event lines."""
+        return [f"{ev.t_start_s!r} {ev.duration_s!r} {ev.kind} {ev.module} "
+                f"{ev.lane} {ev.label} {','.join(str(q) for q in ev.qubits)} "
+                f"{ev.error!r}\n" for ev in self.ordered()]
+
+    def first_nan(self) -> RefEvent | None:
+        """The first event in schedule order whose error is NaN."""
+        return next((ev for ev in self.ordered() if math.isnan(ev.error)),
+                    None)
 
 
 # ------------------------------------------------- schedule invariant checks

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from hetqc import cli
+from hetqc import cli, compiler
 from hetqc.arch import builtin_architecture, parse_config_text, to_config_text
 from hetqc.circuits import GateOp, LogicalCircuit
 from hetqc.cli import build_workload, main
@@ -182,6 +182,31 @@ def test_sweep_writes_comparison(tmp_path, capsys):
     assert float(rows[1]["error_ratio"]) > 0
 
     assert main(["sweep", "--workload", "aqft:n=4", "--archs", " , "]) == 2
+
+
+def _boom(*args):
+    raise AssertionError("built an event record or sorted the events")
+
+
+def test_sweep_never_sorts_events(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(compiler.EventStore, "order", _boom)
+    monkeypatch.setattr(compiler, "ScheduledEvent", _boom)
+    assert main(["sweep", "--workload", "cuccaro:bits=3",
+                 "--archs", "baseline1000,A1,B2", "--out",
+                 str(tmp_path)]) == 0
+    assert "failed" not in capsys.readouterr().out
+
+
+def test_run_builds_no_event_record(tmp_path, capsys, monkeypatch):
+    prog = compiler.schedule(build_workload("cuccaro:bits=3"),
+                             builtin_architecture("A2"))
+    monkeypatch.setattr(compiler, "ScheduledEvent", _boom)
+    assert main(["run", "--workload", "cuccaro:bits=3", "--arch", "A2",
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["n_events_count"] == len(prog.events) > 0
+    assert (tmp_path / "schedule.txt").read_text() == prog.to_text()
 
 
 def test_rsa_outputs(tmp_path, capsys):

@@ -12,12 +12,14 @@ from hetqc.arch import apply_override, builtin_architecture, validate
 from hetqc.circuits import LogicalCircuit
 from hetqc.compiler import (CATEGORIES, CompileError, ErrorBudget, EVENT_KINDS,
                             LoweredGate, RouterDecision, ScheduledEvent,
+                            ScheduledProgram,
                             consolidate_blocks, error_budget, lower_circuit,
                             rz_t_count, schedule, schedule_baseline,
                             synchronize_clocks)
 from hetqc.generators import generate_aqft, generate_cuccaro_adder
 from hetqc.qec import TransferInfeasible
 
+import oracles
 from oracles import (consolidate_blocks_linear, error_budget_uncached,
                      product_error, random_circuit, touch_neighbours_bisect)
 
@@ -364,18 +366,73 @@ def test_records_are_immutable():
         (0, 0, 0, None, -1)
 
 
-def test_event_order_key_matches_field_order():
-    # few distinct values per field, so ties reach every later field
-    rng = random.Random(2024)
+def _hex_fields(ev):
+    return tuple(v.hex() if isinstance(v, float) else v for v in ev)
+
+
+def _seeded_emission(rng, n):
+    """Fields of ``n`` events with few distinct values per field: many
+    start-time ties, and keys that share (module, lane, kind, qubits) but
+    differ in label or category."""
     lanes = ["qpu0:core0", "stqm0:q3", "stqm0:q12"]
-    events = [ScheduledEvent(rng.choice([0.0, 1e-6, 2.5e-6, 3e-6]),
-                             rng.random(), rng.choice(sorted(EVENT_KINDS)),
-                             rng.choice(["qpu0", "stqm0", "qpu1"]),
-                             rng.choice(lanes),
-                             tuple(rng.sample(range(6), rng.randint(1, 3))),
-                             "x", rng.random(), "transfer")
-              for _ in range(3000)]
-    old = sorted(events, key=lambda ev: (ev.t_start_s, ev.module, ev.lane,
-                                         ev.kind, ev.qubits))
-    assert [id(ev) for ev in sorted(events, key=compiler._EVENT_ORDER)] == \
-        [id(ev) for ev in old]
+    errors = [0.0, -0.0, 1.0, 1 - 1e-16, 5e-324, 1e-12, 3.3e-7, 0.25]
+    return [(rng.choice([0.0, -0.0, 1e-6, 2.5e-6, 3e-6]),
+             rng.choice([0.0, 1e-6, rng.random()]),
+             rng.choice(["gate", "idle_buffer", "transfer_read"]),
+             rng.choice(["qpu0", "stqm0"]), rng.choice(lanes),
+             tuple(rng.sample(range(4), rng.randint(1, 2))),
+             rng.choice(["x", "y"]), rng.choice(errors + [rng.random()]),
+             rng.choice(CATEGORIES))
+            for _ in range(n)]
+
+
+def test_event_store_matches_record_list():
+    rng = random.Random(2024)
+    for n in [0, 1, 2, 7, 40, 300, 3000]:
+        store, ref = compiler.EventStore(), oracles.EventListReference()
+        for fields in _seeded_emission(rng, n):
+            store.add(*fields)
+            ref.add(*fields)
+        assert len(store.keys) < n or n < 40  # keys do repeat
+        ordered = [_hex_fields(ev) for ev in ref.ordered()]
+        assert [_hex_fields(ev) for ev in store] == ordered
+        assert [_hex_fields(store[i]) for i in range(n)] == ordered
+        assert [_hex_fields(ev) for ev in store[1::3]] == ordered[1::3]
+        assert all(type(ev) is ScheduledEvent for ev in store)
+        prog = ScheduledProgram("c", "a", store, store.makespan(), {}, [], 0)
+        assert list(prog.lines())[4:] == ref.body_lines()
+        assert store.makespan().hex() == ref.makespan().hex()
+        budget = error_budget(prog)
+        total, categories = error_budget_uncached(ref.events, CATEGORIES)
+        assert budget.total.hex() == total.hex()
+        assert {c: v.hex() for c, v in budget.categories.items()} == \
+            {c: v.hex() for c, v in categories.items()}
+
+
+def test_event_store_nan_names_first_in_schedule_order():
+    rng = random.Random(77)
+    for _ in range(30):
+        store, ref = compiler.EventStore(), oracles.EventListReference()
+        fields = _seeded_emission(rng, 60)
+        for i in rng.sample(range(60), 3):
+            fields[i] = fields[i][:6] + (f"nan{i}", math.nan) + fields[i][8:]
+        for f in fields:
+            store.add(*f)
+            ref.add(*f)
+        ev = ref.first_nan()
+        with pytest.raises(ValueError) as exc:
+            ErrorBudget.from_events(store)
+        assert str(exc.value) == (f"NaN error on {ev.kind} event {ev.label} "
+                                  f"at {ev.t_start_s!r} s on {ev.lane}")
+
+
+def test_event_count_builds_no_record(monkeypatch):
+    prog = schedule(generate_aqft(12, k_th=5), builtin_architecture("A1"))
+    n = len(list(prog.events))
+
+    def boom(*args):
+        raise AssertionError("built a record or sorted the events")
+
+    monkeypatch.setattr(compiler, "ScheduledEvent", boom)
+    monkeypatch.setattr(compiler.EventStore, "order", boom)
+    assert len(prog.events) == n > 0
