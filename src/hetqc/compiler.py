@@ -958,6 +958,7 @@ class _Scheduler:
         mem.cell_ready[q] = t_arrive
         del mem.write_end[q]
         core.incoming[q] = t_arrive
+        self.q_core[q] = core
         return t_arrive
 
     def _force_slot(self, core: _Core, t: float, protected: set[int]) -> None:
@@ -984,6 +985,10 @@ class _Scheduler:
             return core.incoming[q]
         owner = self.q_core.get(q)
         if owner is not None and owner is not core:
+            # a read still in flight to the owner lands before the write-out
+            arrival = owner.incoming.pop(q, None)
+            if arrival is not None:
+                owner.residents[q] = arrival
             self._write_out(owner, q, max(t_issue, owner.residents[q]),
                             "cross_core")
         protected = (set(self.lowered[core.stream[core.pos]].qubits)

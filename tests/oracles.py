@@ -310,6 +310,53 @@ def check_transfer_pairing(program) -> list[str]:
     return problems
 
 
+def check_qubit_locations(program) -> list[str]:
+    """Each qubit is in one place at a time, from the events alone.
+
+    Gates on a qubit never overlap.  A qubit written to memory is read
+    back before its next gate and is not written again meanwhile.  Between
+    gates on two different cores the qubit goes through memory: it is never
+    on two cores at once, nor on a core and in a memory cell at once.  A
+    read does not name its core, so the next gate places the qubit.
+    """
+    per_qubit: dict[int, list] = {}
+    for ev in program.events:
+        on_core = ev.lane.rpartition(":")[2].startswith("core")
+        if on_core or ev.kind in ("transfer_write", "transfer_read"):
+            for q in ev.qubits:
+                per_qubit.setdefault(q, []).append(ev)
+    problems = []
+    for q, evs in sorted(per_qubit.items()):
+        evs.sort(key=lambda e: (e.t_start_s, e.t_end_s))
+        where = None  # a core lane, "memory" or "read" (arriving somewhere)
+        last_gate = None
+        for ev in evs:
+            at = f"q{q} at {ev.t_start_s:.9f}: {ev.kind} on {ev.lane}"
+            problem = None
+            if ev.kind == "transfer_write":
+                if where == "memory":
+                    problem = f"{at} while already in a memory cell"
+                where = "memory"
+            elif ev.kind == "transfer_read":
+                if where != "memory":
+                    problem = f"{at} while not in a memory cell"
+                where = "read"
+            else:
+                if where == "memory":
+                    problem = f"{at} while in a memory cell"
+                elif where not in (None, "read", ev.lane):
+                    problem = f"{at} while on {where}"
+                elif last_gate is not None \
+                        and ev.t_start_s < last_gate.t_end_s - 1e-12:
+                    problem = f"{at} overlaps the gate at " \
+                              f"{last_gate.t_start_s:.9f}"
+                where, last_gate = ev.lane, ev
+            if problem:
+                problems.append(problem)
+                break
+    return problems
+
+
 def check_router_audit(program) -> list[str]:
     problems = []
     for dec in program.audit:

@@ -76,16 +76,15 @@ SUMMARY_BUDGET_SHA256 = {
 
 #: the ``file:`` text of ``random_circuit(random.Random(7001), 40, 120)``:
 #: on A3 the router evicts for capacity, on B1 it writes out across cores,
-#: two paths the cases above never take.  The B1 hashes pin today's output,
-#: including the multi-core overlap of ROADMAP item 1, so the fix of that
-#: item will re-pin them.
+#: two paths the cases above never take.  On B1 that includes writing out
+#: a qubit whose read to the other core is still in flight.
 RANDOM_FILE_SHA256 = {
     "A3": ("b2a644c30ba5d795641cdda4d118f0183eb54e3f1629f4dacf0b5fea0e499087",
            "63b9f96b38268c4ce837a745d6a9eb6e490af841b838f8a33774720ac2a239d9",
            "1f20eb30db56f8ed667be15d4c9f50cc3d754257c2cfc406b16709c6c9a5ecad"),
-    "B1": ("d8ff5cf641680088ce05e0e4ef71fcb9f5faf7a005e329088595829195e7d1d8",
-           "97c3e0edd1a3c4a170ff7a9765e73d7b091bad0a9bceddfbe8306b69ed86a605",
-           "cf8a2bdc43a5495a4092c57b5749763bd0f1b3bec8f0b1a41ac0cc921d1161e5"),
+    "B1": ("59a9e99e94863b03bcca6bcba8fd1a15ed269b7ab4c468874c84c33065e9dc81",
+           "0673b06bf7b63a7c4bd263b3b7ac105bf5b998b532be857433348b3f90b24b8b",
+           "c988b65b58dd545f9e6c99a8046cdd631ef8763c8fd0b1937ffc021fdf479df7"),
 }
 
 COMPARISON_SHA256 = \
