@@ -16,10 +16,9 @@ from .estimator import (RsaEstimate, compare_architectures, rsa_estimate,
 from .generators import (generate_aqft, generate_cuccaro_adder,
                          generate_fermi_hubbard_step,
                          generate_rsa_subroutine)
-from .qec import (RefreshRequired, TransferInfeasible, TransferParams,
-                  TransferResult, equivalent_memory_distance, idle_error,
-                  logical_error_per_cycle, stqm_max_dwell,
-                  stqm_storage_error, stqm_storage_valid,
+from .qec import (TransferInfeasible, TransferParams, TransferResult,
+                  equivalent_memory_distance, idle_error,
+                  logical_error_per_cycle, stqm_storage_valid,
                   transfer_lattice_surgery, transfer_transversal,
                   transversal_error)
 from .resources import (CostWeights, PatchLayout, ResourceCounts,
@@ -43,9 +42,8 @@ __all__ = [
     "rsa_estimate_compiled", "rsa_runtime_days", "rsa_shot_time",
     "generate_aqft", "generate_cuccaro_adder", "generate_fermi_hubbard_step",
     "generate_rsa_subroutine",
-    "RefreshRequired", "TransferInfeasible", "TransferParams",
-    "TransferResult", "equivalent_memory_distance", "idle_error",
-    "logical_error_per_cycle", "stqm_max_dwell", "stqm_storage_error",
+    "TransferInfeasible", "TransferParams", "TransferResult",
+    "equivalent_memory_distance", "idle_error", "logical_error_per_cycle",
     "stqm_storage_valid", "transfer_lattice_surgery", "transfer_transversal",
     "transversal_error",
     "CostWeights", "PatchLayout", "ResourceCounts", "count_architecture",

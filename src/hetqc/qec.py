@@ -22,10 +22,6 @@ class TransferInfeasible(ValueError):
     """Transfer inputs violate the sub-threshold requirement."""
 
 
-class RefreshRequired(RuntimeError):
-    """Stored state decohered past the code threshold; must be refreshed."""
-
-
 def logical_error_per_cycle(p: float, p_th: float, d: int,
                             prefactor: float = DEFAULT_PREFACTOR) -> float:
     """Logical failure probability per QEC cycle of a distance-``d`` patch.
@@ -79,8 +75,7 @@ class TransferParams:
     ``eps_qpu``/``eps_qm`` are logical errors per cycle of the respective
     tier; ``eps_th`` is the memory-side physical threshold (transversal
     protocol); ``eps_eff_idle`` the physical idle error accumulated in the
-    memory before retrieval; ``n_idle`` the memory cycles spent idling while
-    awaiting lattice-surgery retrieval.
+    memory before retrieval.
     """
 
     eps_qpu: float
@@ -92,7 +87,6 @@ class TransferParams:
     eps_th: float = 0.0
     eps_tele: float = 0.0
     eps_eff_idle: float = 0.0
-    n_idle: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -134,7 +128,7 @@ def transfer_transversal(tp: TransferParams) -> TransferResult:
 def transfer_lattice_surgery(tp: TransferParams) -> TransferResult:
     """Lattice-surgery merge/split across a boundary, clocked by the memory.
 
-    Error: 2*d_time*(eps_qm + eps_qpu*(t_qm/t_qpu)) + n_idle*eps_qm with
+    Error: 2*d_time*(eps_qm + eps_qpu*(t_qm/t_qpu)) with
     d_time = max(d_qpu, d_qm).  Duration: 2*d_time*t_qm.
     """
     if tp.t_qpu_s <= 0 or tp.t_qm_s <= 0:
@@ -142,27 +136,8 @@ def transfer_lattice_surgery(tp: TransferParams) -> TransferResult:
     if tp.d_qm < 1:
         raise ValueError("memory distance must be >= 1")
     d_time = max(tp.d_qpu, tp.d_qm)
-    error = 2 * d_time * (tp.eps_qm + tp.eps_qpu * (tp.t_qm_s / tp.t_qpu_s)) \
-        + tp.n_idle * tp.eps_qm
+    error = 2 * d_time * (tp.eps_qm + tp.eps_qpu * (tp.t_qm_s / tp.t_qpu_s))
     return TransferResult(error, 2 * d_time * tp.t_qm_s)
-
-
-def stqm_storage_error(modality: ModalitySpec, dwell_s: float) -> float:
-    """Physical error of a passively stored patch after ``dwell_s`` seconds.
-
-    The storage medium is strongly biased (T1 >> T2), so dephasing dominates
-    and the error grows linearly as dwell/T2; the Hadamard-framed encoding
-    makes the residual bit-flip channel negligible.  Raises
-    :class:`RefreshRequired` once the error reaches the code threshold.
-    """
-    if dwell_s < 0:
-        raise ValueError("negative dwell")
-    error = dwell_s / modality.t2_s
-    if error >= modality.p_th:
-        raise RefreshRequired(
-            f"dwell {dwell_s:.3e} s gives physical error {error:.3e} at or "
-            f"above threshold {modality.p_th}")
-    return error
 
 
 def stqm_storage_valid(modality: ModalitySpec, dwell_s: float,
@@ -171,15 +146,9 @@ def stqm_storage_valid(modality: ModalitySpec, dwell_s: float,
     return dwell_s / modality.t2_s <= consumer_p_phys
 
 
-def stqm_max_dwell(modality: ModalitySpec, consumer_p_phys: float) -> float:
-    """Longest dwell (seconds) that :func:`stqm_storage_valid` accepts."""
-    return consumer_p_phys * modality.t2_s
-
-
 __all__ = [
-    "DEFAULT_PREFACTOR", "TransferInfeasible", "RefreshRequired",
-    "logical_error_per_cycle", "idle_error", "equivalent_memory_distance",
-    "TransferParams", "TransferResult", "transversal_error",
-    "transfer_transversal", "transfer_lattice_surgery", "stqm_storage_error",
-    "stqm_storage_valid", "stqm_max_dwell",
+    "DEFAULT_PREFACTOR", "TransferInfeasible", "logical_error_per_cycle",
+    "idle_error", "equivalent_memory_distance", "TransferParams",
+    "TransferResult", "transversal_error", "transfer_transversal",
+    "transfer_lattice_surgery", "stqm_storage_valid",
 ]
