@@ -24,9 +24,10 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from operator import add
+from operator import add, itemgetter
 from typing import NamedTuple
 
 from .arch import ArchitectureSpec, LinkSpec, ModuleSpec, validate
@@ -100,6 +101,11 @@ class RouterDecision(NamedTuple):
     reason: str  # router | capacity | cross_core | terminal
 
 
+#: a key's sort fields after the start time: (module, lane, kind, qubits)
+_SORT_FIELDS = itemgetter(1, 2, 0, 3)
+_CATEGORY = itemgetter(5)
+
+
 class EventStore(Sequence):
     """The events of one schedule, kept as columns.
 
@@ -115,38 +121,34 @@ class EventStore(Sequence):
     first read of an element, never for ``len`` or the makespan.
     """
 
-    __slots__ = ("start", "dur", "err", "key", "keys", "_ids", "_groups",
-                 "_group_of", "_order")
+    __slots__ = ("start", "dur", "err", "key", "_ids", "_keys", "_order")
 
     def __init__(self):
         self.start = array("d")
         self.dur = array("d")
         self.err = array("d")
         self.key = array("i")
-        self.keys: list[tuple] = []
         self._ids: dict[tuple, int] = {}
-        # (module, lane, kind, qubits) -> group id, and each key's group:
-        # keys of one group sort together, in emission order
-        self._groups: dict[tuple, int] = {}
-        self._group_of: list[int] = []
-        self._order: array | None = None
+        self._keys: list[tuple] = []
+        self._order = array("i")
 
     def add(self, t_start_s: float, duration_s: float, kind: str,
             module: str, lane: str, qubits: tuple[int, ...], label: str,
             error: float, category: str) -> None:
         """Append one event; the arguments are a ScheduledEvent's fields."""
-        k = (kind, module, lane, qubits, label, category)
-        i = self._ids.get(k)
-        if i is None:
-            i = self._ids[k] = len(self.keys)
-            self.keys.append(k)
-            groups = self._groups
-            self._group_of.append(groups.setdefault(
-                (module, lane, kind, qubits), len(groups)))
+        ids = self._ids
+        self.key.append(ids.setdefault(
+            (kind, module, lane, qubits, label, category), len(ids)))
         self.start.append(t_start_s)
         self.dur.append(duration_s)
         self.err.append(error)
-        self.key.append(i)
+
+    @property
+    def keys(self) -> list[tuple]:
+        """The distinct (kind, module, lane, qubits, label, category), by id."""
+        if len(self._keys) != len(self._ids):
+            self._keys = list(self._ids)
+        return self._keys
 
     def makespan(self) -> float:
         """The latest event end, 0.0 for no events."""
@@ -154,17 +156,14 @@ class EventStore(Sequence):
 
     def order(self) -> array:
         """Column indices of the events in schedule order."""
-        if self._order is None or len(self._order) != len(self.key):
-            groups = list(self._groups)
-            by_rank = sorted(range(len(groups)), key=groups.__getitem__)
-            # the inverse permutation: each group's place in the ranking
-            rank = sorted(range(len(groups)), key=by_rank.__getitem__)
-            key_rank = list(map(rank.__getitem__, self._group_of))
-            event_rank = list(map(key_rank.__getitem__, self.key))
-            # two stable sorts: by start time, ties by rank, then emission
-            idx = sorted(range(len(self.key)), key=event_rank.__getitem__)
-            idx.sort(key=self.start.__getitem__)
-            self._order = array("i", idx)
+        if len(self._order) != len(self.key):
+            # one stable sort on (start, sort fields): the fields are
+            # compared only on a start-time tie, and events are emitted
+            # nearly in time order, which the sort exploits
+            fields = list(map(_SORT_FIELDS, self.keys))
+            pairs = list(zip(self.start, map(fields.__getitem__, self.key)))
+            self._order = array("i", sorted(range(len(pairs)),
+                                            key=pairs.__getitem__))
         return self._order
 
     def record(self, i: int) -> ScheduledEvent:
@@ -237,11 +236,21 @@ class _Reprs(dict):
 
 
 class _Logs(dict):
-    """error -> ``-log1p(-error)``, clamped below 1, taken on first lookup."""
+    """error -> ``-log1p(-error)``, clamped below 1, taken on first lookup.
+
+    An error that is not positive counts as a log of 0.0, which leaves an
+    ``fsum`` as it was; a NaN one also sets ``nan``.
+    """
+
+    nan = False
 
     def __missing__(self, err: float) -> float:
-        log = self[err] = -math.log1p(-min(err, 1 - 1e-16))
-        return log
+        if err > 0.0:
+            log = self[err] = -math.log1p(-min(err, 1 - 1e-16))
+            return log
+        if err != err:
+            self.nan = True
+        return 0.0
 
 
 @dataclass
@@ -259,10 +268,10 @@ class ErrorBudget:
     def from_events(cls, events: Iterable[ScheduledEvent]) -> "ErrorBudget":
         """Budget of any events; a schedule's store is read as it is.
 
-        One pass over the key and error columns files each positive error's
-        ``-log1p``, taken once per distinct error, under the category of its
-        key.  ``fsum`` rounds correctly, so the sums do not depend on the
-        order of the events.
+        One pass over the key and error columns files each event's
+        ``-log1p(-error)``, taken once per distinct error, under the
+        category of its key.  ``fsum`` rounds correctly, so the sums do not
+        depend on the order of the events.
         """
         if not isinstance(events, EventStore):
             store = EventStore()
@@ -270,16 +279,13 @@ class ErrorBudget:
                 store.add(*ev)
             events = store
         parts: dict[str, list[float]] = {c: [] for c in CATEGORIES}
-        file_under = [parts[category].append
-                      for *_, category in events.keys]
+        part_of_key = list(map(parts.__getitem__,
+                               map(_CATEGORY, events.keys)))
         logs_of = _Logs()
-        nan = False
-        for k, err in zip(events.key, events.err):
-            if err > 0.0:
-                file_under[k](logs_of[err])
-            elif err != err:
-                nan = True
-        if nan:
+        # list.append(part, log) per event, at C speed
+        deque(map(list.append, map(part_of_key.__getitem__, events.key),
+                  map(logs_of.__getitem__, events.err)), maxlen=0)
+        if logs_of.nan:
             ev = next(ev for ev in events if math.isnan(ev.error))
             raise ValueError(f"NaN error on {ev.kind} event {ev.label} "
                              f"at {ev.t_start_s!r} s on {ev.lane}")

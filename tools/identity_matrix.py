@@ -15,7 +15,7 @@ The cases are the 1000-qubit AQFT on A1, A2 and A3, the 16x16 Fermi-Hubbard
 on A2, A3 and baseline1000, every RSA subroutine on every builtin, and the
 Fermi-Hubbard sweep over baseline1000, A1, A2 and A3.  Together they reach
 both schedulers, every memory kind, the multi-core and the specialty-core
-builtins.  Stdlib only; about a minute on one core.
+builtins.  Stdlib only; about ten seconds on one core.
 """
 
 from __future__ import annotations
