@@ -6,7 +6,7 @@ from .arch import (ArchitectureSpec, BUILTIN_NAMES, CodeSpec, ConfigError,
                    load_architecture, parse_config_text, to_config_text,
                    validate)
 from .circuits import GateOp, LogicalCircuit
-from .compiler import (CompileError, ErrorBudget, InvalidCircuit,
+from .compiler import (CompileError, ErrorBudget, EventStore, InvalidCircuit,
                        RouterDecision, ScheduledEvent, ScheduledProgram,
                        error_budget, schedule, schedule_baseline,
                        synchronize_clocks)
@@ -34,8 +34,8 @@ __all__ = [
     "LinkSpec", "ModalitySpec", "ModuleSpec", "builtin_architecture",
     "load_architecture", "parse_config_text", "to_config_text", "validate",
     "GateOp", "LogicalCircuit",
-    "CompileError", "ErrorBudget", "InvalidCircuit", "RouterDecision",
-    "ScheduledEvent",
+    "CompileError", "ErrorBudget", "EventStore", "InvalidCircuit",
+    "RouterDecision", "ScheduledEvent",
     "ScheduledProgram", "error_budget", "schedule", "schedule_baseline",
     "synchronize_clocks",
     "RsaEstimate", "compare_architectures", "rsa_estimate",
