@@ -145,7 +145,7 @@ class EventStore(Sequence):
 
     @property
     def keys(self) -> list[tuple]:
-        """The distinct (kind, module, lane, qubits, label, category), by id."""
+        """Each distinct (kind, module, lane, qubits, label, category)."""
         if len(self._keys) != len(self._ids):
             self._keys = list(self._ids)
         return self._keys

@@ -22,7 +22,8 @@ TOLERANCE = 0.01
 
 def _check(got, paper, what):
     assert abs(got / paper - 1.0) <= TOLERANCE, \
-        f"{what}: hetqc {got:,.4g}, paper {paper:,} (tolerance {TOLERANCE:.0%})"
+        f"{what}: hetqc {got:,.4g}, paper {paper:,} " \
+        f"(tolerance {TOLERANCE:.0%})"
 
 
 def test_physical_qubit_reduction_138x():
