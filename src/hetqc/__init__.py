@@ -6,10 +6,10 @@ from .arch import (ArchitectureSpec, BUILTIN_NAMES, CodeSpec, ConfigError,
                    load_architecture, parse_config_text, to_config_text,
                    validate)
 from .circuits import GateOp, LogicalCircuit
-from .compiler import (CompileError, ErrorBudget, EventStore, InvalidCircuit,
-                       RouterDecision, ScheduledEvent, ScheduledProgram,
-                       error_budget, schedule, schedule_baseline,
-                       synchronize_clocks)
+from .compiler import (AuditStore, CompileError, ErrorBudget, EventStore,
+                       InvalidCircuit, RouterDecision, ScheduledEvent,
+                       ScheduledProgram, error_budget, schedule,
+                       schedule_baseline, synchronize_clocks)
 from .estimator import (RsaEstimate, compare_architectures, rsa_estimate,
                         rsa_estimate_compiled, rsa_runtime_days,
                         rsa_shot_time)
@@ -34,7 +34,8 @@ __all__ = [
     "LinkSpec", "ModalitySpec", "ModuleSpec", "builtin_architecture",
     "load_architecture", "parse_config_text", "to_config_text", "validate",
     "GateOp", "LogicalCircuit",
-    "CompileError", "ErrorBudget", "EventStore", "InvalidCircuit",
+    "AuditStore", "CompileError", "ErrorBudget", "EventStore",
+    "InvalidCircuit",
     "RouterDecision", "ScheduledEvent",
     "ScheduledProgram", "error_budget", "schedule", "schedule_baseline",
     "synchronize_clocks",

@@ -26,6 +26,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import accumulate, chain, count, repeat
 from dataclasses import dataclass, field
 from operator import add, itemgetter
 from typing import NamedTuple
@@ -36,7 +37,6 @@ from .qec import (TransferInfeasible, TransferParams, TransferResult,
                   idle_error, logical_error_per_cycle, stqm_storage_valid,
                   transfer_lattice_surgery, transfer_transversal,
                   transversal_error)
-from .resources import transfer_patch_layout
 
 #: budget categories, in reporting order
 CATEGORIES = ("qpu_idle", "qm_idle", "gate_1q", "gate_2q", "gate_t",
@@ -104,6 +104,8 @@ class RouterDecision(NamedTuple):
 #: a key's sort fields after the start time: (module, lane, kind, qubits)
 _SORT_FIELDS = itemgetter(1, 2, 0, 3)
 _CATEGORY = itemgetter(5)
+_COST_KEY = itemgetter(0)  # of a LoweredGate
+_CYCLES = itemgetter(0)    # of a (cycles, error) cost
 
 
 class EventStore(Sequence):
@@ -157,13 +159,29 @@ class EventStore(Sequence):
     def order(self) -> array:
         """Column indices of the events in schedule order."""
         if len(self._order) != len(self.key):
-            # one stable sort on (start, sort fields): the fields are
-            # compared only on a start-time tie, and events are emitted
-            # nearly in time order, which the sort exploits
-            fields = list(map(_SORT_FIELDS, self.keys))
-            pairs = list(zip(self.start, map(fields.__getitem__, self.key)))
-            self._order = array("i", sorted(range(len(pairs)),
-                                            key=pairs.__getitem__))
+            # two stable sorts, least significant key first, and no tuple
+            # per event: each event's index goes to the bucket of its
+            # sort fields, the buckets are joined in field order, and that
+            # list is sorted by start time.  Keys with equal fields share
+            # one bucket, so their events stay in emission order.
+            keys = self.keys
+            fields = list(map(_SORT_FIELDS, keys))
+            bucket_of: list[list[int]] = [[]] * len(keys)
+            buckets: list[list[int]] = []
+            last = None
+            for k in sorted(range(len(keys)), key=fields.__getitem__):
+                if not buckets or fields[k] != last:
+                    last = fields[k]
+                    buckets.append([])
+                bucket_of[k] = buckets[-1]
+            # list.append(bucket, index) per event, at C speed
+            deque(map(list.append, map(bucket_of.__getitem__, self.key),
+                      range(len(self.key))), maxlen=0)
+            del fields, last, bucket_of
+            order = list(chain.from_iterable(buckets))
+            del buckets
+            order.sort(key=self.start.__getitem__)
+            self._order = array("i", order)
         return self._order
 
     def record(self, i: int) -> ScheduledEvent:
@@ -184,16 +202,77 @@ class EventStore(Sequence):
         return map(self.record, self.order())
 
 
+class AuditStore(Sequence):
+    """The router's keep-or-move decisions of one schedule, kept as columns.
+
+    ``add`` appends a decision: its time and its two costs go to
+    ``array('d')`` columns, its qubit and gap to ``array('q')`` ones, and
+    (core, moved, reason) to ``kind`` as an id interned in ``kinds``.  As a
+    sequence the store is read-only and holds :class:`RouterDecision`
+    records in the order they were added; ``len`` builds none.
+    """
+
+    __slots__ = ("t_s", "qubit", "gap_cycles", "cost_keep", "cost_move",
+                 "kind", "_ids", "_kinds")
+
+    def __init__(self):
+        self.t_s = array("d")
+        self.qubit = array("q")
+        self.gap_cycles = array("q")
+        self.cost_keep = array("d")
+        self.cost_move = array("d")
+        self.kind = array("i")
+        self._ids: dict[tuple[str, bool, str], int] = {}
+        self._kinds: list[tuple[str, bool, str]] = []
+
+    def add(self, t_s: float, core: str, qubit: int, gap_cycles: int,
+            cost_keep: float, cost_move: float, moved: bool,
+            reason: str) -> None:
+        """Append one decision; the arguments are a RouterDecision's fields."""
+        ids = self._ids
+        self.kind.append(ids.setdefault((core, moved, reason), len(ids)))
+        self.t_s.append(t_s)
+        self.qubit.append(qubit)
+        self.gap_cycles.append(gap_cycles)
+        self.cost_keep.append(cost_keep)
+        self.cost_move.append(cost_move)
+
+    @property
+    def kinds(self) -> list[tuple[str, bool, str]]:
+        """Each distinct (core, moved, reason)."""
+        if len(self._kinds) != len(self._ids):
+            self._kinds = list(self._ids)
+        return self._kinds
+
+    def record(self, i: int) -> RouterDecision:
+        core, moved, reason = self.kinds[self.kind[i]]
+        return RouterDecision(self.t_s[i], core, self.qubit[i],
+                              self.gap_cycles[i], self.cost_keep[i],
+                              self.cost_move[i], moved, reason)
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self.record(j) for j in range(len(self))[i]]
+        return self.record(range(len(self))[i])
+
+    def __iter__(self) -> Iterator[RouterDecision]:
+        return map(self.record, range(len(self)))
+
+
 @dataclass
 class ScheduledProgram:
-    """A schedule; ``events`` is the store both schedulers fill."""
+    """A schedule; ``events`` is the store both schedulers fill, ``audit``
+    the router's decisions."""
 
     circuit_name: str
     arch_name: str
     events: EventStore
     makespan_s: float
     counters: dict[str, int]
-    audit: list[RouterDecision]
+    audit: AuditStore
     n_blocks: int
     warnings: list[str] = field(default_factory=list)
 
@@ -531,17 +610,19 @@ def consolidate_blocks(lowered: list[LoweredGate],
 # ------------------------------------------------------------ runtime model
 
 def _touch_tables(lowered: list[LoweredGate]
-                  ) -> tuple[dict[int, list[int]], list[int], list[int],
-                             list[int]]:
+                  ) -> tuple[dict[int, array], array, array, array]:
     """(touches, first_slot, prev_gate, next_gate) of a lowered gate list.
 
     ``touches`` maps each qubit to its gates in ascending order.  The other
-    three are flat lists, not one record per gate: gate ``gi``'s operands
+    three are flat tables, not one record per gate: gate ``gi``'s operands
     own the slots ``first_slot[gi]`` up to ``first_slot[gi + 1]``, in the
     order of its qubits, and for each slot ``prev_gate`` holds the gate
     that touched that qubit last before ``gi`` and ``next_gate`` the one
-    that touches it next after ``gi``, -1 for none.
+    that touches it next after ``gi``, -1 for none.  All are ``array('i')``,
+    four bytes an entry.
     """
+    # filled as lists, whose appends cost a third of an array's, and
+    # copied to arrays once at the end
     touches: dict[int, list[int]] = {}
     first, prev, nxt = [0], [], []
     last_slot: dict[int, int] = {}  # qubit -> slot of its latest touch
@@ -558,7 +639,21 @@ def _touch_tables(lowered: list[LoweredGate]
             last_slot[q] = len(nxt)
             nxt.append(-1)
         first.append(len(nxt))
-    return touches, first, prev, nxt
+    return ({q: array("i", gis) for q, gis in touches.items()},
+            array("i", first), array("i", prev), array("i", nxt))
+
+
+def _swap_distances(n: int, k: int) -> list[int]:
+    """Swap distance of each of ``n`` memory cells at reach ``k``.
+
+    Equal to ``transfer_patch_layout(n, k).storage_distances`` without
+    placing any cell: patches fill in turn, and each stores one qubit on
+    itself and ``4d + 4`` at each swap distance ``d`` from 1 to ``k``.
+    """
+    patch = [0]
+    for d in range(1, k + 1):
+        patch += [d] * (4 * d + 4)
+    return (patch * (n // len(patch) + 1))[:n]
 
 
 @dataclass
@@ -591,9 +686,8 @@ class _Core:
     t_free: float = 0.0
     residents: dict[int, float] = field(default_factory=dict)  # q -> busy end
     incoming: dict[int, float] = field(default_factory=dict)   # q -> arrival
-    stream: list[int] = field(default_factory=list)
+    stream: array = field(default_factory=lambda: array("i"))  # gates in order
     pos: int = 0
-    prefix: list[int] = field(default_factory=list)            # cycles
     linked: bool = False       # some memory module has a link to this core
 
     def slots_used(self) -> int:
@@ -641,7 +735,7 @@ class _Scheduler:
         self.arch = arch
         self.t_qpu = qpu.t_cycle_s
         self.events = EventStore()
-        self.audit: list[RouterDecision] = []
+        self.audit = AuditStore()
         self.warnings: list[str] = []
         self.cores = self._build_cores()
         self.memories = self._build_memories()
@@ -652,22 +746,24 @@ class _Scheduler:
         self._check_capacity()
         self.lowered = _lower(circuit, self.qsf)
         self.counters = _gate_counters(self.lowered)
-        self.blocks = consolidate_blocks(
-            self.lowered, max(c.capacity for c in self.cores))
-        self._assign_blocks()
+        # the blocks are read only here, and freed once assigned
+        self.n_blocks = self._assign_blocks(consolidate_blocks(
+            self.lowered, max(c.capacity for c in self.cores)))
         (self.touches, self.first_slot, self.prev_gate,
          self.next_gate) = _touch_tables(self.lowered)
         n = len(self.lowered)
         self.core_of_gate: list[_Core | None] = [None] * n
-        self.stream_pos = [0] * n  # index of each gate in its core's stream
+        # cycles of its core's stream before each gate
+        self.cycle_at = array("q", bytes(8 * n))
         for core in self.cores:
-            run = 0
-            core.prefix = [0]
-            for pos, gi in enumerate(core.stream):
-                self.stream_pos[gi] = pos
-                self.core_of_gate[gi] = core
-                run += core.costs[self.lowered[gi].cost_key][0]
-                core.prefix.append(run)
+            cycles = map(core.costs.__getitem__,
+                         map(_COST_KEY, map(self.lowered.__getitem__,
+                                            core.stream)))
+            # per gate of the stream, at C speed
+            deque(map(self.cycle_at.__setitem__, core.stream,
+                      accumulate(map(_CYCLES, cycles), initial=0)), maxlen=0)
+            deque(map(self.core_of_gate.__setitem__, core.stream,
+                      repeat(core)), maxlen=0)
         self.q_mem: dict[int, _Memory] = {}
         self.q_core: dict[int, _Core] = {}
         self.born: set[int] = set()
@@ -708,13 +804,8 @@ class _Scheduler:
                     else m.t_cycle_s)
                 eps_cycle = logical_error_per_cycle(
                     m.modality.p_phys, m.modality.p_th, m.code.distance)
-            if m.k_swap > 0:
-                layout = transfer_patch_layout(m.n_logical, m.k_swap)
-                swap_dist = layout.storage_distances
-            else:
-                swap_dist = [0] * m.n_logical
             mems.append(_Memory(m, links, t_eff, stretched, eps_cycle,
-                                swap_dist))
+                                _swap_distances(m.n_logical, m.k_swap)))
         # short-term memory is the preferred eviction target
         mems.sort(key=lambda mm: (mm.module.kind != "STQM", mm.module.id))
         return mems
@@ -756,10 +847,11 @@ class _Scheduler:
             return self.pools[core.module.id]
         return self.pools.get("shared")
 
-    def _assign_blocks(self) -> None:
+    def _assign_blocks(self, blocks: list[UnitaryBlock]) -> int:
+        """Append each block's gates to one core's stream; the block count."""
         finish: dict[int, float] = {}
         free = {c.lane: 0.0 for c in self.cores}
-        for b in self.blocks:
+        for b in blocks:
             best = None
             for core in self.cores:
                 if core.module.kind == "ASQPU" \
@@ -777,6 +869,7 @@ class _Scheduler:
             finish[b.index] = est
             free[core.lane] = est
             core.stream.extend(b.gates)
+        return len(blocks)
 
     # -- helpers -----------------------------------------------------------
 
@@ -914,8 +1007,8 @@ class _Scheduler:
             t_cell += leg_dur
         mem.write_end[q] = t_cell
         mem.cell_ready[q] = t_cell
-        self.audit.append(RouterDecision(t, core.lane, q, gap_cycles,
-                                         cost_keep, cost_move, True, reason))
+        self.audit.add(t, core.lane, q, gap_cycles, cost_keep, cost_move,
+                       True, reason)
 
     def _read_in(self, core: _Core, q: int, t_issue: float,
                  target_s: float | None = None) -> float:
@@ -1047,7 +1140,7 @@ class _Scheduler:
         makespan = self.events.makespan()
         return ScheduledProgram(self.circuit.name, self.arch.name,
                                 self.events, makespan, self.counters,
-                                self.audit, len(self.blocks), self.warnings)
+                                self.audit, self.n_blocks, self.warnings)
 
     def _execute(self, core: _Core, gi: int, g: LoweredGate) -> None:
         if len(g.qubits) > core.capacity:
@@ -1076,7 +1169,7 @@ class _Scheduler:
         for q in g.qubits:
             core.residents[q] = start + dur
         self._prefetch(core, start)
-        self._route(core, gi, g, start + dur)
+        self._route(core, gi, g, start + dur, self.cycle_at[gi] + cycles)
 
     def _prefetch(self, core: _Core, t_now: float) -> None:
         nxt = core.pos + 1
@@ -1091,8 +1184,10 @@ class _Scheduler:
             if mem is not None and q in mem.write_end:
                 self._read_in(core, q, t_now, target_s=core.t_free)
 
-    def _route(self, core: _Core, gi: int, g: LoweredGate,
-               t_end: float) -> None:
+    def _route(self, core: _Core, gi: int, g: LoweredGate, t_end: float,
+               end_cycle: int) -> None:
+        """Keep or move each operand of gate ``gi``, which ends at
+        ``t_end``, ``end_cycle`` cycles into its core's stream."""
         for s, q in enumerate(g.qubits, self.first_slot[gi]):
             if q not in core.residents:
                 continue
@@ -1109,8 +1204,7 @@ class _Scheduler:
                 if core.linked:
                     self._write_out(core, q, t_end, "cross_core")
                 continue
-            gap = (core.prefix[self.stream_pos[nxt]]
-                   - core.prefix[self.stream_pos[gi] + 1])
+            gap = self.cycle_at[nxt] - end_cycle
             if gap <= 0:
                 continue
             mem = self._probe_memory(q, core)
@@ -1123,9 +1217,8 @@ class _Scheduler:
                 self._write_out(core, q, t_end, "router", gap, cost_keep,
                                 cost_move)
             else:
-                self.audit.append(RouterDecision(t_end, core.lane, q, gap,
-                                                 cost_keep, cost_move,
-                                                 False, "router"))
+                self.audit.add(t_end, core.lane, q, gap, cost_keep,
+                               cost_move, False, "router")
 
     def _terminal_storage(self, makespan: float) -> None:
         for mem in self.memories:
@@ -1268,13 +1361,13 @@ def schedule_baseline(circuit: LogicalCircuit,
         events.add(0.0, dur, "idle_buffer", qpu.id, f"{qpu.id}:q{q}", (q,),
                    "mapped_idle", idle_error(eps, dur / t_cyc), "qpu_idle")
     return ScheduledProgram(circuit.name, arch.name, events, makespan,
-                            counters, [], 1, [])
+                            counters, AuditStore(), 1, [])
 
 
 __all__ = [
     "CATEGORIES", "EVENT_KINDS", "ASQPU_FACTORY_UNITS", "CompileError",
     "InvalidCircuit", "rz_t_count", "ScheduledEvent", "RouterDecision",
-    "EventStore", "ScheduledProgram", "ErrorBudget", "error_budget",
+    "AuditStore", "EventStore", "ScheduledProgram", "ErrorBudget", "error_budget",
     "synchronize_clocks",
     "LoweredGate", "lower_circuit", "UnitaryBlock", "consolidate_blocks",
     "schedule", "schedule_baseline",

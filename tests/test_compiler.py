@@ -18,6 +18,7 @@ from hetqc.compiler import (CATEGORIES, CompileError, ErrorBudget, EVENT_KINDS,
                             synchronize_clocks)
 from hetqc.generators import generate_aqft, generate_cuccaro_adder
 from hetqc.qec import TransferInfeasible
+from hetqc.resources import transfer_patch_layout
 
 import oracles
 from oracles import (consolidate_blocks_linear, error_budget_uncached,
@@ -342,12 +343,35 @@ def test_touch_tables_match_bisection():
         lowered = lower_circuit(circuit, rng.choice(["T", "CCZ"]), 2.1e-9)
         touches, first, prev, nxt = compiler._touch_tables(lowered)
         assert len(first) == len(lowered) + 1
-        assert [(prev[first[gi]:first[gi + 1]], nxt[first[gi]:first[gi + 1]])
+        # the tables are arrays, compared here as lists
+        assert [(prev[first[gi]:first[gi + 1]].tolist(),
+                 nxt[first[gi]:first[gi + 1]].tolist())
                 for gi in range(len(lowered))] == \
             touch_neighbours_bisect(lowered)
-        assert touches == {q: [gi for gi, g in enumerate(lowered)
-                               if q in g.qubits] for q in touches}
+        assert {q: gis.tolist() for q, gis in touches.items()} == \
+            {q: [gi for gi, g in enumerate(lowered) if q in g.qubits]
+             for q in touches}
         assert set(touches) == {q for g in lowered for q in g.qubits}
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_swap_distances_match_patch_layout(k):
+    quota = 2 * k * k + 6 * k + 1
+    for n in sorted({1, max(quota - 1, 1), quota, quota + 1, 1254, 1260}):
+        assert compiler._swap_distances(n, k) == \
+            transfer_patch_layout(n, k).storage_distances, (n, k)
+
+
+@pytest.mark.parametrize("arch_name", ["B2", "B3", "B5", "B6"])
+def test_scheduler_swap_distances_match_patch_layout(arch_name):
+    arch = builtin_architecture(arch_name)
+    sched = compiler._Scheduler(generate_aqft(4), arch)
+    mems = [mm for mm in sched.memories if mm.module.k_swap > 0]
+    assert mems
+    for mm in sched.memories:
+        m = mm.module
+        assert mm.swap_dist == transfer_patch_layout(
+            m.n_logical, m.k_swap).storage_distances
 
 
 # ------------------------------------------------------------ record contract
@@ -437,3 +461,50 @@ def test_event_count_builds_no_record(monkeypatch):
     monkeypatch.setattr(compiler, "ScheduledEvent", boom)
     monkeypatch.setattr(compiler.EventStore, "order", boom)
     assert len(prog.events) == n > 0
+
+
+def _seeded_decisions(rng, n):
+    """Fields of ``n`` router decisions: infinite and signed-zero costs,
+    and few distinct (core, moved, reason) triples."""
+    costs = [0.0, -0.0, math.inf, 1e-12, 5e-324, 0.25]
+    return [(rng.choice([0.0, -0.0, 1e-6, rng.random()]),
+             rng.choice(["qpu0:core0", "qpu0:core1"]), rng.randrange(2000),
+             rng.choice([0, 3, 1 << 40]),
+             rng.choice(costs + [rng.random()]),
+             rng.choice(costs + [rng.random()]), rng.choice([True, False]),
+             rng.choice(["router", "capacity", "cross_core", "terminal"]))
+            for _ in range(n)]
+
+
+def test_audit_store_matches_record_list():
+    rng = random.Random(3031)
+    for n in [0, 1, 2, 9, 200, 2000]:
+        store = compiler.AuditStore()
+        ref = []
+        for fields in _seeded_decisions(rng, n):
+            store.add(*fields)
+            ref.append(RouterDecision(*fields))
+        if n >= 200:
+            assert len(store.kinds) < n  # (core, moved, reason) repeats
+        want = [_hex_fields(d) for d in ref]
+        assert len(store) == n
+        assert [_hex_fields(d) for d in store] == want
+        assert [_hex_fields(store[i]) for i in range(n)] == want
+        assert [_hex_fields(store[i]) for i in range(-n, 0)] == want
+        for sl in (slice(None), slice(1, None, 3), slice(None, None, -2),
+                   slice(-5, -1)):
+            assert [_hex_fields(d) for d in store[sl]] == want[sl]
+        assert all(type(d) is RouterDecision for d in store)
+        with pytest.raises(IndexError):
+            store[n]
+
+
+def test_audit_count_builds_no_record(monkeypatch):
+    prog = schedule(generate_aqft(12, k_th=5), builtin_architecture("A1"))
+    n = len(list(prog.audit))
+
+    def boom(*args):
+        raise AssertionError("built a router record")
+
+    monkeypatch.setattr(compiler, "RouterDecision", boom)
+    assert len(prog.audit) == n > 0
