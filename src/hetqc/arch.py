@@ -63,7 +63,6 @@ class ModuleSpec:
     cores: int = 1
     n_edges: int | None = None
     specialty: str | None = None
-    active_qec: bool = True
     # factory tier (QSF)
     state: str | None = None
     n_dist: int = 0
@@ -217,9 +216,6 @@ def validate(spec: ArchitectureSpec) -> list[str]:
                 out.append(f"{where}: eps_magic outside (0, 1)")
         if m.kind == "RAQM" and m.k_swap < 0:
             out.append(f"{where}: negative swap distance")
-        if m.kind == "STQM" and m.active_qec:
-            out.append(f"{where}: short-term memory stores passively; "
-                       "set active_qec = false")
     ids = {m.id for m in spec.modules}
     for l in spec.links:
         where = f"link {l.a}-{l.b}"
@@ -283,7 +279,7 @@ def _ccz_factory(n_qpu: int, d: int, per_qpu: float = 0.67) -> ModuleSpec:
 
 def _stqm(n: int, d: int, module_id: str = "stqm0") -> ModuleSpec:
     return ModuleSpec(module_id, "STQM", n, CodeSpec("surface", d), ULC_REI,
-                      1e-6, active_qec=False)
+                      1e-6)
 
 
 def _raqm(n: int, code: CodeSpec, t_cycle: float, k_swap: int = 0,
@@ -344,17 +340,6 @@ def builtin_architecture(name: str) -> ArchitectureSpec:
 
 _T = {"int": int, "float": float, "str": str}
 
-
-def _parse_bool(text: str) -> bool:
-    if text.lower() in ("true", "yes", "1"):
-        return True
-    if text.lower() in ("false", "no", "0"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
-_T["bool"] = _parse_bool
-
 #: (config key, ModuleSpec attribute, type name, emit when != this default)
 _MODULE_FIELDS = (
     ("kind", "kind", "str", None),
@@ -373,7 +358,6 @@ _MODULE_FIELDS = (
     ("t_cycle_s", "t_cycle_s", "float", None),
     ("t_cycle_min_s", "t_cycle_min_s", "float", None),
     ("t_cycle_max_s", "t_cycle_max_s", "float", None),
-    ("active_qec", "active_qec", "bool", True),
     ("state", "state", "str", None),
     ("n_dist", "n_dist", "int", 0),
     ("n_mf_per_qpu", "n_mf_per_qpu", "float", 0.0),
@@ -393,8 +377,6 @@ _LINK_FIELDS = (
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     return repr(value) if isinstance(value, float) else str(value)
 
 

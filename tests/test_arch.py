@@ -119,6 +119,7 @@ def test_parse_rejects_malformed_text():
     ("[link qpu0 stqm0]", "bell_rate_hz = 100000000.0"),
     ("[link qpu0 stqm0]", "bell_eps = 0.001"),
     ("[module stqm0]", "transfer_distance = 19"),
+    ("[module stqm0]", "active_qec = false"),
 ])
 def test_parse_rejects_removed_keys(section, key):
     good = to_config_text(builtin_architecture("A1"))
@@ -127,12 +128,6 @@ def test_parse_rejects_removed_keys(section, key):
 
 
 def test_validate_flags_structural_problems():
-    spec = builtin_architecture("A1")
-    stqm = spec.module("stqm0")
-    stqm.active_qec = True
-    problems = validate(spec)
-    assert any("passively" in p for p in problems)
-
     spec = builtin_architecture("A2")
     qpu = spec.module("qpu0")
     qpu.code = dataclasses.replace(qpu.code, distance=14)
