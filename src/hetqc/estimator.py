@@ -141,9 +141,15 @@ def rsa_estimate_compiled(arch: str | ArchitectureSpec,
 # --------------------------------------------------------- comparison table
 
 COMPARISON_FIELDS = ("arch", "status", "makespan_s", "total_error",
-                     "dominant", "error_ratio", "makespan_ratio",
+                     "dominant", "error_ratio", "log_error_ratio",
+                     "makespan_ratio",
                      "cnot_count", "st_count", "t_count", "swap_count",
                      "qubits_total", "space_cost")
+
+
+def _error_count(total: float) -> float:
+    """Expected logical errors, ``-log1p(-total)``, of a failure total."""
+    return math.inf if total >= 1.0 else -math.log1p(-total)
 
 
 def compare_architectures(circuit: LogicalCircuit,
@@ -154,8 +160,10 @@ def compare_architectures(circuit: LogicalCircuit,
 
     The first architecture that compiles cleanly is the reference for the
     ratio columns (reference error / this error, this makespan / reference
-    makespan).  A failing architecture contributes a diagnostic row with the
-    failure text in ``status`` instead of aborting the table.
+    makespan).  ``log_error_ratio`` divides expected logical-error counts,
+    ``-log1p(-total)``, which do not saturate near 1 the way the totals of
+    ``error_ratio`` do.  A failing architecture contributes a diagnostic row
+    with the failure text in ``status`` instead of aborting the table.
     """
     rows: list[dict] = []
     ref: dict | None = None
@@ -180,10 +188,13 @@ def compare_architectures(circuit: LogicalCircuit,
         if ref is None:
             ref = row
             row["error_ratio"] = 1.0
+            row["log_error_ratio"] = 1.0
             row["makespan_ratio"] = 1.0
         else:
             if row["total_error"] > 0:
                 row["error_ratio"] = ref["total_error"] / row["total_error"]
+                row["log_error_ratio"] = (_error_count(ref["total_error"])
+                                          / _error_count(row["total_error"]))
             row["makespan_ratio"] = (row["makespan_s"] / ref["makespan_s"]
                                      if ref["makespan_s"] > 0 else None)
         rows.append(row)

@@ -129,6 +129,10 @@ def test_compare_architectures_rows():
     assert ref["error_ratio"] == ref["makespan_ratio"] == 1.0
     assert het["error_ratio"] == pytest.approx(
         ref["total_error"] / het["total_error"])
+    assert ref["log_error_ratio"] == 1.0
+    assert het["log_error_ratio"] == pytest.approx(
+        math.log1p(-ref["total_error"]) / math.log1p(-het["total_error"]))
+    assert het["log_error_ratio"] > het["error_ratio"]
     assert het["makespan_ratio"] == pytest.approx(
         het["makespan_s"] / ref["makespan_s"])
     assert het["st_count"] > 0

@@ -88,7 +88,7 @@ RANDOM_FILE_SHA256 = {
 }
 
 COMPARISON_SHA256 = \
-    "e60a6c0db6f9d86194cc2e3fec93cedb68708f9eb30f2f83d8189c10667b9881"
+    "3343cf935a5930f7f7e4a07a92abe37e79c2f2fab0fb3b1be4ed084258cda6d1"
 
 
 def _sha256(path) -> str:
