@@ -16,7 +16,12 @@ of start, duration and error plus an interned key per event.  A
 store itself, a lazy read-only sequence of :class:`ScheduledEvent` records
 in schedule order.  The makespan, the event count and the error budget read
 the columns and never sort; only the schedule text and reading the records
-do.
+do.  Its ``audit`` is likewise an :class:`AuditStore`, a lazy read-only
+columnar sequence of the router's :class:`RouterDecision` records.
+
+Each stage keeps only what a later one reads: the modular scheduler frees
+its unitary blocks once they are assigned to cores, keeping their count,
+and holds its per-gate tables as arrays rather than lists of ints.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import accumulate, chain, count, repeat
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, repeat
 from operator import add, itemgetter
 from typing import NamedTuple
 
@@ -166,7 +171,7 @@ class EventStore(Sequence):
             # one bucket, so their events stay in emission order.
             keys = self.keys
             fields = list(map(_SORT_FIELDS, keys))
-            bucket_of: list[list[int]] = [[]] * len(keys)
+            bucket_of: list = [None] * len(keys)
             buckets: list[list[int]] = []
             last = None
             for k in sorted(range(len(keys)), key=fields.__getitem__):
@@ -1367,8 +1372,8 @@ def schedule_baseline(circuit: LogicalCircuit,
 __all__ = [
     "CATEGORIES", "EVENT_KINDS", "ASQPU_FACTORY_UNITS", "CompileError",
     "InvalidCircuit", "rz_t_count", "ScheduledEvent", "RouterDecision",
-    "AuditStore", "EventStore", "ScheduledProgram", "ErrorBudget", "error_budget",
-    "synchronize_clocks",
+    "AuditStore", "EventStore", "ScheduledProgram", "ErrorBudget",
+    "error_budget", "synchronize_clocks",
     "LoweredGate", "lower_circuit", "UnitaryBlock", "consolidate_blocks",
     "schedule", "schedule_baseline",
 ]
