@@ -633,11 +633,12 @@ def _touch_tables(lowered: list[LoweredGate]
     last_slot: dict[int, int] = {}  # qubit -> slot of its latest touch
     for gi, g in enumerate(lowered):
         for q in g.qubits:
-            mine = touches.setdefault(q, [])
             s = last_slot.get(q)
             if s is None:
+                mine = touches[q] = []
                 prev.append(-1)
             else:
+                mine = touches[q]
                 prev.append(mine[-1])
                 nxt[s] = gi
             mine.append(gi)
