@@ -1066,7 +1066,8 @@ class _Scheduler:
         self.q_core[q] = core
         return t_arrive
 
-    def _force_slot(self, core: _Core, t: float, protected: set[int]) -> None:
+    def _force_slot(self, core: _Core, t: float,
+                    protected: tuple[int, ...]) -> None:
         victims = [q for q in core.residents if q not in protected]
         if not victims:
             raise CompileError(f"core {core.lane} has no evictable slot "
@@ -1082,8 +1083,10 @@ class _Scheduler:
         self._write_out(core, victim, max(t, core.residents[victim]),
                         "capacity")
 
-    def _ensure_operand(self, core: _Core, q: int, t_issue: float) -> float:
-        """Make q available on this core; returns its ready time."""
+    def _ensure_operand(self, core: _Core, q: int, t_issue: float,
+                        protected: tuple[int, ...]) -> float:
+        """Make q available on this core for a gate on the ``protected``
+        qubits, none of which may be evicted; returns q's ready time."""
         if q in core.residents:
             return core.residents[q]
         if q in core.incoming:
@@ -1096,8 +1099,6 @@ class _Scheduler:
                 owner.residents[q] = arrival
             self._write_out(owner, q, max(t_issue, owner.residents[q]),
                             "cross_core")
-        protected = (set(self.lowered[core.stream[core.pos]].qubits)
-                     if core.pos < len(core.stream) else set())
         while core.slots_used() >= core.capacity:
             self._force_slot(core, t_issue, protected)
         mem = self.q_mem.get(q)
@@ -1154,7 +1155,8 @@ class _Scheduler:
                 f"gate {g.label} needs {len(g.qubits)} slots, core "
                 f"{core.lane} holds {core.capacity}")
         t_issue = core.t_free
-        ready = [self._ensure_operand(core, q, t_issue) for q in g.qubits]
+        ready = [self._ensure_operand(core, q, t_issue, g.qubits)
+                 for q in g.qubits]
         cycles, err = core.costs[g.cost_key]
         start = max([core.t_free] + ready)
         if g.magic:
