@@ -4,7 +4,8 @@ The hashes pin the scheduler's output byte for byte on a small set of
 workloads, covering the grid model (baseline1000, Mono), both memory
 kinds (A1 passive, A2/A3 active), and the multi-core B family with and
 without the adder core.  Each ``run`` case pins all three of its artifacts
-(``schedule.txt``, ``summary.json``, ``budget.csv``).  A refactor must leave
+(``schedule.txt``, ``summary.json``, ``budget.csv``); the modular runs also
+pin the router's audit, which no artifact holds.  A refactor must leave
 every hash unchanged; a model change that moves one must say so where it is
 recorded.
 """
@@ -74,6 +75,25 @@ SUMMARY_BUDGET_SHA256 = {
          "f707e2d12de56e62fd33bdfc95f49094a1034429e12a3ce0814bb9a588dd8555"),
 }
 
+#: the router audit of the modular-scheduler runs above, one ``repr`` of a
+#: RouterDecision a line; no artifact holds it
+AUDIT_SHA256 = {
+    ("aqft:n=32,k_th=5", "A1"):
+        "613d62e5cff79e4f11efd56e021019130cc45e6d81a4ddabd774c18b938574f5",
+    ("aqft:n=32,k_th=5", "A2"):
+        "ea1f3cf5c7d1c5d78c5275b30dfd95fc522813f6ffe405258645076fd6bde583",
+    ("aqft:n=32,k_th=5", "A3"):
+        "34ed7193e6108272b191d16b02540ac9e5399da6ac48edc503f454c283a4d26f",
+    ("rsa:kind=adder33", "B2"):
+        "e11b0c3e642a6bb116ec76d4ac9853fd848a0319679eb45374fb6249648c08e7",
+    ("rsa:kind=adder33", "B5"):
+        "4c04d89c035e177221fb856e9a738c7c39865ab222cd2fe03958504f8a5e149e",
+    ("aqft:n=200,k_th=9", "A1"):
+        "7ad8b42c4cdc1247655657ea560a156682e98e4867882e2522438030a62749bf",
+    ("hubbard:lx=6,ly=6,steps=1", "A2"):
+        "e10b1f2e084f9dbb6796f1df3a60383f8ab861b3619378fe14a75d02efb351c2",
+}
+
 #: the ``file:`` text of ``random_circuit(random.Random(7001), 40, 120)``:
 #: on A3 the router evicts for capacity, on B1 it writes out across cores,
 #: two paths the cases above never take.  On B1 that includes writing out
@@ -105,6 +125,14 @@ def test_run_schedule_golden(tmp_path, capsys, workload, arch):
     assert (_sha256(out / "summary.json"), _sha256(out / "budget.csv")) == \
         SUMMARY_BUDGET_SHA256[(workload, arch)]
     _assert_streamed_as_to_text(out, workload, arch)
+
+
+@pytest.mark.parametrize(("workload", "arch"), list(AUDIT_SHA256))
+def test_router_audit_golden(workload, arch):
+    prog = schedule(build_workload(workload), load_architecture(arch))
+    text = "".join(f"{d!r}\n" for d in prog.audit)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        AUDIT_SHA256[(workload, arch)]
 
 
 def _assert_streamed_as_to_text(out, workload, arch):
