@@ -762,12 +762,12 @@ class _Scheduler:
         # cycles of its core's stream before each gate
         self.cycle_at = array("q", bytes(8 * n))
         for core in self.cores:
-            cycles = map(core.costs.__getitem__,
-                         map(_COST_KEY, map(self.lowered.__getitem__,
-                                            core.stream)))
+            costs = map(core.costs.__getitem__,
+                        map(_COST_KEY, map(self.lowered.__getitem__,
+                                           core.stream)))
             # per gate of the stream, at C speed
             deque(map(self.cycle_at.__setitem__, core.stream,
-                      accumulate(map(_CYCLES, cycles), initial=0)), maxlen=0)
+                      accumulate(map(_CYCLES, costs), initial=0)), maxlen=0)
             deque(map(self.core_of_gate.__setitem__, core.stream,
                       repeat(core)), maxlen=0)
         self.q_mem: dict[int, _Memory] = {}
