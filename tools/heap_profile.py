@@ -15,7 +15,7 @@ budget, order and ``lines()``; the grid model, used on an architecture
 without memories, reports lower and simulate only.  Two summary lines
 follow: the peak of ``schedule()`` and the order's peak above the heap
 before it, per event.  The hetqc imported is the one under this checkout's
-``src``.  Stdlib only; tracing slows the compile about threefold.
+``src``.  Stdlib only.
 """
 
 from __future__ import annotations
