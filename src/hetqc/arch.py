@@ -27,6 +27,9 @@ CODE_FAMILIES = frozenset({"surface", "gross", "none"})
 GROSS_BLOCK_PHYSICAL = 288  # 144 data + 144 check
 GROSS_BLOCK_LOGICAL = 12
 
+#: magic-state factory units attached to each application-specific core
+ASQPU_FACTORY_UNITS = 12
+
 
 class ConfigError(ValueError):
     """Raised for unparseable or structurally invalid config input."""
@@ -125,20 +128,9 @@ class Boundary:
     d_time: int
 
 
-def derive_boundary(spec: ArchitectureSpec, link: LinkSpec | None = None) -> Boundary:
-    """Boundary rail count and merged distances for ``link``.
-
-    Rails: one per memory patch plus two per compute patch.  Defaults to the
-    first compute-memory link of the architecture.
-    """
-    if link is None:
-        for cand in spec.links:
-            pair = {spec.module(cand.a).kind, spec.module(cand.b).kind}
-            if pair & {"QPU", "ASQPU"} and pair & {"STQM", "RAQM"}:
-                link = cand
-                break
-        else:
-            raise ConfigError(f"{spec.name}: no compute-memory link")
+def derive_boundary(spec: ArchitectureSpec, link: LinkSpec) -> Boundary:
+    """Boundary rail count and merged distances for a compute-memory
+    ``link``.  Rails: one per memory patch plus two per compute patch."""
     ma, mb = spec.module(link.a), spec.module(link.b)
     if ma.kind in ("STQM", "RAQM"):
         ma, mb = mb, ma
@@ -338,42 +330,59 @@ def builtin_architecture(name: str) -> ArchitectureSpec:
 
 # ------------------------------------------------------------- config I/O
 
-_T = {"int": int, "float": float, "str": str}
+#: config key -> (ModuleSpec attribute, field of that attribute's
+#: CodeSpec or ModalitySpec or None for the attribute itself, type, emit
+#: when != this default), in file order
+_MODULE_FIELDS = {
+    "kind": ("kind", None, str, None),
+    "logical_qubits": ("n_logical", None, int, None),
+    "cores": ("cores", None, int, 1),
+    "edges": ("n_edges", None, int, None),
+    "specialty": ("specialty", None, str, None),
+    "code_family": ("code", "family", str, None),
+    "code_distance": ("code", "distance", int, None),
+    "code_anc_fraction": ("code", "c_anc", float, None),
+    "modality": ("modality", "name", str, None),
+    "p_phys": ("modality", "p_phys", float, None),
+    "p_th": ("modality", "p_th", float, None),
+    "t1_s": ("modality", "t1_s", float, None),
+    "t2_s": ("modality", "t2_s", float, None),
+    "t_cycle_s": ("t_cycle_s", None, float, None),
+    "t_cycle_min_s": ("t_cycle_min_s", None, float, None),
+    "t_cycle_max_s": ("t_cycle_max_s", None, float, None),
+    "state": ("state", None, str, None),
+    "n_dist": ("n_dist", None, int, 0),
+    "n_mf_per_qpu": ("n_mf_per_qpu", None, float, 0.0),
+    "production_cycles": ("production_cycles", None, int, 0),
+    "injection_cycles": ("injection_cycles", None, int, 0),
+    "eps_magic": ("eps_magic", None, float, 0.0),
+    "k_swap": ("k_swap", None, int, 0),
+    "n_transfer": ("n_transfer", None, int, None),
+}
 
-#: (config key, ModuleSpec attribute, type name, emit when != this default)
-_MODULE_FIELDS = (
-    ("kind", "kind", "str", None),
-    ("logical_qubits", "n_logical", "int", None),
-    ("cores", "cores", "int", 1),
-    ("edges", "n_edges", "int", None),
-    ("specialty", "specialty", "str", None),
-    ("code_family", None, "str", None),
-    ("code_distance", None, "int", None),
-    ("code_anc_fraction", None, "float", None),
-    ("modality", None, "str", None),
-    ("p_phys", None, "float", None),
-    ("p_th", None, "float", None),
-    ("t1_s", None, "float", None),
-    ("t2_s", None, "float", None),
-    ("t_cycle_s", "t_cycle_s", "float", None),
-    ("t_cycle_min_s", "t_cycle_min_s", "float", None),
-    ("t_cycle_max_s", "t_cycle_max_s", "float", None),
-    ("state", "state", "str", None),
-    ("n_dist", "n_dist", "int", 0),
-    ("n_mf_per_qpu", "n_mf_per_qpu", "float", 0.0),
-    ("production_cycles", "production_cycles", "int", 0),
-    ("injection_cycles", "injection_cycles", "int", 0),
-    ("eps_magic", "eps_magic", "float", 0.0),
-    ("k_swap", "k_swap", "int", 0),
-    ("n_transfer", "n_transfer", "int", None),
-)
+#: keys a module section must set
+_REQUIRED_KEYS = ("kind", "logical_qubits", "code_family", "code_distance",
+                  "p_phys", "p_th", "t1_s", "t2_s", "t_cycle_s")
 
-_LINK_FIELDS = (
-    ("protocol", "str"),
-    ("eps_tele", "float"),
-    ("n_buf", "int"),
-    ("n_anc_pump", "int"),
-)
+_LINK_FIELDS = {"protocol": str, "eps_tele": float, "n_buf": int,
+                "n_anc_pump": int}
+
+
+def _get(module: ModuleSpec, key: str):
+    """The value of config key ``key`` in ``module``."""
+    attr, part = _MODULE_FIELDS[key][:2]
+    value = getattr(module, attr)
+    return value if part is None else getattr(value, part)
+
+
+def _set(module: ModuleSpec, key: str, raw: str) -> None:
+    """Set config key ``key`` of ``module`` from its text ``raw``; raises
+    ValueError when ``raw`` does not convert to the key's type."""
+    attr, part, kind, _ = _MODULE_FIELDS[key]
+    value = kind(raw)
+    if part is not None:
+        value = replace(getattr(module, attr), **{part: value})
+    setattr(module, attr, value)
 
 
 def _fmt(value) -> str:
@@ -386,25 +395,14 @@ def to_config_text(spec: ArchitectureSpec) -> str:
     out.write(f"[architecture]\nname = {spec.name}\n")
     for m in spec.modules:
         out.write(f"\n[module {m.id}]\n")
-        for key, attr, _, default in _MODULE_FIELDS:
-            if key == "code_family":
-                value = m.code.family
-            elif key == "code_distance":
-                value = m.code.distance
-            elif key == "code_anc_fraction":
-                value = m.code.c_anc
-            elif key == "modality":
-                value = m.modality.name
-            elif key in ("p_phys", "p_th", "t1_s", "t2_s"):
-                value = getattr(m.modality, key)
-            else:
-                value = getattr(m, attr)
+        for key, (_, _, _, default) in _MODULE_FIELDS.items():
+            value = _get(m, key)
             if value is None or (default is not None and value == default):
                 continue
             out.write(f"{key} = {_fmt(value)}\n")
     for l in spec.links:
         out.write(f"\n[link {l.a} {l.b}]\n")
-        for key, _ in _LINK_FIELDS:
+        for key in _LINK_FIELDS:
             out.write(f"{key} = {_fmt(getattr(l, key))}\n")
     return out.getvalue()
 
@@ -433,51 +431,46 @@ def parse_config_text(text: str) -> ArchitectureSpec:
     return spec
 
 
-def _section_value(section, key: str, type_name: str, where: str):
-    raw = section.get(key)
-    if raw is None:
-        return None
-    try:
-        return _T[type_name](raw)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: bad value for {key}: {raw!r}") from exc
+def _bad_value(where: str, key: str, raw: str) -> ConfigError:
+    return ConfigError(f"{where}: bad value for {key}: {raw!r}")
 
 
 def _parse_module(module_id: str, section) -> ModuleSpec:
+    """The section's keys set, as overrides, on a module with none set."""
     where = f"module {module_id}"
-    values = {}
-    for key, attr, type_name, default in _MODULE_FIELDS:
-        parsed = _section_value(section, key, type_name, where)
-        if attr is not None:
-            values[attr] = parsed if parsed is not None else default
-        else:
-            values[key] = parsed
-    for required in ("kind", "n_logical", "code_family", "code_distance",
-                     "p_phys", "p_th", "t1_s", "t2_s", "t_cycle_s"):
-        if values.get(required) is None:
-            raise ConfigError(f"{where}: missing {required}")
+    module = ModuleSpec(module_id, None, None, CodeSpec(None, None),
+                        ModalitySpec("custom", None, None, None, None), None)
+    for key in _MODULE_FIELDS:
+        raw = section.get(key)
+        if raw is not None:
+            try:
+                _set(module, key, raw)
+            except ValueError as exc:
+                raise _bad_value(where, key, raw) from exc
+    for key in _REQUIRED_KEYS:
+        if _get(module, key) is None:
+            # named by its ModuleSpec attribute, or its key within a part
+            attr, part = _MODULE_FIELDS[key][:2]
+            raise ConfigError(f"{where}: missing "
+                              f"{attr if part is None else key}")
     for key in section:
-        if key not in {k for k, _, _, _ in _MODULE_FIELDS}:
+        if key not in _MODULE_FIELDS:
             raise ConfigError(f"{where}: unknown key {key!r}")
-    c_anc = values.pop("code_anc_fraction")
-    code = CodeSpec(values.pop("code_family"), values.pop("code_distance"),
-                    1.0 if c_anc is None else c_anc)
-    modality_name = values.pop("modality")
-    modality = ModalitySpec("custom" if modality_name is None else modality_name,
-                            values.pop("p_phys"), values.pop("p_th"),
-                            values.pop("t1_s"), values.pop("t2_s"))
-    return ModuleSpec(id=module_id, code=code, modality=modality, **values)
+    return module
 
 
 def _parse_link(a: str, b: str, section) -> LinkSpec:
     where = f"link {a}-{b}"
     kwargs = {}
-    for key, type_name in _LINK_FIELDS:
-        parsed = _section_value(section, key, type_name, where)
-        if parsed is not None:
-            kwargs[key] = parsed
+    for key, kind in _LINK_FIELDS.items():
+        raw = section.get(key)
+        if raw is not None:
+            try:
+                kwargs[key] = kind(raw)
+            except ValueError as exc:
+                raise _bad_value(where, key, raw) from exc
     for key in section:
-        if key not in {k for k, _ in _LINK_FIELDS}:
+        if key not in _LINK_FIELDS:
             raise ConfigError(f"{where}: unknown key {key!r}")
     if "protocol" not in kwargs:
         raise ConfigError(f"{where}: missing protocol")
@@ -508,28 +501,12 @@ def apply_override(spec: ArchitectureSpec, override: str) -> None:
         raise ConfigError(f"override: no module matching {target!r}")
     if len(matches) > 1:
         raise ConfigError(f"override: {target!r} is ambiguous")
-    module = matches[0]
-    for cfg_key, attr, type_name, _ in _MODULE_FIELDS:
-        if cfg_key != key:
-            continue
-        try:
-            value = _T[type_name](raw_value)
-        except ValueError as exc:
-            raise ConfigError(f"override {override!r}: bad value") from exc
-        if cfg_key == "code_distance":
-            module.code = replace(module.code, distance=value)
-        elif cfg_key == "code_family":
-            module.code = replace(module.code, family=value)
-        elif cfg_key == "code_anc_fraction":
-            module.code = replace(module.code, c_anc=value)
-        elif cfg_key in ("p_phys", "p_th", "t1_s", "t2_s"):
-            module.modality = replace(module.modality, **{cfg_key: value})
-        elif cfg_key == "modality":
-            module.modality = replace(module.modality, name=value)
-        else:
-            setattr(module, attr, value)
-        return
-    raise ConfigError(f"override: unknown key {key!r}")
+    if key not in _MODULE_FIELDS:
+        raise ConfigError(f"override: unknown key {key!r}")
+    try:
+        _set(matches[0], key, raw_value)
+    except ValueError as exc:
+        raise ConfigError(f"override {override!r}: bad value") from exc
 
 
 def load_architecture(name_or_path: str) -> ArchitectureSpec:
@@ -546,8 +523,8 @@ def load_architecture(name_or_path: str) -> ArchitectureSpec:
 
 __all__ = [
     "MODULE_KINDS", "LINK_PROTOCOLS", "GROSS_BLOCK_PHYSICAL",
-    "GROSS_BLOCK_LOGICAL", "ConfigError", "CodeSpec", "ModalitySpec",
-    "ModuleSpec", "LinkSpec", "ArchitectureSpec", "Boundary",
+    "GROSS_BLOCK_LOGICAL", "ASQPU_FACTORY_UNITS", "ConfigError", "CodeSpec",
+    "ModalitySpec", "ModuleSpec", "LinkSpec", "ArchitectureSpec", "Boundary",
     "derive_boundary", "validate", "builtin_architecture", "BUILTIN_NAMES",
     "to_config_text", "parse_config_text", "apply_override",
     "load_architecture", "CYCLE_TIME_RANGE_S",

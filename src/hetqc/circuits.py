@@ -85,7 +85,6 @@ class LogicalCircuit:
     name: str
     n_qubits: int
     ops: list[GateOp] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
 
     def add(self, kind: str, *qubits: int, angle: float | None = None,
             tag: str | None = None) -> None:
@@ -105,34 +104,6 @@ class LogicalCircuit:
             if problem:
                 out.append(f"op {i}: {problem}")
         return out
-
-    def dependencies(self) -> list[tuple[int, int]]:
-        """Data-dependency edges (producer index, consumer index)."""
-        edges = []
-        last: dict[int, int] = {}
-        for i, op in enumerate(self.ops):
-            seen = set()
-            for q in op.qubits:
-                j = last.get(q)
-                if j is not None and j not in seen:
-                    edges.append((j, i))
-                    seen.add(j)
-                last[q] = i
-        return edges
-
-    def predecessors(self, index: int) -> list[int]:
-        """Indices of the ops this op directly depends on."""
-        wanted = set(self.ops[index].qubits)
-        preds = []
-        for j in range(index - 1, -1, -1):
-            if not wanted:
-                break
-            hit = wanted.intersection(self.ops[j].qubits)
-            if hit:
-                preds.append(j)
-                wanted -= hit
-        preds.reverse()
-        return preds
 
     def count_kind(self, kind: str) -> int:
         return sum(1 for op in self.ops if op.kind == kind)
@@ -179,8 +150,7 @@ class LogicalCircuit:
         return circuit
 
     def copy(self) -> "LogicalCircuit":
-        return LogicalCircuit(self.name, self.n_qubits, list(self.ops),
-                              dict(self.metadata))
+        return LogicalCircuit(self.name, self.n_qubits, list(self.ops))
 
 
 def _check_op(op: GateOp, n_qubits: int) -> str | None:

@@ -36,7 +36,8 @@ from itertools import accumulate, chain, repeat
 from operator import add, itemgetter
 from typing import NamedTuple
 
-from .arch import ArchitectureSpec, LinkSpec, ModuleSpec, validate
+from .arch import (ASQPU_FACTORY_UNITS, ArchitectureSpec, LinkSpec,
+                   ModuleSpec, validate)
 from .circuits import GateOp, LogicalCircuit
 from .qec import (TransferInfeasible, TransferParams, TransferResult,
                   idle_error, logical_error_per_cycle, stqm_storage_valid,
@@ -50,9 +51,6 @@ CATEGORIES = ("qpu_idle", "qm_idle", "gate_1q", "gate_2q", "gate_t",
 EVENT_KINDS = frozenset({"gate", "t_inject", "ccz_inject", "transfer_write",
                          "transfer_read", "swap_route", "idle_buffer",
                          "qec_cycle_stretch"})
-
-#: fixed factory block attached to an application-specific core
-ASQPU_FACTORY_UNITS = 12
 
 #: event kind of a lowered gate by its cost key; every other key is a "gate"
 _INJECT_KINDS = {"t": "t_inject", "rz": "t_inject", "toffoli_t": "t_inject",
@@ -429,13 +427,15 @@ class LoweredGate(NamedTuple):
     n_t: int = 0
     n_swap: int = 0
     tag: str | None = None
-    src: int = -1
 
 
-def _lower_op(op: GateOp, idx: int, factory_state: str | None,
+def _lower_op(op: GateOp, factory_state: str | None,
               t_per_rz: int) -> list[LoweredGate]:
+    """The lowered gates of one op.  Records are immutable, so a gate
+    that recurs is one record listed twice, and a gate on all of the op's
+    qubits, in their order, shares the op's qubit tuple."""
     def g(key, label, qubits, cat, **kw):
-        return LoweredGate(key, label, qubits, cat, tag=op.tag, src=idx, **kw)
+        return LoweredGate(key, label, qubits, cat, tag=op.tag, **kw)
 
     k, q = op.kind, op.qubits
     if k in ("H", "S", "X", "Z", "Prep"):
@@ -448,27 +448,25 @@ def _lower_op(op: GateOp, idx: int, factory_state: str | None,
         return [g("2q", k, q, "gate_2q", n_cnot=1)]
     if k == "SWAP":
         a, b = q
-        return [g("2q", "CNOT", (a, b), "gate_2q", n_cnot=1, n_swap=1),
+        return [g("2q", "CNOT", q, "gate_2q", n_cnot=1, n_swap=1),
                 g("2q", "CNOT", (b, a), "gate_2q", n_cnot=1),
-                g("2q", "CNOT", (a, b), "gate_2q", n_cnot=1)]
+                g("2q", "CNOT", q, "gate_2q", n_cnot=1)]
     if k == "CPhase":
         a, b = q
+        rz_b = g("rz", "Rz", (b,), "gate_t", magic=t_per_rz, n_t=t_per_rz)
+        cnot = g("2q", "CNOT", q, "gate_2q", n_cnot=1)
         return [g("rz", "Rz", (a,), "gate_t", magic=t_per_rz, n_t=t_per_rz),
-                g("rz", "Rz", (b,), "gate_t", magic=t_per_rz, n_t=t_per_rz),
-                g("2q", "CNOT", (a, b), "gate_2q", n_cnot=1),
-                g("rz", "Rz", (b,), "gate_t", magic=t_per_rz, n_t=t_per_rz),
-                g("2q", "CNOT", (a, b), "gate_2q", n_cnot=1)]
+                rz_b, cnot, rz_b, cnot]
     if k in ("Toffoli", "CCZ"):
-        a, b, c = q
         if factory_state == "CCZ":
-            core = [g("ccz", "CCZ", (a, b, c), "gate_t", magic=1)]
+            core = [g("ccz", "CCZ", q, "gate_t", magic=1)]
             needs_basis_flip = k == "Toffoli"
         else:
-            core = [g("toffoli_t", "Toffoli", (a, b, c), "gate_t",
+            core = [g("toffoli_t", "Toffoli", q, "gate_t",
                       magic=4, n_t=4, n_cnot=3)]
             needs_basis_flip = k == "CCZ"
         if needs_basis_flip:
-            flip = g("1q", "H", (c,), "gate_1q")
+            flip = g("1q", "H", (q[2],), "gate_1q")
             return [flip] + core + [flip]
         return core
     if k == "Measure":
@@ -486,8 +484,8 @@ def lower_circuit(circuit: LogicalCircuit, factory_state: str | None,
                            "has no factory module")
     t_per_rz = rz_t_count(eps_magic) if needs_magic else 0
     out: list[LoweredGate] = []
-    for idx, op in enumerate(circuit.ops):
-        out.extend(_lower_op(op, idx, factory_state, t_per_rz))
+    for op in circuit.ops:
+        out.extend(_lower_op(op, factory_state, t_per_rz))
     return out
 
 
@@ -712,7 +710,6 @@ class _Memory:
     # the cell it claimed, fixed from the claim on
     cells: dict[int, tuple[str, tuple[int], int, float, float]] = field(
         default_factory=dict)
-    cell_ready: dict[int, float] = field(default_factory=dict)
     write_end: dict[int, float] = field(default_factory=dict)
     # compute module id -> bare boundary hop, or why it is infeasible
     hops: dict[str, TransferResult | TransferInfeasible] = field(
@@ -771,8 +768,6 @@ class _Scheduler:
             deque(map(self.core_of_gate.__setitem__, core.stream,
                       repeat(core)), maxlen=0)
         self.q_mem: dict[int, _Memory] = {}
-        self.q_core: dict[int, _Core] = {}
-        self.born: set[int] = set()
 
     # -- construction ------------------------------------------------------
 
@@ -917,18 +912,6 @@ class _Scheduler:
                 return mm
         return None
 
-    def _hop_params(self, mem: _Memory, core: _Core) -> TransferParams:
-        link = mem.links[core.module.id]
-        if link.protocol == "transversal":
-            return TransferParams(
-                eps_qpu=core.eps_cycle, d_qpu=core.module.code.distance,
-                t_qpu_s=core.module.t_cycle_s,
-                eps_th=core.module.modality.p_th, eps_tele=link.eps_tele)
-        return TransferParams(
-            eps_qpu=core.eps_cycle, d_qpu=core.module.code.distance,
-            t_qpu_s=core.module.t_cycle_s, eps_qm=mem.eps_cycle or 0.0,
-            d_qm=mem.module.code.distance, t_qm_s=mem.t_qm_eff)
-
     def _hop(self, mem: _Memory, core: _Core) -> TransferResult:
         """The bare boundary hop, computed on first use per module pair.
 
@@ -937,12 +920,19 @@ class _Scheduler:
         """
         hop = mem.hops.get(core.module.id)
         if hop is None:
-            params = self._hop_params(mem, core)
+            link = mem.links[core.module.id]
+            m = core.module
             try:
-                if mem.links[core.module.id].protocol == "transversal":
-                    hop = transfer_transversal(params)
+                if link.protocol == "transversal":
+                    hop = transfer_transversal(TransferParams(
+                        eps_qpu=core.eps_cycle, d_qpu=m.code.distance,
+                        t_qpu_s=m.t_cycle_s, eps_th=m.modality.p_th,
+                        eps_tele=link.eps_tele))
                 else:
-                    hop = transfer_lattice_surgery(params)
+                    hop = transfer_lattice_surgery(TransferParams(
+                        eps_qpu=core.eps_cycle, d_qpu=m.code.distance,
+                        t_qpu_s=m.t_cycle_s, eps_qm=mem.eps_cycle,
+                        d_qm=mem.module.code.distance, t_qm_s=mem.t_qm_eff))
             except TransferInfeasible as exc:
                 hop = exc
             mem.hops[core.module.id] = hop
@@ -950,25 +940,25 @@ class _Scheduler:
             raise TransferInfeasible(*hop.args)
         return hop
 
-    def _storage_error(self, mem: _Memory, core: _Core, hop: TransferResult,
+    def _storage_error(self, mem: _Memory, core: _Core,
                        dwell_s: float) -> float:
         """Error a read adds to its bare hop after ``dwell_s`` in the cell."""
-        link = mem.links[core.module.id]
-        if mem.eps_cycle is None and link.protocol == "transversal":
-            # passive store: the dwell's physical error rides through the
-            # hop and is corrected on arrival; charge only the residue
-            full = transversal_error(
-                core.eps_cycle, core.module.code.distance,
-                core.module.modality.p_th, link.eps_tele,
-                dwell_s / mem.module.modality.t2_s)
-            return max(full - hop.error, 0.0)
-        return idle_error(mem.eps_cycle or 0.0, dwell_s / mem.t_qm_eff)
+        if mem.eps_cycle is not None:
+            return idle_error(mem.eps_cycle, dwell_s / mem.t_qm_eff)
+        # passive store, linked transversally: the dwell's physical error
+        # rides through the hop and is corrected on arrival; charge only
+        # the residue
+        full = transversal_error(
+            core.eps_cycle, core.module.code.distance,
+            core.module.modality.p_th, mem.links[core.module.id].eps_tele,
+            dwell_s / mem.module.modality.t2_s)
+        return max(full - self._hop(mem, core).error, 0.0)
 
     def _move_cost(self, mem: _Memory, core: _Core, q: int,
                    dwell_s: float) -> float:
         try:
             hop = self._hop(mem, core)
-            s_err = self._storage_error(mem, core, hop, dwell_s)
+            s_err = self._storage_error(mem, core, dwell_s)
         except TransferInfeasible:
             return math.inf
         cell = mem.cells.get(q)
@@ -991,9 +981,8 @@ class _Scheduler:
         mem = self._memory_for(q, core)
         self._charge_idle(core, q, t)
         del core.residents[q]
-        self.q_core.pop(q, None)
         cell_lane, qs, dist, leg_dur, leg_err = mem.cells[q]
-        t0, pad = self._align(mem, max(t, mem.cell_ready.get(q, 0.0)))
+        t0, pad = self._align(mem, t)
         if pad > 0:
             self.events.add(t0 - pad, pad, "qec_cycle_stretch",
                             core.module.id, cell_lane, qs, "clock_pad",
@@ -1012,7 +1001,6 @@ class _Scheduler:
             self.counters["swap_count"] += dist
             t_cell += leg_dur
         mem.write_end[q] = t_cell
-        mem.cell_ready[q] = t_cell
         self.audit.add(t, core.lane, q, gap_cycles, cost_keep, cost_move,
                        True, reason)
 
@@ -1027,18 +1015,19 @@ class _Scheduler:
         mem = self.q_mem[q]
         cell_lane, qs, dist, leg_dur, leg_err = mem.cells[q]
         hop = self._hop(mem, core)
-        t0 = max(t_issue, mem.cell_ready[q])
+        stored = mem.write_end.pop(q)
+        t0 = max(t_issue, stored)
         if target_s is not None:
             t0 = max(t0, target_s - hop.duration_s - leg_dur)
-        dwell = max(t0 - mem.write_end[q], 0.0)
+        dwell = t0 - stored
         if mem.eps_cycle is None and not stqm_storage_valid(
                 mem.module.modality, dwell, core.module.modality.p_phys):
             self.warnings.append(
                 f"qubit {q}: stored {dwell:.3e} s, beyond the consumer's "
                 f"physical rate {core.module.modality.p_phys}")
-        storage_err = self._storage_error(mem, core, hop, dwell)
+        storage_err = self._storage_error(mem, core, dwell)
         if dwell > 0 or storage_err > 0:
-            self.events.add(mem.write_end[q], dwell, "idle_buffer",
+            self.events.add(stored, dwell, "idle_buffer",
                             mem.module.id, cell_lane, qs, "stored",
                             storage_err, "qm_idle")
         t_legs = t0
@@ -1060,10 +1049,7 @@ class _Scheduler:
                         mem.module.id, cell_lane, qs, "read", hop.error,
                         "transfer")
         self.counters["st_count"] += 1
-        mem.cell_ready[q] = t_arrive
-        del mem.write_end[q]
         core.incoming[q] = t_arrive
-        self.q_core[q] = core
         return t_arrive
 
     def _force_slot(self, core: _Core, t: float,
@@ -1091,9 +1077,11 @@ class _Scheduler:
             return core.residents[q]
         if q in core.incoming:
             return core.incoming[q]
-        owner = self.q_core.get(q)
-        if owner is not None and owner is not core:
-            # a read still in flight to the owner lands before the write-out
+        owner = next((c for c in self.cores
+                      if q in c.residents or q in c.incoming), None)
+        if owner is not None:
+            # another core holds q; a read still in flight to it lands
+            # before the write-out
             arrival = owner.incoming.pop(q, None)
             if arrival is not None:
                 owner.residents[q] = arrival
@@ -1105,9 +1093,7 @@ class _Scheduler:
         if mem is not None and q in mem.write_end:
             return self._read_in(core, q, t_issue)
         # first touch: the patch is prepared directly in a compute slot
-        self.born.add(q)
         core.residents[q] = t_issue
-        self.q_core[q] = core
         return t_issue
 
     # -- main loop ---------------------------------------------------------
@@ -1167,7 +1153,6 @@ class _Scheduler:
             arrival = core.incoming.pop(q, None)
             if arrival is not None:
                 core.residents[q] = arrival
-                self.q_core[q] = core
             self._charge_idle(core, q, start)
         dur = cycles * core.module.t_cycle_s
         self.events.add(start, dur, _INJECT_KINDS.get(g.cost_key, "gate"),
@@ -1184,12 +1169,10 @@ class _Scheduler:
         if nxt >= len(core.stream):
             return
         for q in self.lowered[core.stream[nxt]].qubits:
-            if (q in core.residents or q in core.incoming
-                    or core.slots_used() >= core.capacity
-                    or self.q_core.get(q) is not None):
-                continue
+            # only a qubit in a memory cell is read ahead; it is on no core
             mem = self.q_mem.get(q)
-            if mem is not None and q in mem.write_end:
+            if (mem is not None and q in mem.write_end
+                    and core.slots_used() < core.capacity):
                 self._read_in(core, q, t_now, target_s=core.t_free)
 
     def _route(self, core: _Core, gi: int, g: LoweredGate, t_end: float,
@@ -1204,7 +1187,6 @@ class _Scheduler:
                 if g.cost_key == "measure":
                     # measured out: the slot is simply released
                     del core.residents[q]
-                    self.q_core.pop(q, None)
                 elif core.linked:
                     self._write_out(core, q, t_end, "terminal")
                 continue
@@ -1239,17 +1221,13 @@ class _Scheduler:
                 dwell = makespan - t0
                 if dwell <= 0:
                     continue
-                if mem.eps_cycle is None:
-                    try:
-                        err = self._storage_error(
-                            mem, consumer, self._hop(mem, consumer), dwell)
-                    except TransferInfeasible:
-                        err = 1.0 - 1e-16
-                        self.warnings.append(
-                            f"qubit {q}: terminal dwell {dwell:.3e} s "
-                            "exceeds the recoverable storage window")
-                else:
-                    err = idle_error(mem.eps_cycle, dwell / mem.t_qm_eff)
+                try:
+                    err = self._storage_error(mem, consumer, dwell)
+                except TransferInfeasible:
+                    err = 1.0 - 1e-16
+                    self.warnings.append(
+                        f"qubit {q}: terminal dwell {dwell:.3e} s "
+                        "exceeds the recoverable storage window")
                 cell_lane, qs = mem.cells[q][:2]
                 self.events.add(t0, dwell, "idle_buffer", mem.module.id,
                                 cell_lane, qs, "stored", err, "qm_idle")

@@ -39,12 +39,10 @@ RSA_RETRY_OVERHEAD = 1.14   # schedule padding between attempts
 RSA_SHOT_FIDELITY = 0.954   # pinned per-shot success probability
 
 
-def rsa_shot_time(tau_s: dict[str, float] | None = None,
-                  asqpu_adder: bool = False) -> float:
-    """Wall time of one factoring shot from per-call durations."""
+def rsa_shot_time(tau_s: dict[str, float] | None = None) -> float:
+    """Wall time of one factoring shot from per-call durations; ``tau_s``
+    overrides entries of the reference row."""
     taus = dict(RSA_TAU_REFERENCE)
-    if asqpu_adder:
-        taus["adder"] = RSA_TAU_ASQPU_ADDER
     if tau_s:
         unknown = set(tau_s) - set(RSA_CALLS)
         if unknown:
@@ -82,8 +80,7 @@ class RsaEstimate:
 
 def rsa_estimate(arch: str | ArchitectureSpec,
                  tau_s: dict[str, float] | None = None,
-                 fidelity: float = RSA_SHOT_FIDELITY,
-                 weights: CostWeights = CostWeights()) -> RsaEstimate:
+                 fidelity: float = RSA_SHOT_FIDELITY) -> RsaEstimate:
     """Closed-form run estimate for one architecture.
 
     Durations default to the reference row (with the 2 ms adder whenever the
@@ -101,6 +98,7 @@ def rsa_estimate(arch: str | ArchitectureSpec,
     shot = rsa_shot_time(taus)
     days = rsa_runtime_days(shot, fidelity)
     counts = count_architecture(spec)
+    weights = CostWeights()
     coupler_weighted = (counts.couplers_local * weights.w_local
                         + counts.couplers_nonlocal * weights.w_nonlocal
                         + counts.interconnects * weights.w_inter)
@@ -110,8 +108,7 @@ def rsa_estimate(arch: str | ArchitectureSpec,
 
 
 def rsa_estimate_compiled(arch: str | ArchitectureSpec,
-                          fidelity: float = RSA_SHOT_FIDELITY,
-                          weights: CostWeights = CostWeights()) -> RsaEstimate:
+                          fidelity: float = RSA_SHOT_FIDELITY) -> RsaEstimate:
     """Run estimate with per-call durations measured by compilation.
 
     Each subroutine circuit is scheduled on the architecture with the model
@@ -130,7 +127,7 @@ def rsa_estimate_compiled(arch: str | ArchitectureSpec,
         taus[name] = prog.makespan_s
         err = min(error_budget(prog).total, 1.0 - 1e-16)
         log_f += RSA_CALLS[name] * math.log1p(-err)
-    base = rsa_estimate(spec, tau_s=taus, fidelity=fidelity, weights=weights)
+    base = rsa_estimate(spec, tau_s=taus, fidelity=fidelity)
     return RsaEstimate(base.arch, base.shot_s, base.runtime_days,
                        base.fidelity, base.qubits_total,
                        base.qubit_cost_mdays, base.coupler_cost_mdays,
@@ -153,9 +150,7 @@ def _error_count(total: float) -> float:
 
 
 def compare_architectures(circuit: LogicalCircuit,
-                          archs: list[str | ArchitectureSpec],
-                          weights: CostWeights = CostWeights()
-                          ) -> list[dict]:
+                          archs: list[str | ArchitectureSpec]) -> list[dict]:
     """Compile one circuit onto each architecture and tabulate the results.
 
     The first architecture that compiles cleanly is the reference for the
@@ -182,7 +177,7 @@ def compare_architectures(circuit: LogicalCircuit,
         row.update(status="ok", makespan_s=prog.makespan_s,
                    total_error=budget.total, dominant=budget.dominant(),
                    qubits_total=counts.total_qubits,
-                   space_cost=space_cost(counts, weights),
+                   space_cost=space_cost(counts),
                    **{k: prog.counters[k] for k in
                       ("cnot_count", "st_count", "t_count", "swap_count")})
         if ref is None:

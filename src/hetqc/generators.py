@@ -11,6 +11,13 @@ import math
 
 from .circuits import LogicalCircuit
 
+#: hopping and interaction angle of one Fermi-Hubbard Trotter step
+HUBBARD_ANGLE = math.pi / 8
+
+#: non-Clifford gates of the lookup and phase-update skeletons, one per
+#: non-trivial 6-bit address
+RSA_SKELETON_COUNT = 63
+
 
 def default_truncation(eps_2q: float = 1e-9) -> int:
     """Smallest k such that a controlled phase of pi/2^k is below ``eps_2q``.
@@ -26,8 +33,7 @@ def default_truncation(eps_2q: float = 1e-9) -> int:
     return k
 
 
-def generate_aqft(n: int, k_th: int | None = None,
-                  eps_2q: float = 1e-9) -> LogicalCircuit:
+def generate_aqft(n: int, k_th: int | None = None) -> LogicalCircuit:
     """Approximate quantum Fourier transform on ``n`` qubits.
 
     Controlled phases of angle pi/2^k with k >= ``k_th`` are omitted.  When
@@ -36,12 +42,11 @@ def generate_aqft(n: int, k_th: int | None = None,
 
     :param n: register width, n >= 1.
     :param k_th: truncation depth; CPhase count is sum_{i=1}^{n-1} min(i, k_th-1).
-    :param eps_2q: two-qubit error used by the default truncation rule.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if k_th is None:
-        k_th = default_truncation(eps_2q)
+        k_th = default_truncation()
     if k_th < 1:
         raise ValueError("k_th must be >= 1")
     c = LogicalCircuit(f"aqft_n{n}_k{k_th}", n)
@@ -50,12 +55,6 @@ def generate_aqft(n: int, k_th: int | None = None,
         for j in range(i + 1, min(n, i + k_th)):
             # CPhase(pi / 2^(j-i)) between target row i and qubit j
             c.add("CPhase", i, j, angle=math.pi / 2.0 ** (j - i))
-    c.metadata = {
-        "workload": "aqft",
-        "n": n,
-        "k_th": k_th,
-        "cphase_count": c.count_kind("CPhase"),
-    }
     return c
 
 
@@ -99,23 +98,17 @@ def generate_cuccaro_adder(bits: int) -> LogicalCircuit:
     c.add("CNOT", a[-1], z, tag="adder")
     for i in reversed(range(bits)):
         uma(carries[i], b[i], a[i])
-    c.metadata = {
-        "workload": "cuccaro_adder",
-        "bits": bits,
-        "toffoli_count": c.count_kind("Toffoli"),
-        "specialty": "adder",
-    }
     return c
 
 
-def generate_fermi_hubbard_step(lx: int, ly: int, trotter_steps: int = 1,
-                                hop_angle: float = math.pi / 8,
-                                int_angle: float = math.pi / 8) -> LogicalCircuit:
+def generate_fermi_hubbard_step(lx: int, ly: int,
+                                trotter_steps: int = 1) -> LogicalCircuit:
     """Trotterized Fermi-Hubbard step on an ``lx`` x ``ly`` open lattice.
 
     Two spin species per site (2*lx*ly qubits).  Per step: hopping terms on
     every lattice bond, split into even/odd sublayers per direction, each as
     CNOT - Rz - CNOT for both spins; then one CPhase interaction per site.
+    Both rotations take :data:`HUBBARD_ANGLE`.
     """
     if lx < 1 or ly < 1 or trotter_steps < 1:
         raise ValueError("lx, ly, trotter_steps must be >= 1")
@@ -143,65 +136,51 @@ def generate_fermi_hubbard_step(lx: int, ly: int, trotter_steps: int = 1,
             for spin in (up, dn):
                 i, j = spin(x0, y0), spin(x1, y1)
                 c.add("CNOT", i, j)
-                c.add("Rz", j, angle=hop_angle)
+                c.add("Rz", j, angle=HUBBARD_ANGLE)
                 c.add("CNOT", i, j)
         for y in range(ly):
             for x in range(lx):
-                c.add("CPhase", up(x, y), dn(x, y), angle=int_angle)
-    c.metadata = {
-        "workload": "fermi_hubbard",
-        "lx": lx,
-        "ly": ly,
-        "trotter_steps": trotter_steps,
-        "bond_count": len(bonds),
-    }
+                c.add("CPhase", up(x, y), dn(x, y), angle=HUBBARD_ANGLE)
     return c
 
 
-def generate_rsa_subroutine(kind: str, **params) -> LogicalCircuit:
+def generate_rsa_subroutine(kind: str) -> LogicalCircuit:
     """Factoring-workload subroutines: ``adder33``, ``lookup6``, ``phaseup6``.
 
     ``adder33`` is the 33-bit ripple adder (68 logical qubits).  ``lookup6``
     and ``phaseup6`` are schedule-shape skeletons of a 6-bit-address table
-    lookup (70 qubits) and a phase-update network (14 qubits); their
-    non-Clifford counts are parameters recorded in metadata (default 63 each,
-    one per non-trivial address).  The skeletons reproduce register sizes,
-    gate mix, and dependency topology, not the semantic table contents.
+    lookup (70 qubits) and a phase-update network (14 qubits), with
+    :data:`RSA_SKELETON_COUNT` Toffolis and CCZs respectively, one per
+    non-trivial address.  The skeletons reproduce register sizes, gate mix,
+    and dependency topology, not the semantic table contents.
     """
     if kind == "adder33":
         c = generate_cuccaro_adder(33)
         c.name = "rsa_adder33"
         return c
     if kind == "lookup6":
-        count = int(params.pop("toffoli_count", 63))
-        if params:
-            raise ValueError(f"unknown parameters {sorted(params)}")
         c = LogicalCircuit("rsa_lookup6", 70)
         addr = list(range(6))
         unary = list(range(6, 11))
         target = list(range(11, 70))
         c.add("CNOT", addr[0], unary[0], tag="lookup")
-        for i in range(count):
+        for i in range(RSA_SKELETON_COUNT):
             a = addr[i % 6]
             u0 = unary[i % 5]
             u1 = unary[(i + 2) % 5]
             c.add("Toffoli", a, u0, u1, tag="lookup")
             c.add("CNOT", u1, target[i % 59], tag="lookup")
-        c.metadata = {"workload": "rsa_lookup6", "toffoli_count": count}
         return c
     if kind == "phaseup6":
-        count = int(params.pop("ccz_count", 63))
-        if params:
-            raise ValueError(f"unknown parameters {sorted(params)}")
         c = LogicalCircuit("rsa_phaseup6", 14)
-        for i in range(count):
+        for i in range(RSA_SKELETON_COUNT):
             c.add("CCZ", i % 6, 6 + i % 8, 6 + (i + 3) % 8, tag="phaseup")
-        c.metadata = {"workload": "rsa_phaseup6", "ccz_count": count}
         return c
     raise ValueError(f"unknown subroutine kind {kind!r}")
 
 
 __all__ = [
-    "default_truncation", "generate_aqft", "generate_cuccaro_adder",
+    "HUBBARD_ANGLE", "RSA_SKELETON_COUNT", "default_truncation",
+    "generate_aqft", "generate_cuccaro_adder",
     "generate_fermi_hubbard_step", "generate_rsa_subroutine",
 ]

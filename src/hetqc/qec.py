@@ -1,7 +1,7 @@
 """Closed-form error and timing model.
 
 Logical failure per QEC cycle follows the standard sub-threshold scaling
-``prefactor * (p/p_th)^((d+1)/2)``; the prefactor default 0.03 is calibrated
+``PREFACTOR * (p/p_th)^((d+1)/2)``; the prefactor 0.03 is calibrated
 against the worked operating points encoded in the builtin architectures.
 Transfer protocols between modules come in two flavors: transversal
 teleportation (fast, limited by teleportation fidelity) and lattice surgery
@@ -15,15 +15,14 @@ from dataclasses import dataclass
 
 from .arch import ModalitySpec
 
-DEFAULT_PREFACTOR = 0.03
+PREFACTOR = 0.03
 
 
 class TransferInfeasible(ValueError):
     """Transfer inputs violate the sub-threshold requirement."""
 
 
-def logical_error_per_cycle(p: float, p_th: float, d: int,
-                            prefactor: float = DEFAULT_PREFACTOR) -> float:
+def logical_error_per_cycle(p: float, p_th: float, d: int) -> float:
     """Logical failure probability per QEC cycle of a distance-``d`` patch.
 
     :param p: physical error rate, must satisfy 0 < p < p_th.
@@ -34,7 +33,7 @@ def logical_error_per_cycle(p: float, p_th: float, d: int,
         raise ValueError(f"p={p} must lie below threshold {p_th}")
     if d < 1:
         raise ValueError("distance must be >= 1")
-    return prefactor * (p / p_th) ** ((d + 1) / 2)
+    return PREFACTOR * (p / p_th) ** ((d + 1) / 2)
 
 
 def idle_error(eps_cycle: float, cycles: float) -> float:
@@ -147,7 +146,7 @@ def stqm_storage_valid(modality: ModalitySpec, dwell_s: float,
 
 
 __all__ = [
-    "DEFAULT_PREFACTOR", "TransferInfeasible", "logical_error_per_cycle",
+    "PREFACTOR", "TransferInfeasible", "logical_error_per_cycle",
     "idle_error", "equivalent_memory_distance", "TransferParams",
     "TransferResult", "transversal_error", "transfer_transversal",
     "transfer_lattice_surgery", "stqm_storage_valid",

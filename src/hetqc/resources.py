@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .arch import (ArchitectureSpec, GROSS_BLOCK_LOGICAL, GROSS_BLOCK_PHYSICAL,
-                   ModuleSpec, derive_boundary)
+from .arch import (ASQPU_FACTORY_UNITS, ArchitectureSpec, GROSS_BLOCK_LOGICAL,
+                   GROSS_BLOCK_PHYSICAL, ModuleSpec, derive_boundary)
 
 
 @dataclass
@@ -224,7 +224,8 @@ def count_rsa_architecture(spec: ArchitectureSpec) -> ResourceCounts:
         m = asqpu.n_logical
         da = asqpu.code.distance
         bd["qubits_asqpu"] = 2 * m * da * da
-        bd["qubits_asqpu_factory"] = 12 * (4 * da * da + 2 * da)
+        bd["qubits_asqpu_factory"] = (ASQPU_FACTORY_UNITS
+                                      * (4 * da * da + 2 * da))
         bd["qubits_asqpu_interconnect"] = m * da * da
         active += (bd["qubits_asqpu"] + bd["qubits_asqpu_factory"]
                    + bd["qubits_asqpu_interconnect"])

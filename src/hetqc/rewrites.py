@@ -9,14 +9,11 @@ commutation.
 
 from __future__ import annotations
 
-from .circuits import (CONTROL_SLOTS, DIAGONAL_KINDS, GateOp, LogicalCircuit)
+from .circuits import GateOp, LogicalCircuit, control_slots
 
 
 def _diagonal_on(op: GateOp, qubit: int) -> bool:
-    if op.kind in DIAGONAL_KINDS:
-        return True
-    slots = CONTROL_SLOTS.get(op.kind, ())
-    return any(op.qubits[s] == qubit for s in slots)
+    return any(op.qubits[s] == qubit for s in control_slots(op))
 
 
 def _commutes(a: GateOp, b: GateOp) -> bool:
@@ -59,11 +56,7 @@ def rewrite_depth_reduce(circuit: LogicalCircuit) -> LogicalCircuit:
         ops, changed = _one_pass(ops)
         if not changed:
             break
-    reduced = circuit.copy()
-    reduced.ops = ops
-    reduced.metadata = dict(circuit.metadata)
-    reduced.metadata["cancelled_ops"] = len(circuit.ops) - len(ops)
-    return reduced
+    return LogicalCircuit(circuit.name, circuit.n_qubits, ops)
 
 
 __all__ = ["rewrite_depth_reduce"]

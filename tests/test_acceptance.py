@@ -16,7 +16,8 @@ import pytest
 from hetqc.arch import builtin_architecture
 from hetqc.circuits import LogicalCircuit
 from hetqc.compiler import error_budget, schedule, schedule_baseline
-from hetqc.estimator import rsa_estimate, rsa_runtime_days, rsa_shot_time
+from hetqc.estimator import (RSA_TAU_ASQPU_ADDER, rsa_estimate,
+                             rsa_runtime_days, rsa_shot_time)
 from hetqc.generators import generate_aqft, generate_cuccaro_adder
 from hetqc.qec import (TransferParams, equivalent_memory_distance, idle_error,
                        logical_error_per_cycle, transfer_lattice_surgery,
@@ -176,7 +177,8 @@ def test_criterion_07_factoring_arithmetic(capsys):
     failures = []
     (shot, t_shot) = _best_of(rsa_shot_time)
     days = rsa_runtime_days(shot)
-    asqpu_days = rsa_runtime_days(rsa_shot_time(asqpu_adder=True))
+    asqpu_days = rsa_runtime_days(
+        rsa_shot_time({"adder": RSA_TAU_ASQPU_ADDER}))
     b2, t_b2 = _best_of(lambda: rsa_estimate("B2"))
     b3 = rsa_estimate("B3")
     b6 = rsa_estimate("B6")

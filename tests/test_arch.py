@@ -6,10 +6,11 @@ import pathlib
 
 import pytest
 
-from hetqc.arch import (BUILTIN_NAMES, CYCLE_TIME_RANGE_S, ConfigError,
-                        ModuleSpec, apply_override, builtin_architecture,
-                        derive_boundary, load_architecture,
-                        parse_config_text, to_config_text, validate)
+from hetqc.arch import (_MODULE_FIELDS, BUILTIN_NAMES, CYCLE_TIME_RANGE_S,
+                        ConfigError, ModuleSpec, apply_override,
+                        builtin_architecture, derive_boundary,
+                        load_architecture, parse_config_text, to_config_text,
+                        validate)
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "hetqc" / "configs"
 
@@ -66,6 +67,27 @@ def test_override_basics():
     apply_override(spec, "raqm.n=500")
     assert spec.module("raqm0").n_logical == 500
     assert validate(spec) == []
+
+
+#: a new value for each config key of B5's raqm0
+_NEW_VALUES = {
+    "kind": "STQM", "logical_qubits": "1000", "cores": "2", "edges": "12",
+    "specialty": "adder", "code_family": "gross", "code_distance": "11",
+    "code_anc_fraction": "0.5", "modality": "custom_na", "p_phys": "2e-4",
+    "p_th": "0.01", "t1_s": "50.0", "t2_s": "40.0", "t_cycle_s": "2e-4",
+    "t_cycle_min_s": "1e-4", "t_cycle_max_s": "2e-3", "state": "T",
+    "n_dist": "15", "n_mf_per_qpu": "1.5", "production_cycles": "40",
+    "injection_cycles": "20", "eps_magic": "1e-8", "k_swap": "3",
+    "n_transfer": "30",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_MODULE_FIELDS))
+def test_override_survives_round_trip(key):
+    spec = builtin_architecture("B5")
+    apply_override(spec, f"raqm0.{key}={_NEW_VALUES[key]}")
+    assert spec.modules != builtin_architecture("B5").modules
+    assert parse_config_text(to_config_text(spec)).modules == spec.modules
 
 
 def test_override_rejects_bad_input():
@@ -184,15 +206,14 @@ def test_validate_flags_structural_problems():
 
 
 def test_derive_boundary():
-    b = derive_boundary(builtin_architecture("A1"))
+    a1 = builtin_architecture("A1")
+    b = derive_boundary(a1, a1.links[0])
     assert b.n_bdry == 1000 + 2 * 3
     assert b.d_bdry == 15
     assert b.d_time == 15
 
-    b = derive_boundary(builtin_architecture("A2"))
+    a2 = builtin_architecture("A2")
+    b = derive_boundary(a2, a2.links[0])
     assert b.n_bdry == 1006
     assert b.d_bdry == 9
     assert b.d_time == 15
-
-    with pytest.raises(ConfigError):
-        derive_boundary(builtin_architecture("baseline1000"))

@@ -70,14 +70,24 @@ def test_lowering_nonclifford_follows_factory_state():
     assert (ccz2.cost_key, ccz2.magic) == ("ccz", 1)
     tof2 = _lowered("Toffoli", 0, 1, 2, factory="CCZ")
     assert [g.label for g in tof2] == ["H", "CCZ", "H"]
+    # every lowered gate carries its op's tag
+    assert all(g.tag == "adder" for g in lower_circuit(
+        generate_cuccaro_adder(2), "T", 2.1e-9))
 
 
-def test_lowering_src_tracks_source_op():
-    c = generate_cuccaro_adder(2)
-    lowered = lower_circuit(c, "T", 2.1e-9)
-    assert all(0 <= g.src < len(c.ops) for g in lowered)
-    assert [g.src for g in lowered] == sorted(g.src for g in lowered)
-    assert all(g.tag == "adder" for g in lowered)
+def test_lowering_shares_recurring_records():
+    c = LogicalCircuit("t", 3)
+    c.add("CPhase", 0, 1, angle=0.1)
+    c.add("CCZ", 0, 1, 2)
+    cphase, ccz = c.ops
+    g = lower_circuit(c, "T", 2.1e-9)
+    assert [x.qubits for x in g[:5]] == [(0,), (1,), (0, 1), (1,), (0, 1)]
+    # a recurring gate is one immutable record, listed twice, and a gate on
+    # all of its op's qubits holds the op's own tuple
+    assert g[1] is g[3] and g[2] is g[4]
+    assert [x.label for x in g[5:]] == ["H", "Toffoli", "H"]
+    assert g[5] is g[7]
+    assert g[2].qubits is cphase.qubits and g[6].qubits is ccz.qubits
 
 
 def test_lowering_requires_factory_for_magic():
@@ -386,8 +396,7 @@ def test_records_are_immutable():
                          (gate, "cost_key"), (gate, "tag")):
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
-    assert (gate.magic, gate.n_t, gate.n_swap, gate.tag, gate.src) == \
-        (0, 0, 0, None, -1)
+    assert (gate.magic, gate.n_t, gate.n_swap, gate.tag) == (0, 0, 0, None)
 
 
 def _hex_fields(ev):

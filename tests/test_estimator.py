@@ -10,7 +10,8 @@ from hetqc.circuits import LogicalCircuit
 from hetqc.cli import main
 from hetqc.estimator import (COMPARISON_FIELDS, RSA_ATTEMPTS, RSA_CALLS,
                              RSA_RETRY_OVERHEAD, RSA_SHOT_FIDELITY,
-                             RSA_TAU_MONOLITHIC, compare_architectures,
+                             RSA_TAU_ASQPU_ADDER, RSA_TAU_MONOLITHIC,
+                             compare_architectures,
                              rsa_estimate, rsa_estimate_compiled,
                              rsa_runtime_days, rsa_shot_time)
 from hetqc.generators import generate_aqft
@@ -18,8 +19,8 @@ from hetqc.generators import generate_aqft
 
 def test_shot_time_reference_row():
     assert rsa_shot_time() == pytest.approx(72_288.8325, rel=1e-6)
-    assert rsa_shot_time(asqpu_adder=True) == pytest.approx(38_300.9701,
-                                                            rel=1e-6)
+    assert rsa_shot_time({"adder": RSA_TAU_ASQPU_ADDER}) == pytest.approx(
+        38_300.9701, rel=1e-6)
     assert rsa_shot_time(tau_s=RSA_TAU_MONOLITHIC) == pytest.approx(
         38_115.762, rel=1e-6)
 
@@ -38,8 +39,8 @@ def test_runtime_days():
     assert days == pytest.approx(9.1982, rel=1e-4)
     assert days == pytest.approx(shot * RSA_ATTEMPTS * RSA_RETRY_OVERHEAD
                                  / RSA_SHOT_FIDELITY / 86400.0)
-    assert rsa_runtime_days(rsa_shot_time(asqpu_adder=True)) == \
-        pytest.approx(4.8735, rel=1e-4)
+    assert rsa_runtime_days(rsa_shot_time(
+        {"adder": RSA_TAU_ASQPU_ADDER})) == pytest.approx(4.8735, rel=1e-4)
     with pytest.raises(ValueError):
         rsa_runtime_days(0.0)
     with pytest.raises(ValueError):
