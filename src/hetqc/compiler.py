@@ -11,17 +11,19 @@ Core lanes carry gates; a memory cell lane carries the write, the stored
 dwell, any swap legs, and the read for one qubit, in that order.
 
 Both schedulers append their events to one :class:`EventStore`: columns
-of start, duration and error plus an interned key per event.  A
-:class:`ScheduledProgram` is built on that store; its ``events`` is the
-store itself, a lazy read-only sequence of :class:`ScheduledEvent` records
-in schedule order.  The makespan, the event count and the error budget read
-the columns and never sort; only the schedule text and reading the records
-do.  Its ``audit`` is likewise an :class:`AuditStore`, a lazy read-only
-columnar sequence of the router's :class:`RouterDecision` records.
+of start, duration and error plus an interned key per event; the modular
+one appends each memory cell's and each resident's events by key ids it
+keeps.  A :class:`ScheduledProgram` is built on that store; its ``events``
+is the store itself, a lazy read-only sequence of :class:`ScheduledEvent`
+records in schedule order.  The makespan, the event count and the error
+budget read the columns and never sort; only the schedule text and reading
+the records do.  Its ``audit`` is likewise an :class:`AuditStore`, a lazy
+read-only columnar sequence of the router's :class:`RouterDecision` records.
 
 Each stage keeps only what a later one reads: the modular scheduler frees
 its unitary blocks once they are assigned to cores, keeping their count,
-and holds its per-gate tables as arrays rather than lists of ints.
+and holds its per-gate tables as arrays rather than lists of ints.  It
+resolves each (memory, compute module) pair's bare hop once, when built.
 """
 
 from __future__ import annotations
@@ -116,9 +118,9 @@ class EventStore(Sequence):
 
     ``add`` appends an event: its start, duration and error go to
     ``array('d')`` columns, and the rest, (kind, module, lane, qubits,
-    label, category), to ``key`` as an id interned in ``keys``.  A schedule
-    repeats few such keys over many events.  The columns stay in emission
-    order.
+    label, category), to ``key`` as an id interned in ``keys``; ``add_id``
+    appends by an id from ``intern``.  A schedule repeats few such keys over
+    many events.  The columns stay in emission order.
 
     As a sequence the store is read-only and holds :class:`ScheduledEvent`
     records in schedule order: by start time, then module, lane, kind and
@@ -144,6 +146,18 @@ class EventStore(Sequence):
         ids = self._ids
         self.key.append(ids.setdefault(
             (kind, module, lane, qubits, label, category), len(ids)))
+        self.start.append(t_start_s)
+        self.dur.append(duration_s)
+        self.err.append(error)
+
+    def intern(self, key: tuple) -> int:
+        """A key's id for :meth:`add_id`, taken right before its first use."""
+        return self._ids.setdefault(key, len(self._ids))
+
+    def add_id(self, t_start_s: float, duration_s: float, key_id: int,
+               error: float) -> None:
+        """Append one event whose key has the interned id ``key_id``."""
+        self.key.append(key_id)
         self.start.append(t_start_s)
         self.dur.append(duration_s)
         self.err.append(error)
@@ -572,15 +586,23 @@ def consolidate_blocks(lowered: list[LoweredGate],
     # tag -> [need] -> ascending indices of blocks with room >= need
     open_blocks: dict[str | None, list[list[int]]] = {}
     for gi, g in enumerate(lowered):
-        qs = set(g.qubits)
-        frontier = max([last_touch.get(q, 0) for q in qs], default=0)
+        qubits = g.qubits
+        frontier = max(map(last_touch.get, qubits, repeat(0)), default=0)
         chosen = None
         if frontier < len(blocks):
             b = blocks[frontier]
-            if b.tag == g.tag and len(b.qubits | qs) <= max_qubits:
-                chosen = b
+            if b.tag == g.tag:
+                # the union test: room for the qubits b does not hold yet
+                held = b.qubits
+                room = max_qubits - len(held)
+                for q in qubits:
+                    if q not in held:
+                        room -= 1
+                if room >= 0:
+                    chosen = b
         if chosen is None and g.tag in open_blocks:
-            fits = open_blocks[g.tag][len(qs)]
+            # operands are distinct, so the gate needs one slot for each
+            fits = open_blocks[g.tag][len(qubits)]
             i = bisect_right(fits, frontier)
             if i < len(fits):
                 chosen = blocks[fits[i]]
@@ -591,22 +613,23 @@ def consolidate_blocks(lowered: list[LoweredGate],
                 open_blocks[g.tag] = [[] for _ in range(max_arity + 1)]
             for fits in open_blocks[g.tag]:
                 fits.append(chosen.index)
-        before = len(chosen.qubits)
+        index, held = chosen.index, chosen.qubits
+        before = len(held)
         chosen.gates.append(gi)
-        chosen.qubits.update(g.qubits)
-        free = max_qubits - len(chosen.qubits)
-        if free < max_arity:
+        held.update(qubits)
+        free = max_qubits - len(held)
+        if free < max_arity and len(held) > before:
             # drop the block from the lists of needs it no longer meets
             by_room = open_blocks[g.tag]
             for need in range(free + 1,
                               min(max_qubits - before, max_arity) + 1):
                 fits = by_room[need]
-                del fits[bisect_left(fits, chosen.index)]
-        for q in g.qubits:
+                del fits[bisect_left(fits, index)]
+        for q in qubits:
             prev = last_touch.get(q)
-            if prev is not None and prev != chosen.index:
+            if prev is not None and prev != index:
                 chosen.deps.add(prev)
-            last_touch[q] = chosen.index
+            last_touch[q] = index
     return blocks
 
 
@@ -693,9 +716,35 @@ class _Core:
     stream: array = field(default_factory=lambda: array("i"))  # gates in order
     pos: int = 0
     linked: bool = False       # some memory module has a link to this core
+    pool: _Pool | None = None  # magic-state supply
+    idle_ids: dict[int, int] = field(default_factory=dict)  # resident_idle
 
     def slots_used(self) -> int:
         return len(self.residents) + len(self.incoming)
+
+
+class _InfeasibleHop(TransferInfeasible):
+    """A refused hop; reading its error or duration raises a fresh copy."""
+
+    @property
+    def error(self) -> float:
+        raise TransferInfeasible(*self.args)
+
+    duration_s = error
+
+
+@dataclass(slots=True)
+class _Cell:
+    """A claimed memory cell; its event key ids are -1 until first used."""
+
+    lane: str
+    qs: tuple[int]
+    dist: int
+    leg_dur: float
+    leg_err: float
+    write_id: int = -1
+    stored_id: int = -1
+    read_id: int = -1
 
 
 @dataclass
@@ -706,17 +755,11 @@ class _Memory:
     stretched: bool
     eps_cycle: float | None                # None when storage is passive
     swap_dist: list[int]                   # per cell, all zero if k_swap == 0
-    # qubit -> (lane, (qubit,), swap steps, leg duration, leg error) of
-    # the cell it claimed, fixed from the claim on
-    cells: dict[int, tuple[str, tuple[int], int, float, float]] = field(
-        default_factory=dict)
+    cells: dict[int, _Cell] = field(default_factory=dict)  # qubit -> cell
     write_end: dict[int, float] = field(default_factory=dict)
-    # compute module id -> bare boundary hop, or why it is infeasible
-    hops: dict[str, TransferResult | TransferInfeasible] = field(
+    # linked compute module id -> its bare boundary hop, resolved up front
+    hops: dict[str, TransferResult | _InfeasibleHop] = field(
         default_factory=dict)
-
-    def full(self) -> bool:
-        return len(self.cells) >= self.module.n_logical
 
     # transfer legs: physical transport inside the memory lattice before and
     # after the boundary hop, three memory CNOTs per swap step
@@ -745,7 +788,6 @@ class _Scheduler:
         for core in self.cores:
             core.linked = any(core.module.id in mm.links
                               for mm in self.memories)
-        self.pools = self._build_pools()
         self._check_capacity()
         self.lowered = _lower(circuit, self.qsf)
         self.counters = _gate_counters(self.lowered)
@@ -773,12 +815,16 @@ class _Scheduler:
 
     def _build_cores(self) -> list[_Core]:
         cores = []
+        shared = _factory_pool(self.qsf) if self.qsf is not None else None
         for m in self.arch.compute_modules():
             costs = _module_costs(m, self.qsf)
+            # an ASQPU's cores share its own magic-state pool
+            pool = shared if m.kind != "ASQPU" else _Pool(
+                ASQPU_FACTORY_UNITS, 4 * m.code.distance, m.t_cycle_s)
             for ci in range(m.cores):
                 cores.append(_Core(m, ci, f"{m.id}:core{ci}",
                                    m.capacity_per_core, costs,
-                                   costs["1q"][1]))
+                                   costs["1q"][1], pool=pool))
         # specialty cores first so an estimate tie dispatches to them
         cores.sort(key=lambda c: (c.module.specialty is None, c.module.id,
                                   c.core_idx))
@@ -805,8 +851,12 @@ class _Scheduler:
                     else m.t_cycle_s)
                 eps_cycle = logical_error_per_cycle(
                     m.modality.p_phys, m.modality.p_th, m.code.distance)
-            mems.append(_Memory(m, links, t_eff, stretched, eps_cycle,
-                                _swap_distances(m.n_logical, m.k_swap)))
+            mem = _Memory(m, links, t_eff, stretched, eps_cycle,
+                          _swap_distances(m.n_logical, m.k_swap))
+            for core in self.cores:
+                if core.module.id in links and core.module.id not in mem.hops:
+                    mem.hops[core.module.id] = self._bare_hop(mem, core)
+            mems.append(mem)
         # short-term memory is the preferred eviction target
         mems.sort(key=lambda mm: (mm.module.kind != "STQM", mm.module.id))
         return mems
@@ -833,20 +883,6 @@ class _Scheduler:
                 f"{live} qubits stay live to the end but the architecture "
                 f"holds {slots} compute slots and {cells} reachable memory "
                 "cells; compute capacity exhausted")
-
-    def _build_pools(self) -> dict[str, _Pool]:
-        pools: dict[str, _Pool] = {}
-        if self.qsf is not None:
-            pools["shared"] = _factory_pool(self.qsf)
-        for m in self.arch.by_kind("ASQPU"):
-            pools[m.id] = _Pool(ASQPU_FACTORY_UNITS, 4 * m.code.distance,
-                                m.t_cycle_s)
-        return pools
-
-    def _pool_of(self, core: _Core) -> _Pool | None:
-        if core.module.kind == "ASQPU" and core.module.id in self.pools:
-            return self.pools[core.module.id]
-        return self.pools.get("shared")
 
     def _assign_blocks(self, blocks: list[UnitaryBlock]) -> int:
         """Append each block's gates to one core's stream; the block count."""
@@ -879,10 +915,12 @@ class _Scheduler:
         if last is None or until <= last + 1e-15:
             return
         dur = until - last
-        self.events.add(last, dur, "idle_buffer", core.module.id,
-                        f"{core.module.id}:q{q}", (q,), "resident_idle",
-                        idle_error(core.eps_cycle,
-                                   dur / core.module.t_cycle_s), "qpu_idle")
+        if q not in core.idle_ids:
+            core.idle_ids[q] = self.events.intern((
+                "idle_buffer", core.module.id, f"{core.module.id}:q{q}",
+                (q,), "resident_idle", "qpu_idle"))
+        self.events.add_id(last, dur, core.idle_ids[q], idle_error(
+            core.eps_cycle, dur / core.module.t_cycle_s))
         core.residents[q] = until
 
     def _next_touch(self, q: int, after_gate: int) -> int | None:
@@ -892,53 +930,47 @@ class _Scheduler:
 
     def _memory_for(self, q: int, core: _Core) -> _Memory:
         """The memory holding q, claiming a free reachable cell if none."""
-        mem = self._probe_memory(q, core)
+        mem = self.q_mem.get(q)
+        if mem is not None:
+            return mem
+        mem = self._probe_memory(core)
         if mem is None:
             raise CompileError(
                 f"no reachable memory cell for qubit {q} from {core.lane}; "
                 "compute capacity exhausted")
-        if q not in self.q_mem:
-            mem.cells[q] = (f"{mem.module.id}:q{q}", (q,),
-                            *mem.legs(len(mem.cells)))
-            self.q_mem[q] = mem
+        mem.cells[q] = _Cell(f"{mem.module.id}:q{q}", (q,),
+                             *mem.legs(len(mem.cells)))
+        self.q_mem[q] = mem
         return mem
 
-    def _probe_memory(self, q: int, core: _Core) -> _Memory | None:
-        mem = self.q_mem.get(q)
-        if mem is not None:
-            return mem
+    def _probe_memory(self, core: _Core) -> _Memory | None:
+        """A reachable memory with a free cell."""
         for mm in self.memories:
-            if core.module.id in mm.links and not mm.full():
+            if core.module.id in mm.links \
+                    and len(mm.cells) < mm.module.n_logical:
                 return mm
         return None
 
-    def _hop(self, mem: _Memory, core: _Core) -> TransferResult:
-        """The bare boundary hop, computed on first use per module pair.
+    def _bare_hop(self, mem: _Memory,
+                  core: _Core) -> TransferResult | _InfeasibleHop:
+        """The boundary hop between a memory and a linked core's module.
 
         An infeasible hop raises at every use, not when the scheduler is
         built, so a circuit that never transfers still compiles.
         """
-        hop = mem.hops.get(core.module.id)
-        if hop is None:
-            link = mem.links[core.module.id]
-            m = core.module
-            try:
-                if link.protocol == "transversal":
-                    hop = transfer_transversal(TransferParams(
-                        eps_qpu=core.eps_cycle, d_qpu=m.code.distance,
-                        t_qpu_s=m.t_cycle_s, eps_th=m.modality.p_th,
-                        eps_tele=link.eps_tele))
-                else:
-                    hop = transfer_lattice_surgery(TransferParams(
-                        eps_qpu=core.eps_cycle, d_qpu=m.code.distance,
-                        t_qpu_s=m.t_cycle_s, eps_qm=mem.eps_cycle,
-                        d_qm=mem.module.code.distance, t_qm_s=mem.t_qm_eff))
-            except TransferInfeasible as exc:
-                hop = exc
-            mem.hops[core.module.id] = hop
-        if isinstance(hop, TransferInfeasible):
-            raise TransferInfeasible(*hop.args)
-        return hop
+        link, m = mem.links[core.module.id], core.module
+        try:
+            if link.protocol == "transversal":
+                return transfer_transversal(TransferParams(
+                    eps_qpu=core.eps_cycle, d_qpu=m.code.distance,
+                    t_qpu_s=m.t_cycle_s, eps_th=m.modality.p_th,
+                    eps_tele=link.eps_tele))
+            return transfer_lattice_surgery(TransferParams(
+                eps_qpu=core.eps_cycle, d_qpu=m.code.distance,
+                t_qpu_s=m.t_cycle_s, eps_qm=mem.eps_cycle,
+                d_qm=mem.module.code.distance, t_qm_s=mem.t_qm_eff))
+        except TransferInfeasible as exc:
+            return _InfeasibleHop(*exc.args)
 
     def _storage_error(self, mem: _Memory, core: _Core,
                        dwell_s: float) -> float:
@@ -952,24 +984,10 @@ class _Scheduler:
             core.eps_cycle, core.module.code.distance,
             core.module.modality.p_th, mem.links[core.module.id].eps_tele,
             dwell_s / mem.module.modality.t2_s)
-        return max(full - self._hop(mem, core).error, 0.0)
+        return max(full - mem.hops[core.module.id].error, 0.0)
 
-    def _move_cost(self, mem: _Memory, core: _Core, q: int,
-                   dwell_s: float) -> float:
-        try:
-            hop = self._hop(mem, core)
-            s_err = self._storage_error(mem, core, dwell_s)
-        except TransferInfeasible:
-            return math.inf
-        cell = mem.cells.get(q)
-        leg_err = cell[4] if cell is not None else 0.0
-        # a write and a read, each over the bare hop
-        return hop.error + hop.error + s_err + 2 * leg_err
-
-    def _align(self, mem: _Memory, t: float) -> tuple[float, float]:
-        """Round a transfer start up to a compute boundary when stretched."""
-        if not mem.stretched:
-            return t, 0.0
+    def _align(self, t: float) -> tuple[float, float]:
+        """(t rounded up to a compute boundary, pad) on a stretched memory."""
         n = math.ceil(t / self.t_qpu - 1e-9)
         return n * self.t_qpu, max(n * self.t_qpu - t, 0.0)
 
@@ -981,25 +999,32 @@ class _Scheduler:
         mem = self._memory_for(q, core)
         self._charge_idle(core, q, t)
         del core.residents[q]
-        cell_lane, qs, dist, leg_dur, leg_err = mem.cells[q]
-        t0, pad = self._align(mem, t)
-        if pad > 0:
-            self.events.add(t0 - pad, pad, "qec_cycle_stretch",
-                            core.module.id, cell_lane, qs, "clock_pad",
-                            idle_error(core.eps_cycle,
-                                       pad / core.module.t_cycle_s),
-                            "qpu_idle")
-        hop = self._hop(mem, core)
-        self.events.add(t0, hop.duration_s, "transfer_write", mem.module.id,
-                        cell_lane, qs, "write", hop.error, "transfer")
+        cell = mem.cells[q]
+        events = self.events
+        t0 = t
+        if mem.stretched:
+            t0, pad = self._align(t)
+            if pad > 0:
+                events.add(t0 - pad, pad, "qec_cycle_stretch",
+                           core.module.id, cell.lane, cell.qs, "clock_pad",
+                           idle_error(core.eps_cycle,
+                                      pad / core.module.t_cycle_s),
+                           "qpu_idle")
+        hop = mem.hops[core.module.id]
+        hop_dur = hop.duration_s
+        if cell.write_id < 0:
+            cell.write_id = events.intern((
+                "transfer_write", mem.module.id, cell.lane, cell.qs, "write",
+                "transfer"))
+        events.add_id(t0, hop_dur, cell.write_id, hop.error)
         self.counters["st_count"] += 1
-        t_cell = t0 + hop.duration_s
-        if dist:
-            self.events.add(t_cell, leg_dur, "swap_route", mem.module.id,
-                            cell_lane, qs, f"legs_in:{dist}", leg_err,
-                            "qm_idle")
-            self.counters["swap_count"] += dist
-            t_cell += leg_dur
+        t_cell = t0 + hop_dur
+        if cell.dist:
+            events.add(t_cell, cell.leg_dur, "swap_route", mem.module.id,
+                       cell.lane, cell.qs, f"legs_in:{cell.dist}",
+                       cell.leg_err, "qm_idle")
+            self.counters["swap_count"] += cell.dist
+            t_cell += cell.leg_dur
         mem.write_end[q] = t_cell
         self.audit.add(t, core.lane, q, gap_cycles, cost_keep, cost_move,
                        True, reason)
@@ -1013,12 +1038,13 @@ class _Scheduler:
         into compute-side idle.
         """
         mem = self.q_mem[q]
-        cell_lane, qs, dist, leg_dur, leg_err = mem.cells[q]
-        hop = self._hop(mem, core)
+        cell = mem.cells[q]
+        hop = mem.hops[core.module.id]
+        hop_dur = hop.duration_s
         stored = mem.write_end.pop(q)
         t0 = max(t_issue, stored)
         if target_s is not None:
-            t0 = max(t0, target_s - hop.duration_s - leg_dur)
+            t0 = max(t0, target_s - hop_dur - cell.leg_dur)
         dwell = t0 - stored
         if mem.eps_cycle is None and not stqm_storage_valid(
                 mem.module.modality, dwell, core.module.modality.p_phys):
@@ -1026,28 +1052,35 @@ class _Scheduler:
                 f"qubit {q}: stored {dwell:.3e} s, beyond the consumer's "
                 f"physical rate {core.module.modality.p_phys}")
         storage_err = self._storage_error(mem, core, dwell)
+        events = self.events
         if dwell > 0 or storage_err > 0:
-            self.events.add(stored, dwell, "idle_buffer",
-                            mem.module.id, cell_lane, qs, "stored",
-                            storage_err, "qm_idle")
-        t_legs = t0
-        if dist:
-            self.events.add(t_legs, leg_dur, "swap_route", mem.module.id,
-                            cell_lane, qs, f"legs_out:{dist}", leg_err,
-                            "qm_idle")
-            self.counters["swap_count"] += dist
-            t_legs += leg_dur
-        t_read, pad = self._align(mem, t_legs)
-        if pad > 0:
-            self.events.add(t_legs, pad, "qec_cycle_stretch",
-                            core.module.id, cell_lane, qs, "clock_pad",
-                            idle_error(core.eps_cycle,
-                                       pad / core.module.t_cycle_s),
-                            "qpu_idle")
-        t_arrive = t_read + hop.duration_s
-        self.events.add(t_read, hop.duration_s, "transfer_read",
-                        mem.module.id, cell_lane, qs, "read", hop.error,
-                        "transfer")
+            if cell.stored_id < 0:
+                cell.stored_id = events.intern((
+                    "idle_buffer", mem.module.id, cell.lane, cell.qs,
+                    "stored", "qm_idle"))
+            events.add_id(stored, dwell, cell.stored_id, storage_err)
+        t_read = t0
+        if cell.dist:
+            events.add(t_read, cell.leg_dur, "swap_route", mem.module.id,
+                       cell.lane, cell.qs, f"legs_out:{cell.dist}",
+                       cell.leg_err, "qm_idle")
+            self.counters["swap_count"] += cell.dist
+            t_read += cell.leg_dur
+        if mem.stretched:
+            t_legs = t_read
+            t_read, pad = self._align(t_legs)
+            if pad > 0:
+                events.add(t_legs, pad, "qec_cycle_stretch", core.module.id,
+                           cell.lane, cell.qs, "clock_pad",
+                           idle_error(core.eps_cycle,
+                                      pad / core.module.t_cycle_s),
+                           "qpu_idle")
+        t_arrive = t_read + hop_dur
+        if cell.read_id < 0:
+            cell.read_id = events.intern((
+                "transfer_read", mem.module.id, cell.lane, cell.qs, "read",
+                "transfer"))
+        events.add_id(t_read, hop_dur, cell.read_id, hop.error)
         self.counters["st_count"] += 1
         core.incoming[q] = t_arrive
         return t_arrive
@@ -1071,12 +1104,9 @@ class _Scheduler:
 
     def _ensure_operand(self, core: _Core, q: int, t_issue: float,
                         protected: tuple[int, ...]) -> float:
-        """Make q available on this core for a gate on the ``protected``
-        qubits, none of which may be evicted; returns q's ready time."""
-        if q in core.residents:
-            return core.residents[q]
-        if q in core.incoming:
-            return core.incoming[q]
+        """Make q, not yet on this core, available there for a gate on the
+        ``protected`` qubits, none of which may be evicted; returns q's
+        ready time."""
         owner = next((c for c in self.cores
                       if q in c.residents or q in c.incoming), None)
         if owner is not None:
@@ -1140,29 +1170,31 @@ class _Scheduler:
             raise CompileError(
                 f"gate {g.label} needs {len(g.qubits)} slots, core "
                 f"{core.lane} holds {core.capacity}")
-        t_issue = core.t_free
-        ready = [self._ensure_operand(core, q, t_issue, g.qubits)
-                 for q in g.qubits]
-        cycles, err = core.costs[g.cost_key]
-        start = max([core.t_free] + ready)
-        if g.magic:
-            pool = self._pool_of(core)
-            if pool is not None:
-                start = max(start, pool.take(g.magic))
+        start = t_issue = core.t_free
+        residents, incoming = core.residents, core.incoming
         for q in g.qubits:
-            arrival = core.incoming.pop(q, None)
+            ready = residents.get(q, incoming.get(q))
+            if ready is None:
+                ready = self._ensure_operand(core, q, t_issue, g.qubits)
+            if ready > start:
+                start = ready
+        cycles, err = core.costs[g.cost_key]
+        if g.magic and core.pool is not None:
+            start = max(start, core.pool.take(g.magic))
+        for q in g.qubits:
+            arrival = incoming.pop(q, None)
             if arrival is not None:
-                core.residents[q] = arrival
+                residents[q] = arrival
             self._charge_idle(core, q, start)
         dur = cycles * core.module.t_cycle_s
         self.events.add(start, dur, _INJECT_KINDS.get(g.cost_key, "gate"),
                         core.module.id, core.lane, g.qubits, g.label, err,
                         g.category)
-        core.t_free = start + dur
+        end = core.t_free = start + dur
         for q in g.qubits:
-            core.residents[q] = start + dur
+            residents[q] = end
         self._prefetch(core, start)
-        self._route(core, gi, g, start + dur, self.cycle_at[gi] + cycles)
+        self._route(core, gi, g, end, self.cycle_at[gi] + cycles)
 
     def _prefetch(self, core: _Core, t_now: float) -> None:
         nxt = core.pos + 1
@@ -1197,12 +1229,19 @@ class _Scheduler:
             gap = self.cycle_at[nxt] - end_cycle
             if gap <= 0:
                 continue
-            mem = self._probe_memory(q, core)
+            mem = self.q_mem.get(q) or self._probe_memory(core)
             if mem is None:
                 continue
             cost_keep = idle_error(core.eps_cycle, gap)
-            cost_move = self._move_cost(mem, core, q,
-                                        gap * core.module.t_cycle_s)
+            cell = mem.cells.get(q)
+            leg_err = cell.leg_err if cell is not None else 0.0
+            try:
+                # a write and a read, each over the bare hop
+                hop_err = mem.hops[core.module.id].error
+                cost_move = hop_err + hop_err + self._storage_error(
+                    mem, core, gap * core.module.t_cycle_s) + 2 * leg_err
+            except TransferInfeasible:
+                cost_move = math.inf
             if cost_move < cost_keep:
                 self._write_out(core, q, t_end, "router", gap, cost_keep,
                                 cost_move)
@@ -1228,9 +1267,9 @@ class _Scheduler:
                     self.warnings.append(
                         f"qubit {q}: terminal dwell {dwell:.3e} s "
                         "exceeds the recoverable storage window")
-                cell_lane, qs = mem.cells[q][:2]
+                cell = mem.cells[q]
                 self.events.add(t0, dwell, "idle_buffer", mem.module.id,
-                                cell_lane, qs, "stored", err, "qm_idle")
+                                cell.lane, cell.qs, "stored", err, "qm_idle")
 
 
 def schedule(circuit: LogicalCircuit,

@@ -95,11 +95,11 @@ class TransferResult:
 
 
 def transversal_error(eps_qpu: float, d_qpu: int, eps_th: float,
-                      eps_tele: float, eps_eff_idle: float = 0.0) -> float:
+                      eps_tele: float, eps_eff_idle: float) -> float:
     """Error of one transversal teleportation, as :func:`transfer_transversal`.
 
-    The scalar form lets a caller price many dwell times without building a
-    :class:`TransferParams` for each.
+    The scalar form prices a dwell's idle error ``eps_eff_idle``, 0.0 for a
+    bare hop, without building a :class:`TransferParams`.
     """
     if eps_th <= 0:
         raise TransferInfeasible("memory threshold not set")

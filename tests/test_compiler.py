@@ -1,5 +1,6 @@
 """Lowering, block grouping, clock alignment, budgets, and scheduling."""
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hetqc import compiler
 from hetqc.arch import apply_override, builtin_architecture, validate
 from hetqc.circuits import LogicalCircuit
+from hetqc.cli import build_workload
 from hetqc.compiler import (CATEGORIES, CompileError, ErrorBudget, EVENT_KINDS,
                             LoweredGate, RouterDecision, ScheduledEvent,
                             ScheduledProgram,
@@ -148,6 +150,22 @@ def test_consolidation_matches_linear_scan(capacity):
         assert [(b.index, b.gates, b.qubits, b.tag, b.deps)
                 for b in blocks] \
             == consolidate_blocks_linear(lowered, capacity)
+
+
+@pytest.mark.parametrize("spec", ["aqft:n=64,k_th=9",
+                                  "hubbard:lx=4,ly=4,steps=1",
+                                  "rsa:kind=adder33", "rsa:kind=lookup6",
+                                  "rsa:kind=phaseup6"])
+def test_consolidation_matches_linear_scan_on_workloads(spec):
+    # lowered as on A1 (T factory) and on the B family (CCZ factory)
+    circuit = build_workload(spec)
+    for state in ("T", "CCZ"):
+        lowered = lower_circuit(circuit, state, 2.1e-9)
+        for capacity in (1, 2, 3, 50):
+            blocks = consolidate_blocks(lowered, capacity)
+            assert [(b.index, b.gates, b.qubits, b.tag, b.deps)
+                    for b in blocks] \
+                == consolidate_blocks_linear(lowered, capacity)
 
 
 def test_synchronize_clocks_cases():
@@ -298,6 +316,23 @@ def test_infeasible_hop_raises_only_when_used():
         schedule(generate_aqft(8), arch)
 
 
+def test_infeasible_hop_stays_with_its_module_pair():
+    # B5 links cache0 to both qpu0 and the adder core asqpu0; only the
+    # asqpu0 hop is made infeasible
+    stock = builtin_architecture("B5")
+    arch = builtin_architecture("B5")
+    arch.links = [dataclasses.replace(link, eps_tele=0.05)
+                  if {link.a, link.b} == {"asqpu0", "cache0"} else link
+                  for link in arch.links]
+    assert arch.links != stock.links and validate(arch) == []
+    with pytest.raises(TransferInfeasible):
+        schedule(build_workload("rsa:kind=adder33"), arch)
+    lookup = build_workload("rsa:kind=lookup6")
+    assert hashlib.sha256(schedule(lookup, arch).to_text().encode()) \
+        .hexdigest() == hashlib.sha256(
+            schedule(lookup, stock).to_text().encode()).hexdigest()
+
+
 def test_factory_pool_throttles_magic():
     arch = builtin_architecture("A1")
     apply_override(arch, "qsf.n=1")
@@ -441,6 +476,39 @@ def test_event_store_matches_record_list():
         assert budget.total.hex() == total.hex()
         assert {c: v.hex() for c, v in budget.categories.items()} == \
             {c: v.hex() for c, v in categories.items()}
+
+
+def test_event_store_by_id_matches_by_fields():
+    rng = random.Random(2025)
+    for n in [0, 1, 2, 7, 40, 300, 3000]:
+        by_fields, by_id = compiler.EventStore(), compiler.EventStore()
+        ids: dict[tuple, int] = {}
+        for start, dur, *key, err, category in _seeded_emission(rng, n):
+            by_fields.add(start, dur, *key, err, category)
+            fields = (*key, category)
+            if fields not in ids:  # interned right before its first event
+                ids[fields] = by_id.intern(fields)
+            by_id.add_id(start, dur, ids[fields], err)
+        assert by_id.keys == by_fields.keys
+        assert sorted(set(by_id.key)) == list(range(len(by_id.keys)))
+        assert list(by_id.order()) == list(by_fields.order())
+        progs = [ScheduledProgram("c", "a", st, st.makespan(), {}, [], 0)
+                 for st in (by_fields, by_id)]
+        assert list(progs[1].lines()) == list(progs[0].lines())
+        assert by_id.makespan().hex() == by_fields.makespan().hex()
+        budgets = [error_budget(prog) for prog in progs]
+        assert budgets[1].total.hex() == budgets[0].total.hex()
+        assert [v.hex() for v in budgets[1].categories.values()] == \
+            [v.hex() for v in budgets[0].categories.values()]
+
+
+def test_schedule_keys_all_have_events():
+    # cells and residents intern their keys on first use, not on claim
+    for spec, name in (("aqft:n=40,k_th=9", "A1"), ("aqft:n=40,k_th=9", "A3"),
+                       ("rsa:kind=adder33", "B5")):
+        store = schedule(build_workload(spec), builtin_architecture(name)) \
+            .events
+        assert sorted(set(store.key)) == list(range(len(store.keys)))
 
 
 def test_event_store_nan_names_first_in_schedule_order():

@@ -132,6 +132,9 @@ def test_transversal_error_matches_transfer_transversal():
         assert transversal_error(**scalar_kw).hex() == expect.hex()
         outcomes["ok"] += 1
     assert min(outcomes.values()) >= 30, outcomes
+    # the dwell's idle error has no default: a bare hop passes 0.0
+    with pytest.raises(TypeError):
+        transversal_error(1e-9, 9, 1e-2, 1e-3)
 
 
 def test_lattice_surgery_design_point():

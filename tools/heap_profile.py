@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print the traced Python heap after each stage of one hetqc compile.
+"""Print the traced Python heap and the wall time of each stage of one
+hetqc compile.
 
 Usage, from the root of a checkout:
 
@@ -14,8 +15,12 @@ assign/tables (the rest of the modular scheduler's set-up), simulate,
 budget, order and ``lines()``; the grid model, used on an architecture
 without memories, reports lower and simulate only.  Two summary lines
 follow: the peak of ``schedule()`` and the order's peak above the heap
-before it, per event.  The hetqc imported is the one under this checkout's
-``src``.  Stdlib only.
+before it, per event.
+
+The same stages then run five more times without ``tracemalloc``; the
+last column gives each stage's wall time in ms, the best of those five
+passes, and a last line the best total of the compile stages.  The hetqc
+imported is the one under this checkout's ``src``.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -34,18 +40,24 @@ from hetqc.arch import load_architecture  # noqa: E402
 from hetqc.cli import build_workload  # noqa: E402
 
 MB = 1 << 20
+TIMED_PASSES = 5
 
 
 class StageLog:
-    """Heap readings taken at the end of each stage, in call order."""
+    """Readings taken at the end of each stage, in call order: the traced
+    heap, both 0 when ``tracemalloc`` is off, and the wall time since the
+    previous reading."""
 
     def __init__(self):
-        self.rows: list[tuple[str, int, int]] = []
+        self.rows: list[tuple[str, int, int, float]] = []
+        self.clock = time.perf_counter()
 
     def mark(self, stage: str) -> None:
         current, peak = tracemalloc.get_traced_memory()
-        self.rows.append((stage, current, peak))
+        now = time.perf_counter()
+        self.rows.append((stage, current, peak, now - self.clock))
         tracemalloc.reset_peak()
+        self.clock = time.perf_counter()
 
     def after(self, stage: str, fn):
         """``fn`` wrapped to mark ``stage`` when it returns."""
@@ -57,8 +69,10 @@ class StageLog:
         return marked
 
 
-def profile(workload: str, arch_name: str) -> tuple[StageLog, int]:
-    """The stage log of one compile and its event count."""
+def profile(workload: str, arch_name: str,
+            traced: bool = True) -> tuple[StageLog, int]:
+    """The stage log of one compile, under ``tracemalloc`` if ``traced``,
+    and its event count."""
     circuit = build_workload(workload)
     arch = load_architecture(arch_name)
     log = StageLog()
@@ -71,7 +85,9 @@ def profile(workload: str, arch_name: str) -> tuple[StageLog, int]:
              for owner, name, _ in patches]
     for owner, name, stage in patches:
         setattr(owner, name, log.after(stage, getattr(owner, name)))
-    tracemalloc.start()
+    if traced:
+        tracemalloc.start()
+    log.clock = time.perf_counter()
     try:
         prog = compiler.schedule(circuit, arch)
         compiler.error_budget(prog)
@@ -93,13 +109,20 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--arch", required=True)
     args = p.parse_args(argv)
     log, n_events = profile(args.workload, args.arch)
+    timed = [profile(args.workload, args.arch, traced=False)[0].rows
+             for _ in range(TIMED_PASSES)]
+    wall = [min(rows[i][3] for rows in timed) for i in range(len(log.rows))]
     print(f"{args.workload} on {args.arch}: {n_events} events")
-    print(f"{'stage':<24} {'current MB':>10} {'peak MB':>10}")
-    for stage, current, peak in log.rows:
-        print(f"{stage:<24} {current / MB:>10.2f} {peak / MB:>10.2f}")
+    print(f"{'stage':<24} {'current MB':>10} {'peak MB':>10} {'wall ms':>8}")
+    for (stage, current, peak, _), secs in zip(log.rows, wall):
+        print(f"{stage:<24} {current / MB:>10.2f} {peak / MB:>10.2f} "
+              f"{secs * 1e3:>8.1f}")
     stages = [row[0] for row in log.rows]
-    compile_rows = log.rows[:stages.index("budget")]
+    n_compile = stages.index("budget")
+    compile_rows = log.rows[:n_compile]
     print(f"schedule() peak {max(r[2] for r in compile_rows) / MB:.2f} MB")
+    best = min(sum(r[3] for r in rows[:n_compile]) for rows in timed)
+    print(f"schedule() wall {best * 1e3:.1f} ms, best of {TIMED_PASSES}")
     before = log.rows[stages.index("order") - 1][1]
     order_peak = log.rows[stages.index("order")][2]
     print(f"order peak {(order_peak - before) / max(n_events, 1):.1f} "
