@@ -717,7 +717,7 @@ class _Core:
     pos: int = 0
     linked: bool = False       # some memory module has a link to this core
     pool: _Pool | None = None  # magic-state supply
-    idle_ids: dict[int, int] = field(default_factory=dict)  # resident_idle
+    idle_ids: dict[int, int] = field(default_factory=dict)  # q -> idle key id
 
     def slots_used(self) -> int:
         return len(self.residents) + len(self.incoming)
