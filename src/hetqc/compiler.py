@@ -733,18 +733,17 @@ class _InfeasibleHop(TransferInfeasible):
     duration_s = error
 
 
-@dataclass(slots=True)
 class _Cell:
     """A claimed memory cell; its event key ids are -1 until first used."""
 
-    lane: str
-    qs: tuple[int]
-    dist: int
-    leg_dur: float
-    leg_err: float
-    write_id: int = -1
-    stored_id: int = -1
-    read_id: int = -1
+    __slots__ = ("lane", "qs", "dist", "leg_dur", "leg_err", "write_id",
+                 "stored_id", "read_id")
+
+    def __init__(self, lane: str, qs: tuple[int], dist: int, leg_dur: float,
+                 leg_err: float):
+        self.lane, self.qs = lane, qs
+        self.dist, self.leg_dur, self.leg_err = dist, leg_dur, leg_err
+        self.write_id = self.stored_id = self.read_id = -1
 
 
 @dataclass
