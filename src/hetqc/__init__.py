@@ -9,7 +9,7 @@ from .circuits import GateOp, LogicalCircuit
 from .compiler import (AuditStore, CompileError, ErrorBudget, EventStore,
                        InvalidCircuit, RouterDecision, ScheduledEvent,
                        ScheduledProgram, error_budget, schedule,
-                       schedule_baseline, synchronize_clocks)
+                       synchronize_clocks)
 from .estimator import (RsaEstimate, compare_architectures, rsa_estimate,
                         rsa_estimate_compiled, rsa_runtime_days,
                         rsa_shot_time)
@@ -37,8 +37,7 @@ __all__ = [
     "AuditStore", "CompileError", "ErrorBudget", "EventStore",
     "InvalidCircuit",
     "RouterDecision", "ScheduledEvent",
-    "ScheduledProgram", "error_budget", "schedule", "schedule_baseline",
-    "synchronize_clocks",
+    "ScheduledProgram", "error_budget", "schedule", "synchronize_clocks",
     "RsaEstimate", "compare_architectures", "rsa_estimate",
     "rsa_estimate_compiled", "rsa_runtime_days", "rsa_shot_time",
     "generate_aqft", "generate_cuccaro_adder", "generate_fermi_hubbard_step",

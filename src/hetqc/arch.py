@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 MODULE_KINDS = frozenset({"QPU", "QSF", "ASQPU", "STQM", "RAQM"})
+_COMPUTE_KINDS = ("QPU", "ASQPU")
+_MEMORY_KINDS = ("STQM", "RAQM")
 LINK_PROTOCOLS = frozenset({"transversal", "lattice_surgery"})
 CODE_FAMILIES = frozenset({"surface", "gross", "none"})
 
@@ -84,7 +86,8 @@ class ModuleSpec:
 
 @dataclass
 class LinkSpec:
-    """Interconnect between two modules, first id is the compute side."""
+    """Interconnect from compute module ``a`` (QPU or ASQPU) to memory
+    module ``b`` (STQM or RAQM); ``validate`` rejects any other pair."""
 
     a: str
     b: str
@@ -110,10 +113,10 @@ class ArchitectureSpec:
         return [m for m in self.modules if m.kind == kind]
 
     def compute_modules(self) -> list[ModuleSpec]:
-        return [m for m in self.modules if m.kind in ("QPU", "ASQPU")]
+        return [m for m in self.modules if m.kind in _COMPUTE_KINDS]
 
     def memory_modules(self) -> list[ModuleSpec]:
-        return [m for m in self.modules if m.kind in ("STQM", "RAQM")]
+        return [m for m in self.modules if m.kind in _MEMORY_KINDS]
 
     def links_of(self, module_id: str) -> list[LinkSpec]:
         return [l for l in self.links if module_id in (l.a, l.b)]
@@ -131,12 +134,10 @@ class Boundary:
 def derive_boundary(spec: ArchitectureSpec, link: LinkSpec) -> Boundary:
     """Boundary rail count and merged distances for a compute-memory
     ``link``.  Rails: one per memory patch plus two per compute patch."""
-    ma, mb = spec.module(link.a), spec.module(link.b)
-    if ma.kind in ("STQM", "RAQM"):
-        ma, mb = mb, ma
-    n_bdry = mb.n_logical + 2 * ma.n_logical
-    d_bdry = min(ma.code.distance, mb.code.distance)
-    d_time = max(ma.code.distance, mb.code.distance)
+    compute, memory = spec.module(link.a), spec.module(link.b)
+    n_bdry = memory.n_logical + 2 * compute.n_logical
+    d_bdry = min(compute.code.distance, memory.code.distance)
+    d_time = max(compute.code.distance, memory.code.distance)
     return Boundary(n_bdry, d_bdry, d_time)
 
 
@@ -154,9 +155,17 @@ def _non_finite(where: str, *parts) -> list[str]:
 
 
 def validate(spec: ArchitectureSpec) -> list[str]:
-    """Structural diagnostics; an empty list means the architecture is usable."""
+    """Structural diagnostics; an empty list means the architecture is usable.
+
+    It also fixes the one shape later stages rely on: one QPU, at most one
+    factory, each link from a compute module (``a``) to a memory (``b``),
+    each memory and ASQPU linked, and the QPU too when there is memory.  So
+    whether there is a memory module alone picks the model.
+    """
     out: list[str] = []
     seen: set[str] = set()
+    linked = {end for l in spec.links for end in (l.a, l.b)}
+    has_memory = bool(spec.memory_modules())
     for m in spec.modules:
         where = f"module {m.id}"
         out.extend(_non_finite(where, m, m.code, m.modality))
@@ -165,9 +174,12 @@ def validate(spec: ArchitectureSpec) -> list[str]:
         seen.add(m.id)
         if m.kind not in MODULE_KINDS:
             out.append(f"{where}: unknown kind {m.kind!r}")
-        if m.n_logical < 0 or (m.kind in ("QPU", "ASQPU", "STQM", "RAQM")
+        if m.n_logical < 0 or (m.kind in _COMPUTE_KINDS + _MEMORY_KINDS
                                and m.n_logical < 1):
             out.append(f"{where}: needs at least one logical qubit")
+        if m.id not in linked and (m.kind in ("ASQPU",) + _MEMORY_KINDS
+                                   or m.kind == "QPU" and has_memory):
+            out.append(f"{where}: has no link")
         if m.code.family not in CODE_FAMILIES:
             out.append(f"{where}: unknown code family {m.code.family!r}")
         if m.code.family == "surface" and (m.code.distance < 3
@@ -191,7 +203,7 @@ def validate(spec: ArchitectureSpec) -> list[str]:
                 out.append(f"{where}: cycle-time range inverted")
             elif not m.t_cycle_min_s <= m.t_cycle_s <= m.t_cycle_max_s:
                 out.append(f"{where}: nominal cycle outside range")
-        if m.kind in ("QPU", "ASQPU"):
+        if m.kind in _COMPUTE_KINDS:
             if m.cores < 1:
                 out.append(f"{where}: needs at least one core")
             elif m.n_logical % m.cores:
@@ -208,21 +220,24 @@ def validate(spec: ArchitectureSpec) -> list[str]:
                 out.append(f"{where}: eps_magic outside (0, 1)")
         if m.kind == "RAQM" and m.k_swap < 0:
             out.append(f"{where}: negative swap distance")
-    ids = {m.id for m in spec.modules}
+    kinds = {m.id: m.kind for m in spec.modules}
     for l in spec.links:
         where = f"link {l.a}-{l.b}"
         out.extend(_non_finite(where, l))
         for end in (l.a, l.b):
-            if end not in ids:
+            if end not in kinds:
                 out.append(f"{where}: unknown module {end!r}")
+        if l.a in kinds and l.b in kinds and (
+                kinds[l.a] not in _COMPUTE_KINDS
+                or kinds[l.b] not in _MEMORY_KINDS):
+            out.append(f"{where}: must join a compute module (first) to a "
+                       "memory module (second)")
         if l.protocol not in LINK_PROTOCOLS:
             out.append(f"{where}: unknown protocol {l.protocol!r}")
             continue
-        if l.a in ids and l.b in ids:
-            kinds = {spec.module(l.a).kind, spec.module(l.b).kind}
-            if "STQM" in kinds and l.protocol != "transversal":
-                out.append(f"{where}: short-term memory links must use the "
-                           "transversal protocol")
+        if kinds.get(l.b) == "STQM" and l.protocol != "transversal":
+            out.append(f"{where}: short-term memory links must use the "
+                       "transversal protocol")
         if l.n_anc_pump not in (1, 2):
             out.append(f"{where}: n_anc_pump must be 1 or 2")
         if l.n_buf < 0:
@@ -231,6 +246,9 @@ def validate(spec: ArchitectureSpec) -> list[str]:
             out.append(f"{where}: eps_tele outside [0, 1)")
     if not any(m.kind == "QPU" for m in spec.modules):
         out.append("architecture has no QPU module")
+    for kind in ("QPU", "QSF"):
+        if len(spec.by_kind(kind)) > 1:
+            out.append(f"architecture has more than one {kind} module")
     return out
 
 

@@ -105,9 +105,6 @@ class LogicalCircuit:
                 out.append(f"op {i}: {problem}")
         return out
 
-    def count_kind(self, kind: str) -> int:
-        return sum(1 for op in self.ops if op.kind == kind)
-
     def to_text(self) -> str:
         lines = [f"name {self.name}", f"qubits {self.n_qubits}"]
         for op in self.ops:
@@ -148,9 +145,6 @@ class LogicalCircuit:
         if problems:
             raise CircuitError("; ".join(problems))
         return circuit
-
-    def copy(self) -> "LogicalCircuit":
-        return LogicalCircuit(self.name, self.n_qubits, list(self.ops))
 
 
 def _check_op(op: GateOp, n_qubits: int) -> str | None:

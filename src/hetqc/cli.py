@@ -85,27 +85,25 @@ def build_workload(spec: str) -> LogicalCircuit:
         except ValueError as exc:
             raise _CliError(f"bad circuit file: {exc}", EXIT_CONFIG)
     params = _parse_params(rest)
-    if kind == "aqft":
-        n = _int_param(params, "n", required=True)
-        k_th = _int_param(params, "k_th")
-        circ = generate_aqft(n, k_th)
-    elif kind == "cuccaro":
-        circ = generate_cuccaro_adder(_int_param(params, "bits",
-                                                 required=True))
-    elif kind == "hubbard":
-        circ = generate_fermi_hubbard_step(
-            _int_param(params, "lx", required=True),
-            _int_param(params, "ly", required=True),
-            _int_param(params, "steps", default=1))
-    elif kind == "rsa":
-        sub = params.pop("kind", "adder33")
-        try:
-            circ = generate_rsa_subroutine(sub)
-        except ValueError as exc:
-            raise _CliError(str(exc), EXIT_CONFIG)
-    else:
-        raise _CliError(f"unknown workload kind {kind!r} (aqft, cuccaro, "
-                        "hubbard, rsa, file)", EXIT_CONFIG)
+    try:
+        if kind == "aqft":
+            circ = generate_aqft(_int_param(params, "n", required=True),
+                                 _int_param(params, "k_th"))
+        elif kind == "cuccaro":
+            circ = generate_cuccaro_adder(_int_param(params, "bits",
+                                                     required=True))
+        elif kind == "hubbard":
+            circ = generate_fermi_hubbard_step(
+                _int_param(params, "lx", required=True),
+                _int_param(params, "ly", required=True),
+                _int_param(params, "steps", default=1))
+        elif kind == "rsa":
+            circ = generate_rsa_subroutine(params.pop("kind", "adder33"))
+        else:
+            raise _CliError(f"unknown workload kind {kind!r} (aqft, "
+                            "cuccaro, hubbard, rsa, file)", EXIT_CONFIG)
+    except ValueError as exc:  # a generator refused the parameters
+        raise _CliError(f"bad workload: {exc}", EXIT_CONFIG)
     if params:
         raise _CliError(f"unused workload parameters: {sorted(params)}",
                         EXIT_CONFIG)
@@ -124,6 +122,15 @@ def _load_arch(name: str, overrides: list[str]):
         raise _CliError("invalid architecture: " + "; ".join(problems),
                         EXIT_VALIDATION)
     return spec
+
+
+def _load_archs(names: str, overrides: list[str]):
+    """The validated architectures of a comma-separated ``--archs`` list."""
+    specs = [_load_arch(name.strip(), overrides)
+             for name in names.split(",") if name.strip()]
+    if not specs:
+        raise _CliError("no architectures given", EXIT_CONFIG)
+    return specs
 
 
 def _compile(circ: LogicalCircuit, spec):
@@ -183,11 +190,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     circ = build_workload(args.workload)
-    specs = [_load_arch(name.strip(), args.override)
-             for name in args.archs.split(",") if name.strip()]
-    if not specs:
-        raise _CliError("no architectures given", EXIT_CONFIG)
-    rows = compare_architectures(circ, specs)
+    rows = compare_architectures(circ, _load_archs(args.archs, args.override))
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -215,21 +218,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_rsa(args) -> int:
+    estimate = rsa_estimate_compiled if args.compiled else rsa_estimate
     results = []
-    for name in args.archs.split(","):
-        name = name.strip()
-        if not name:
-            continue
-        spec = _load_arch(name, args.override)
+    for spec in _load_archs(args.archs, args.override):
         try:
-            if args.compiled:
-                est = rsa_estimate_compiled(spec, fidelity=args.fidelity)
-            else:
-                est = rsa_estimate(spec, fidelity=args.fidelity)
+            results.append(estimate(spec, fidelity=args.fidelity))
         except (CompileError, TransferInfeasible, ValueError) as exc:
-            raise _CliError(f"estimate failed for {name}: {exc}",
+            raise _CliError(f"estimate failed for {spec.name}: {exc}",
                             EXIT_COMPILE)
-        results.append(est)
     print("%-14s %12s %10s %12s %14s" % ("arch", "shot_s", "days",
                                          "qubits", "Mqubit-days"))
     for est in results:

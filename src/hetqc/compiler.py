@@ -505,7 +505,7 @@ def lower_circuit(circuit: LogicalCircuit, factory_state: str | None,
 
 def _front_end(circuit: LogicalCircuit, arch: ArchitectureSpec
                ) -> tuple[ModuleSpec, ModuleSpec | None]:
-    """(first QPU, first factory or None) of valid inputs.
+    """(the QPU, the factory or None) of valid inputs.
 
     The one validation of a compile: an invalid circuit raises
     :class:`InvalidCircuit`, an invalid architecture :class:`CompileError`.
@@ -515,9 +515,7 @@ def _front_end(circuit: LogicalCircuit, arch: ArchitectureSpec
     if problems:
         error = InvalidCircuit if circuit_problems else CompileError
         raise error("; ".join(problems))
-    qpu = arch.by_kind("QPU")[0]
-    qsfs = arch.by_kind("QSF")
-    return qpu, qsfs[0] if qsfs else None
+    return arch.by_kind("QPU")[0], (arch.by_kind("QSF") or [None])[0]
 
 
 def _lower(circuit: LogicalCircuit,
@@ -715,7 +713,6 @@ class _Core:
     incoming: dict[int, float] = field(default_factory=dict)   # q -> arrival
     stream: array = field(default_factory=lambda: array("i"))  # gates in order
     pos: int = 0
-    linked: bool = False       # some memory module has a link to this core
     pool: _Pool | None = None  # magic-state supply
     idle_ids: dict[int, int] = field(default_factory=dict)  # q -> idle key id
 
@@ -774,19 +771,19 @@ class _Memory:
 
 
 class _Scheduler:
-    def __init__(self, circuit: LogicalCircuit, arch: ArchitectureSpec):
-        qpu, self.qsf = _front_end(circuit, arch)
+    """The modular model; ``validate`` links each core to some memory."""
+
+    def __init__(self, circuit: LogicalCircuit, arch: ArchitectureSpec,
+                 qpu: ModuleSpec, qsf: ModuleSpec | None):
         self.circuit = circuit
         self.arch = arch
+        self.qsf = qsf
         self.t_qpu = qpu.t_cycle_s
         self.events = EventStore()
         self.audit = AuditStore()
         self.warnings: list[str] = []
         self.cores = self._build_cores()
         self.memories = self._build_memories()
-        for core in self.cores:
-            core.linked = any(core.module.id in mm.links
-                              for mm in self.memories)
         self._check_capacity()
         self.lowered = _lower(circuit, self.qsf)
         self.counters = _gate_counters(self.lowered)
@@ -832,12 +829,7 @@ class _Scheduler:
     def _build_memories(self) -> list[_Memory]:
         mems = []
         for m in self.arch.memory_modules():
-            links = {}
-            for link in self.arch.links_of(m.id):
-                other = link.b if link.a == m.id else link.a
-                links[other] = link
-            if not links:
-                continue
+            links = {link.a: link for link in self.arch.links_of(m.id)}
             if m.kind == "STQM":
                 t_eff, stretched = m.t_cycle_s, False
                 eps_cycle = None
@@ -899,8 +891,7 @@ class _Scheduler:
                 est = start + cyc * core.module.t_cycle_s
                 if best is None or est < best[0]:
                     best = (est, core)
-            if best is None:
-                raise CompileError(f"no eligible core for block {b.index}")
+            # the QPU's cores take any block
             est, core = best
             finish[b.index] = est
             free[core.lane] = est
@@ -1218,12 +1209,11 @@ class _Scheduler:
                 if g.cost_key == "measure":
                     # measured out: the slot is simply released
                     del core.residents[q]
-                elif core.linked:
+                else:
                     self._write_out(core, q, t_end, "terminal")
                 continue
             if self.core_of_gate[nxt] is not core:
-                if core.linked:
-                    self._write_out(core, q, t_end, "cross_core")
+                self._write_out(core, q, t_end, "cross_core")
                 continue
             gap = self.cycle_at[nxt] - end_cycle
             if gap <= 0:
@@ -1250,11 +1240,9 @@ class _Scheduler:
 
     def _terminal_storage(self, makespan: float) -> None:
         for mem in self.memories:
-            consumer = next(
-                (c for c in self.cores
-                 if c.module.kind == "QPU" and c.module.id in mem.links),
-                next((c for c in self.cores if c.module.id in mem.links),
-                     self.cores[0]))
+            readers = [c for c in self.cores if c.module.id in mem.links]
+            consumer = next((c for c in readers if c.module.kind == "QPU"),
+                            readers[0])
             for q, t0 in sorted(mem.write_end.items()):
                 dwell = makespan - t0
                 if dwell <= 0:
@@ -1275,26 +1263,28 @@ def schedule(circuit: LogicalCircuit,
              arch: ArchitectureSpec) -> ScheduledProgram:
     """Compile and schedule a circuit; deterministic for identical inputs.
 
-    An architecture without memory modules runs on the grid baseline, every
-    other one on the modular scheduler.
-    """
-    if not arch.memory_modules():
-        return schedule_baseline(circuit, arch)
-    return _Scheduler(circuit, arch).run()
-
-
-# ------------------------------------------------------------ baseline path
-
-def schedule_baseline(circuit: LogicalCircuit,
-                      arch: ArchitectureSpec) -> ScheduledProgram:
-    """Monolithic reference: square grid, persistent map, swap routing.
-
-    Gates run as one serial stream; every mapped qubit is charged idle error
-    over the whole makespan outside its own gate time.  ``schedule`` picks
-    this model for an architecture without memory modules; it uses the
-    first QPU and its first factory only.
+    The one entry point of a compile.  It validates the circuit and the
+    architecture once; then an architecture without memory modules runs on
+    the grid model, every other one on the modular scheduler.
     """
     qpu, qsf = _front_end(circuit, arch)
+    if not arch.memory_modules():
+        return _schedule_grid(circuit, arch, qpu, qsf)
+    return _Scheduler(circuit, arch, qpu, qsf).run()
+
+
+# ---------------------------------------------------------------- grid model
+
+def _schedule_grid(circuit: LogicalCircuit, arch: ArchitectureSpec,
+                   qpu: ModuleSpec,
+                   qsf: ModuleSpec | None) -> ScheduledProgram:
+    """Monolithic reference: square grid, persistent map, swap routing.
+
+    Gates run as one serial stream on ``qpu``, fed by factory ``qsf`` if
+    any; every mapped qubit is charged idle error over the whole makespan
+    outside its own gate time.  ``schedule`` runs this model on a validated
+    architecture without memory modules: one QPU and at most one factory.
+    """
     if circuit.n_qubits > qpu.n_logical:
         raise CompileError(f"{circuit.n_qubits} qubits exceed the device's "
                            f"{qpu.n_logical}")
@@ -1394,5 +1384,5 @@ __all__ = [
     "AuditStore", "EventStore", "ScheduledProgram", "ErrorBudget",
     "error_budget", "synchronize_clocks",
     "LoweredGate", "lower_circuit", "UnitaryBlock", "consolidate_blocks",
-    "schedule", "schedule_baseline",
+    "schedule",
 ]

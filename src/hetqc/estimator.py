@@ -8,7 +8,7 @@ several architectures and tabulates the schedules side by side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .arch import ArchitectureSpec, load_architecture
 from .circuits import LogicalCircuit
@@ -84,14 +84,14 @@ def rsa_estimate(arch: str | ArchitectureSpec,
     """Closed-form run estimate for one architecture.
 
     Durations default to the reference row (with the 2 ms adder whenever the
-    architecture carries an arithmetic-specialty core, and the monolithic row
-    for a plain single-device spec); ``tau_s`` overrides individual entries.
+    architecture carries an arithmetic-specialty core), or the monolithic row
+    for an architecture without memory modules, the same test by which
+    ``schedule`` picks its model; ``tau_s`` overrides individual entries.
     """
     spec = load_architecture(arch) if isinstance(arch, str) else arch
-    monolithic = not spec.memory_modules() and not spec.by_kind("ASQPU")
-    has_asqpu = bool(spec.by_kind("ASQPU"))
+    monolithic = not spec.memory_modules()
     taus = dict(RSA_TAU_MONOLITHIC) if monolithic else dict(RSA_TAU_REFERENCE)
-    if has_asqpu:
+    if spec.by_kind("ASQPU"):
         taus["adder"] = RSA_TAU_ASQPU_ADDER
     if tau_s:
         taus.update(tau_s)
@@ -128,11 +128,9 @@ def rsa_estimate_compiled(arch: str | ArchitectureSpec,
         err = min(error_budget(prog).total, 1.0 - 1e-16)
         log_f += RSA_CALLS[name] * math.log1p(-err)
     base = rsa_estimate(spec, tau_s=taus, fidelity=fidelity)
-    return RsaEstimate(base.arch, base.shot_s, base.runtime_days,
-                       base.fidelity, base.qubits_total,
-                       base.qubit_cost_mdays, base.coupler_cost_mdays,
-                       base.tau_s, math.exp(log_f), taus,
-                       log_f / math.log(10))
+    return replace(base, fidelity_compiled=math.exp(log_f),
+                   tau_compiled_s=taus,
+                   fidelity_compiled_log10=log_f / math.log(10))
 
 
 # --------------------------------------------------------- comparison table

@@ -120,7 +120,7 @@ def count_heterogeneous_stqm(spec: ArchitectureSpec) -> ResourceCounts:
     qpu = spec.by_kind("QPU")[0]
     qsf = (spec.by_kind("QSF") or [None])[0]
     stqm = spec.by_kind("STQM")[0]
-    link = next(l for l in spec.links_of(stqm.id))
+    link = spec.links_of(stqm.id)[0]
     bdry = derive_boundary(spec, link)
     d = qpu.code.distance
     tiers = _qpu_tiers(qpu, qsf)
@@ -147,7 +147,7 @@ def count_heterogeneous_raqm(spec: ArchitectureSpec) -> ResourceCounts:
     qpu = spec.by_kind("QPU")[0]
     qsf = (spec.by_kind("QSF") or [None])[0]
     raqm = spec.by_kind("RAQM")[0]
-    link = next(l for l in spec.links_of(raqm.id))
+    link = spec.links_of(raqm.id)[0]
     bdry = derive_boundary(spec, link)
     d_qm = raqm.code.distance
     tiers = _qpu_tiers(qpu, qsf)
@@ -238,19 +238,22 @@ def count_rsa_architecture(spec: ArchitectureSpec) -> ResourceCounts:
 
 
 def count_architecture(spec: ArchitectureSpec) -> ResourceCounts:
-    """Dispatch on module mix: factory state and memory tiers pick the family."""
-    qsfs = spec.by_kind("QSF")
-    has_ccz = any(m.state == "CCZ" for m in qsfs)
+    """Counts of a validated architecture, by the formula of its family.
+
+    Without memory it is the homogeneous device, as in ``schedule``.  With
+    memory, a CCZ factory, an ASQPU or both memory kinds pick the
+    cryptanalysis plant; otherwise its one memory kind picks the formula.
+    """
+    qpu = spec.by_kind("QPU")[0]
+    qsf = (spec.by_kind("QSF") or [None])[0]
+    if not spec.memory_modules():
+        return count_homogeneous(
+            qpu.n_logical, qpu.code.distance, qpu.code.c_anc, qpu.n_edges,
+            qsf.n_mf_per_qpu if qsf else 0.0, qsf.n_dist if qsf else 0)
     stqm = spec.by_kind("STQM")
     raqm = spec.by_kind("RAQM")
-    qpu = spec.by_kind("QPU")[0]
-    if not stqm and not raqm:
-        qsf = qsfs[0] if qsfs else None
-        return count_homogeneous(
-            qpu.n_logical, qpu.code.distance, qpu.code.c_anc,
-            qpu.n_edges if qpu.n_edges is not None else 2 * qpu.n_logical,
-            qsf.n_mf_per_qpu if qsf else 0.0, qsf.n_dist if qsf else 0)
-    if has_ccz or spec.by_kind("ASQPU") or (stqm and raqm):
+    if (qsf is not None and qsf.state == "CCZ") or spec.by_kind("ASQPU") \
+            or (stqm and raqm):
         return count_rsa_architecture(spec)
     if stqm:
         return count_heterogeneous_stqm(spec)

@@ -15,7 +15,7 @@ import pytest
 
 from hetqc.arch import builtin_architecture
 from hetqc.circuits import LogicalCircuit
-from hetqc.compiler import error_budget, schedule, schedule_baseline
+from hetqc.compiler import error_budget, schedule
 from hetqc.estimator import (RSA_TAU_ASQPU_ADDER, rsa_estimate,
                              rsa_runtime_days, rsa_shot_time)
 from hetqc.generators import generate_aqft, generate_cuccaro_adder
@@ -203,7 +203,7 @@ def test_criterion_07_factoring_arithmetic(capsys):
 def test_criterion_08_end_to_end_compile(capsys):
     t0 = time.perf_counter()
     workload = generate_aqft(1000, k_th=9)
-    base = schedule_baseline(workload, builtin_architecture("baseline1000"))
+    base = schedule(workload, builtin_architecture("baseline1000"))
     het = schedule(workload, builtin_architecture("A1"))
     far = schedule(workload, builtin_architecture("A3"))
     elapsed = time.perf_counter() - t0

@@ -7,7 +7,7 @@ import pathlib
 import pytest
 
 from hetqc.arch import (_MODULE_FIELDS, BUILTIN_NAMES, CYCLE_TIME_RANGE_S,
-                        ConfigError, ModuleSpec, apply_override,
+                        ConfigError, LinkSpec, ModuleSpec, apply_override,
                         builtin_architecture, derive_boundary,
                         load_architecture, parse_config_text, to_config_text,
                         validate)
@@ -203,6 +203,45 @@ def test_validate_flags_structural_problems():
     spec = builtin_architecture("A1")
     spec.links[0].eps_tele = math.inf
     assert any("eps_tele must be finite" in p for p in validate(spec))
+
+    spec = builtin_architecture("A1")
+    spec.modules.append(dataclasses.replace(spec.module("qpu0"), id="qpu1"))
+    spec.links.append(LinkSpec("qpu1", "stqm0", "transversal"))
+    assert validate(spec) == ["architecture has more than one QPU module"]
+
+    spec = builtin_architecture("A1")
+    ccz = builtin_architecture("Mono").module("qsf0")
+    spec.modules.append(dataclasses.replace(ccz, id="qsf1"))
+    assert validate(spec) == ["architecture has more than one QSF module"]
+
+    # the compute side comes first, and the other end is a memory
+    for a, b in (("stqm0", "qpu0"), ("qpu0", "qsf0")):
+        spec = builtin_architecture("A1")
+        spec.links = [LinkSpec(a, b, "transversal")]
+        assert f"link {a}-{b}: must join a compute module (first) to a " \
+            "memory module (second)" in validate(spec)
+
+    spec = builtin_architecture("A1")
+    spec.links = []
+    assert validate(spec) == ["module qpu0: has no link",
+                              "module stqm0: has no link"]
+
+    # a memory unlinked next to a linked one; the QPU stays linked
+    spec = builtin_architecture("B2")
+    spec.links = [l for l in spec.links if l.b != "raqm0"]
+    assert validate(spec) == ["module raqm0: has no link"]
+
+    spec = builtin_architecture("B4")
+    spec.links = [l for l in spec.links if l.a != "asqpu0"]
+    assert validate(spec) == ["module asqpu0: has no link"]
+
+    # memory linked to the ASQPU alone leaves the QPU without one
+    spec = builtin_architecture("B4")
+    spec.links = [l for l in spec.links if l.a != "qpu0"]
+    assert validate(spec) == ["module qpu0: has no link"]
+
+    # a QPU with no memory needs no link
+    assert validate(builtin_architecture("baseline1000")) == []
 
 
 def test_derive_boundary():

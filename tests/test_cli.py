@@ -1,6 +1,7 @@
 """CLI subcommands: exit codes, artifacts, determinism."""
 
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -32,6 +33,12 @@ def test_build_workload_kinds(tmp_path):
     "file:",
     "file:/no/such/file",
     "rsa:kind=warp",
+    # each a generator refuses; they once ended in a traceback
+    "aqft:n=0",
+    "aqft:n=4,k_th=0",
+    "cuccaro:bits=0",
+    "hubbard:lx=0,ly=2",
+    "hubbard:lx=2,ly=2,steps=0",
 ])
 def test_build_workload_rejects(bad):
     from hetqc.cli import _CliError
@@ -182,6 +189,37 @@ def test_sweep_writes_comparison(tmp_path, capsys):
     assert float(rows[1]["error_ratio"]) > 0
 
     assert main(["sweep", "--workload", "aqft:n=4", "--archs", " , "]) == 2
+    assert main(["rsa", "--archs", ",,"]) == 2
+    assert "no architectures given" in capsys.readouterr().err
+
+
+def _a1_unlinked():
+    spec = builtin_architecture("A1")
+    spec.links = []
+    return spec
+
+
+def _a1_second_factory():
+    spec = builtin_architecture("A1")
+    ccz = builtin_architecture("Mono").module("qsf0")
+    spec.modules.append(dataclasses.replace(ccz, id="qsf1"))
+    return spec
+
+
+@pytest.mark.parametrize("make", [_a1_unlinked, _a1_second_factory])
+@pytest.mark.parametrize("command", [
+    ["run", "--workload", "aqft:n=2", "--arch"],
+    ["sweep", "--workload", "aqft:n=2", "--archs"],
+    ["rsa", "--archs"],
+], ids=["run", "sweep", "rsa"])
+def test_commands_reject_architecture_shape(tmp_path, capsys, make,
+                                            command):
+    # each once compiled on part of the machine, priced it by another
+    # formula or ended in a traceback
+    path = tmp_path / "arch.cfg"
+    path.write_text(to_config_text(make()))
+    assert main(command + [str(path)]) == 3
+    assert "invalid architecture" in capsys.readouterr().err
 
 
 def _boom(*args):

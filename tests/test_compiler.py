@@ -16,8 +16,7 @@ from hetqc.compiler import (CATEGORIES, CompileError, ErrorBudget, EVENT_KINDS,
                             LoweredGate, RouterDecision, ScheduledEvent,
                             ScheduledProgram,
                             consolidate_blocks, error_budget, lower_circuit,
-                            rz_t_count, schedule, schedule_baseline,
-                            synchronize_clocks)
+                            rz_t_count, schedule, synchronize_clocks)
 from hetqc.generators import generate_aqft, generate_cuccaro_adder
 from hetqc.qec import TransferInfeasible
 from hetqc.resources import transfer_patch_layout
@@ -352,7 +351,7 @@ def test_baseline_serial_makespan():
         c.add("H", q)
     for q in range(4):
         c.add("T", q)
-    prog = schedule_baseline(c, arch)
+    prog = schedule(c, arch)
     qsf = arch.module("qsf0")
     cycles = 4 * 1 + 4 * qsf.injection_cycles
     assert prog.makespan_s == pytest.approx(cycles * 1e-6)
@@ -364,7 +363,7 @@ def test_baseline_routes_distant_pairs():
     arch = builtin_architecture("baseline1000")
     c = LogicalCircuit("corners", 9)
     c.add("CNOT", 0, 8)  # opposite corners of the 3x3 grid
-    prog = schedule_baseline(c, arch)
+    prog = schedule(c, arch)
     assert prog.counters["swap_count"] >= 1
     assert prog.counters["cnot_count"] >= 1
     assert any(ev.kind == "swap_route" for ev in prog.events)
@@ -378,7 +377,7 @@ def test_baseline_rejects_oversized_circuit(monkeypatch):
     c = LogicalCircuit("big", 1001)
     c.add("H", 1000)
     with pytest.raises(CompileError):
-        schedule_baseline(c, builtin_architecture("baseline1000"))
+        schedule(c, builtin_architecture("baseline1000"))
 
 
 def test_touch_tables_match_bisection():
@@ -410,7 +409,9 @@ def test_swap_distances_match_patch_layout(k):
 @pytest.mark.parametrize("arch_name", ["B2", "B3", "B5", "B6"])
 def test_scheduler_swap_distances_match_patch_layout(arch_name):
     arch = builtin_architecture(arch_name)
-    sched = compiler._Scheduler(generate_aqft(4), arch)
+    circuit = generate_aqft(4)
+    sched = compiler._Scheduler(circuit, arch,
+                                *compiler._front_end(circuit, arch))
     mems = [mm for mm in sched.memories if mm.module.k_swap > 0]
     assert mems
     for mm in sched.memories:

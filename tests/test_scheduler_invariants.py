@@ -8,8 +8,9 @@ and route only when the move is cheaper than idling.  Where no memory has
 swap legs and the grid model is not used, the only swaps are the ones the
 circuit asks for.
 
-A property test then draws physical parameters on A1/A2: every config that
-``validate`` accepts compiles to finite numbers or is refused cleanly.
+A property test then draws physical parameters on every builtin: every
+config that ``validate`` accepts compiles to finite numbers or is refused
+cleanly, and its resource count and factoring-run estimate are finite.
 """
 
 import dataclasses
@@ -21,7 +22,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hetqc.arch import BUILTIN_NAMES, builtin_architecture, validate
 from hetqc.compiler import CompileError, EVENT_KINDS, error_budget, schedule
+from hetqc.estimator import rsa_estimate
 from hetqc.qec import TransferInfeasible
+from hetqc.resources import count_architecture
 
 from oracles import (check_lane_exclusive, check_no_routing_swaps,
                      check_qubit_locations, check_router_audit,
@@ -67,7 +70,8 @@ def _check_invariants(circuit, arch_name):
         assert check_no_routing_swaps(prog) == []
         # the only swaps on the books are the ones the input program asked
         # for
-        assert prog.counters["swap_count"] == circuit.count_kind("SWAP")
+        assert prog.counters["swap_count"] == sum(
+            op.kind == "SWAP" for op in circuit.ops)
 
     for ev in prog.events:
         assert ev.kind in EVENT_KINDS
@@ -90,17 +94,26 @@ _MODULE_FIELDS = {
                            st.floats(1e-9, 1e-1)),
     "code_distance": st.integers(1, 61),
 }
+#: a memory's capacity, from none through too few cells to plenty
+_MEMORY_SIZE = st.one_of(st.sampled_from([0, 1]), st.integers(1, 4000))
 _EPS_TELE = st.one_of(st.sampled_from([0.0, 0.999999]),
                       st.floats(0.0, 1.0, exclude_max=True))
 
 
 @st.composite
 def _drawn_config(draw):
-    spec = builtin_architecture(draw(st.sampled_from(["A1", "A2"])))
+    spec = builtin_architecture(draw(st.sampled_from(BUILTIN_NAMES)))
+    keys = sorted(_MODULE_FIELDS)
+    if spec.links:
+        keys += ["eps_tele", "n_logical"]
     for _ in range(draw(st.integers(0, 4))):
-        key = draw(st.sampled_from(sorted(_MODULE_FIELDS) + ["eps_tele"]))
+        key = draw(st.sampled_from(keys))
         if key == "eps_tele":
-            spec.links[0].eps_tele = draw(_EPS_TELE)
+            draw(st.sampled_from(spec.links)).eps_tele = draw(_EPS_TELE)
+            continue
+        if key == "n_logical":
+            memory = draw(st.sampled_from(spec.memory_modules()))
+            memory.n_logical = draw(_MEMORY_SIZE)
             continue
         m = draw(st.sampled_from(spec.modules))
         value = draw(_MODULE_FIELDS[key])
@@ -121,13 +134,19 @@ def _drawn_config(draw):
     return spec, circuit
 
 
-@settings(max_examples=150, derandomize=True, deadline=None,
+@settings(max_examples=600, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_drawn_config())
 def test_validated_config_schedules_finite(config):
     spec, circuit = config
     if validate(spec):
         return
+    counts = count_architecture(spec)
+    assert counts.total_qubits > 0 and counts.total_couplers >= 0
+    est = rsa_estimate(spec)
+    assert all(math.isfinite(x) and x > 0 for x in (
+        est.shot_s, est.runtime_days, est.qubit_cost_mdays,
+        est.coupler_cost_mdays))
     try:
         prog = schedule(circuit, spec)
     except (CompileError, TransferInfeasible):

@@ -80,7 +80,7 @@ def profile(workload: str, arch_name: str,
                (compiler, "consolidate_blocks", "consolidate"),
                (compiler._Scheduler, "__init__", "assign/tables"),
                (compiler._Scheduler, "run", "simulate"),
-               (compiler, "schedule_baseline", "simulate")]
+               (compiler, "_schedule_grid", "simulate")]
     saved = [(owner, name, getattr(owner, name))
              for owner, name, _ in patches]
     for owner, name, stage in patches:
