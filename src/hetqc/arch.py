@@ -185,6 +185,8 @@ def validate(spec: ArchitectureSpec) -> list[str]:
         if m.code.family == "surface" and (m.code.distance < 3
                                            or m.code.distance % 2 == 0):
             out.append(f"{where}: surface distance must be odd and >= 3")
+        elif m.code.distance < 1:
+            out.append(f"{where}: code distance must be >= 1")
         if m.code.c_anc < 0:
             out.append(f"{where}: negative ancilla fraction")
         if not 0 < m.modality.p_phys < m.modality.p_th:

@@ -24,6 +24,12 @@ Each stage keeps only what a later one reads: the modular scheduler frees
 its unitary blocks once they are assigned to cores, keeping their count,
 and holds its per-gate tables as arrays rather than lists of ints.  It
 resolves each (memory, compute module) pair's bare hop once, when built.
+
+The compiles of one circuit on several architectures share their front
+end (:class:`_FrontEnd`): the circuit is validated once and lowered once
+per factory, and the modular model's read-only plan (its core streams and
+per-gate tables) is built once per compute side.  A lone ``schedule`` call
+takes the same path with nothing to share.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
@@ -503,32 +509,26 @@ def lower_circuit(circuit: LogicalCircuit, factory_state: str | None,
     return out
 
 
-def _front_end(circuit: LogicalCircuit, arch: ArchitectureSpec
-               ) -> tuple[ModuleSpec, ModuleSpec | None]:
-    """(the QPU, the factory or None) of valid inputs.
-
-    The one validation of a compile: an invalid circuit raises
-    :class:`InvalidCircuit`, an invalid architecture :class:`CompileError`.
-    """
-    circuit_problems = circuit.validate()
-    problems = circuit_problems + validate(arch)
-    if problems:
-        error = InvalidCircuit if circuit_problems else CompileError
-        raise error("; ".join(problems))
-    return arch.by_kind("QPU")[0], (arch.by_kind("QSF") or [None])[0]
+def _lowering_key(qsf: ModuleSpec | None) -> tuple[str | None, float]:
+    """The (factory state, eps_magic) that lowering reads of a factory."""
+    return (qsf.state, qsf.eps_magic) if qsf else (None, 2.1e-9)
 
 
-def _lower(circuit: LogicalCircuit,
-           qsf: ModuleSpec | None) -> list[LoweredGate]:
-    return lower_circuit(circuit, qsf.state if qsf else None,
-                         qsf.eps_magic if qsf else 2.1e-9)
+class _Lowering(NamedTuple):
+    """A circuit's lowered gates, and the counters of a schedule of them
+    before its transfers and routing swaps, as (name, count) pairs."""
+
+    gates: list[LoweredGate]
+    counters: tuple[tuple[str, int], ...]
 
 
-def _gate_counters(lowered: list[LoweredGate]) -> dict[str, int]:
-    """A schedule's counters before its transfers and routing swaps."""
-    return {"cnot_count": sum(g.n_cnot for g in lowered), "st_count": 0,
-            "t_count": sum(g.n_t for g in lowered),
-            "swap_count": sum(g.n_swap for g in lowered)}
+def _lowering(circuit: LogicalCircuit, factory_state: str | None,
+              eps_magic: float) -> _Lowering:
+    lowered = lower_circuit(circuit, factory_state, eps_magic)
+    return _Lowering(lowered, (
+        ("cnot_count", sum(g.n_cnot for g in lowered)), ("st_count", 0),
+        ("t_count", sum(g.n_t for g in lowered)),
+        ("swap_count", sum(g.n_swap for g in lowered))))
 
 
 def _module_costs(module: ModuleSpec,
@@ -703,7 +703,7 @@ def _factory_pool(qsf: ModuleSpec) -> _Pool:
 @dataclass
 class _Core:
     module: ModuleSpec
-    core_idx: int
+    index: int  # in dispatch order
     lane: str
     capacity: int
     costs: dict[str, tuple[int, float]]
@@ -711,13 +711,211 @@ class _Core:
     t_free: float = 0.0
     residents: dict[int, float] = field(default_factory=dict)  # q -> busy end
     incoming: dict[int, float] = field(default_factory=dict)   # q -> arrival
-    stream: array = field(default_factory=lambda: array("i"))  # gates in order
+    stream: array | None = None  # its gates in order, the plan's
     pos: int = 0
     pool: _Pool | None = None  # magic-state supply
     idle_ids: dict[int, int] = field(default_factory=dict)  # q -> idle key id
 
     def slots_used(self) -> int:
         return len(self.residents) + len(self.incoming)
+
+
+def _build_cores(arch: ArchitectureSpec,
+                 qsf: ModuleSpec | None) -> list[_Core]:
+    """The compute cores of a validated architecture, in dispatch order:
+    specialty cores first, so that an estimate tie dispatches to them."""
+    cores: list[_Core] = []
+    shared = _factory_pool(qsf) if qsf is not None else None
+    for m in sorted(arch.compute_modules(),
+                    key=lambda m: (m.specialty is None, m.id)):
+        costs = _module_costs(m, qsf)
+        # an ASQPU's cores share its own magic-state pool
+        pool = shared if m.kind != "ASQPU" else _Pool(
+            ASQPU_FACTORY_UNITS, 4 * m.code.distance, m.t_cycle_s)
+        for ci in range(m.cores):
+            cores.append(_Core(m, len(cores), f"{m.id}:core{ci}",
+                               m.capacity_per_core, costs, costs["1q"][1],
+                               pool=pool))
+    return cores
+
+
+# ------------------------------------------------------------------ the plan
+
+class _Plan(NamedTuple):
+    """The modular model's set-up of one lowering on one compute side.
+
+    ``streams`` holds each core's gates in order, cores in dispatch order;
+    ``core_of_gate`` each gate's core, as its index in that order, and
+    ``cycle_at`` the cycles of its core's stream before it.  The touch
+    tables are those of :func:`_touch_tables`.  A plan is read-only: every
+    compile that shares it reads these arrays and writes none of them.
+    """
+
+    n_blocks: int
+    streams: tuple[array, ...]
+    core_of_gate: array
+    cycle_at: array
+    touches: dict[int, array]
+    first_slot: array
+    prev_gate: array
+    next_gate: array
+
+
+def _plan_key(cores: list[_Core], lowering_key: tuple) -> tuple:
+    """All that :func:`_build_plan` reads of ``cores``, and the lowering."""
+    return lowering_key, tuple(
+        (c.lane, c.module.kind, c.module.specialty, c.capacity,
+         c.module.t_cycle_s, tuple(c.costs.items())) for c in cores)
+
+
+def _assign_blocks(cores: list[_Core], lowered: list[LoweredGate],
+                   blocks: list[UnitaryBlock]) -> tuple[list[array], int]:
+    """(each core's stream, the block count): every block's gates go to
+    the stream of the eligible core estimated to finish it first."""
+    streams = [array("i") for _ in cores]
+    finish: dict[int, float] = {}
+    free = [0.0] * len(cores)
+    for b in blocks:
+        best = None
+        for core in cores:
+            if core.module.kind == "ASQPU" \
+                    and b.tag != core.module.specialty:
+                continue
+            cyc = sum(core.costs[lowered[gi].cost_key][0] for gi in b.gates)
+            start = max([free[core.index]] + [finish[d] for d in b.deps])
+            est = start + cyc * core.module.t_cycle_s
+            if best is None or est < best[0]:
+                best = (est, core)
+        # the QPU's cores take any block
+        est, core = best
+        finish[b.index] = est
+        free[core.index] = est
+        streams[core.index].extend(b.gates)
+    return streams, len(blocks)
+
+
+def _build_plan(cores: list[_Core], lowered: list[LoweredGate]) -> _Plan:
+    """The plan of ``lowered`` on ``cores``, read through :func:`_plan_key`."""
+    # the blocks are read only here, and freed once assigned
+    streams, n_blocks = _assign_blocks(cores, lowered, consolidate_blocks(
+        lowered, max(c.capacity for c in cores)))
+    # the touch tables first: their lists peak above the arrays they leave
+    tables = _touch_tables(lowered)
+    n = len(lowered)
+    core_of_gate = array("i", bytes(4 * n))
+    cycle_at = array("q", bytes(8 * n))
+    for core, stream in zip(cores, streams):
+        costs = map(core.costs.__getitem__,
+                    map(_COST_KEY, map(lowered.__getitem__, stream)))
+        # per gate of the stream, at C speed
+        deque(map(cycle_at.__setitem__, stream,
+                  accumulate(map(_CYCLES, costs), initial=0)), maxlen=0)
+        deque(map(core_of_gate.__setitem__, stream, repeat(core.index)),
+              maxlen=0)
+    return _Plan(n_blocks, tuple(streams), core_of_gate, cycle_at, *tables)
+
+
+# ------------------------------------------------------------- the front end
+
+class _Job(NamedTuple):
+    """One compile of a :class:`_FrontEnd`: its architecture and either the
+    error that refuses it or its QPU, factory and cores (None on the grid
+    model), and the keys of the lowering and plan it reads."""
+
+    arch: ArchitectureSpec
+    error: CompileError | None
+    qpu: ModuleSpec | None = None
+    qsf: ModuleSpec | None = None
+    cores: list[_Core] | None = None
+    keys: tuple = ()
+
+
+class _FrontEnd:
+    """The compiles of one circuit on a list of architectures, each run
+    once, by :meth:`schedule`; a job's cores hold that one run's state.
+
+    All validation happens here, up front: the circuit's once, and each
+    architecture's once.  An invalid circuit raises
+    :class:`InvalidCircuit` at every compile, with the circuit's problems
+    and then the architecture's; an invalid architecture raises
+    :class:`CompileError`.  The circuit is lowered once per (factory
+    state, eps_magic) and a :class:`_Plan` is built once per compute side
+    and lowering.  Each is kept only until the last compile that reads it
+    has run; the two kinds of key never compare equal.
+    """
+
+    def __init__(self, circuit: LogicalCircuit,
+                 archs: Sequence[ArchitectureSpec]):
+        self.circuit = circuit
+        circuit_problems = circuit.validate()
+        self.jobs = [self._job(arch, circuit_problems) for arch in archs]
+        # how many compiles still to run read each lowering and plan
+        self._uses = Counter(key for job in self.jobs for key in job.keys)
+        self._kept: dict[tuple, _Lowering | _Plan] = {}
+        self._live: int | None = None
+
+    @staticmethod
+    def _job(arch: ArchitectureSpec, circuit_problems: list[str]) -> _Job:
+        problems = circuit_problems + validate(arch)
+        if problems:
+            error = InvalidCircuit if circuit_problems else CompileError
+            return _Job(arch, error("; ".join(problems)))
+        qpu, qsf = arch.by_kind("QPU")[0], (arch.by_kind("QSF") or [None])[0]
+        lowering_key = _lowering_key(qsf)
+        if not arch.memory_modules():
+            return _Job(arch, None, qpu, qsf, None, (lowering_key,))
+        cores = _build_cores(arch, qsf)
+        return _Job(arch, None, qpu, qsf, cores,
+                    (lowering_key, _plan_key(cores, lowering_key)))
+
+    def schedule(self, i: int) -> ScheduledProgram:
+        """The schedule of the ``i``-th architecture.
+
+        Without memory modules it runs on the grid model, otherwise on the
+        modular scheduler.
+        """
+        job = self.jobs[i]
+        try:
+            if job.error is not None:
+                raise job.error
+            if job.cores is None:
+                return _schedule_grid(self, job)
+            return _Scheduler(self, job).run()
+        finally:
+            for key in job.keys:
+                self._uses[key] -= 1
+                if not self._uses[key]:
+                    self._kept.pop(key, None)
+
+    def live_qubits(self) -> int:
+        """Qubits that some op touches and that are not measured last.
+
+        Read from the ops, before lowering: every op touches all of its
+        qubits in some lowered gate, and ``Measure`` is the only op that
+        lowers to a ``measure`` gate, so the count is the same.
+        """
+        if self._live is None:
+            last_kind: dict[int, str] = {}
+            for op in self.circuit.ops:
+                for q in op.qubits:
+                    last_kind[q] = op.kind
+            self._live = sum(kind != "Measure"
+                             for kind in last_kind.values())
+        return self._live
+
+    def lowering(self, job: _Job) -> _Lowering:
+        return self._shared(job.keys[0], _lowering, self.circuit,
+                            *job.keys[0])
+
+    def plan(self, job: _Job, lowered: list[LoweredGate]) -> _Plan:
+        return self._shared(job.keys[1], _build_plan, job.cores, lowered)
+
+    def _shared(self, key: tuple, build, *args):
+        """What ``key`` names, built by ``build(*args)`` on first use."""
+        kept = self._kept.get(key)
+        if kept is None:
+            kept = self._kept[key] = build(*args)
+        return kept
 
 
 class _InfeasibleHop(TransferInfeasible):
@@ -771,60 +969,35 @@ class _Memory:
 
 
 class _Scheduler:
-    """The modular model; ``validate`` links each core to some memory."""
+    """The modular model; ``validate`` links each core to some memory.
 
-    def __init__(self, circuit: LogicalCircuit, arch: ArchitectureSpec,
-                 qpu: ModuleSpec, qsf: ModuleSpec | None):
-        self.circuit = circuit
-        self.arch = arch
-        self.qsf = qsf
-        self.t_qpu = qpu.t_cycle_s
+    It is built on a job of a :class:`_FrontEnd`, whose cores it runs, and
+    reads the front end's shared lowering and plan.
+    """
+
+    def __init__(self, front: _FrontEnd, job: _Job):
+        self.circuit = front.circuit
+        self.arch = job.arch
+        self.t_qpu = job.qpu.t_cycle_s
         self.events = EventStore()
         self.audit = AuditStore()
         self.warnings: list[str] = []
-        self.cores = self._build_cores()
+        self.cores = job.cores
         self.memories = self._build_memories()
-        self._check_capacity()
-        self.lowered = _lower(circuit, self.qsf)
-        self.counters = _gate_counters(self.lowered)
-        # the blocks are read only here, and freed once assigned
-        self.n_blocks = self._assign_blocks(consolidate_blocks(
-            self.lowered, max(c.capacity for c in self.cores)))
-        (self.touches, self.first_slot, self.prev_gate,
-         self.next_gate) = _touch_tables(self.lowered)
-        n = len(self.lowered)
-        self.core_of_gate: list[_Core | None] = [None] * n
-        # cycles of its core's stream before each gate
-        self.cycle_at = array("q", bytes(8 * n))
-        for core in self.cores:
-            costs = map(core.costs.__getitem__,
-                        map(_COST_KEY, map(self.lowered.__getitem__,
-                                           core.stream)))
-            # per gate of the stream, at C speed
-            deque(map(self.cycle_at.__setitem__, core.stream,
-                      accumulate(map(_CYCLES, costs), initial=0)), maxlen=0)
-            deque(map(self.core_of_gate.__setitem__, core.stream,
-                      repeat(core)), maxlen=0)
+        self._check_capacity(front.live_qubits())
+        lowering = front.lowering(job)
+        self.lowered = lowering.gates
+        self.counters = dict(lowering.counters)
+        plan = front.plan(job, self.lowered)
+        self.n_blocks = plan.n_blocks
+        for core, stream in zip(self.cores, plan.streams):
+            core.stream = stream
+        self.core_of_gate, self.cycle_at = plan.core_of_gate, plan.cycle_at
+        self.touches, self.first_slot = plan.touches, plan.first_slot
+        self.prev_gate, self.next_gate = plan.prev_gate, plan.next_gate
         self.q_mem: dict[int, _Memory] = {}
 
     # -- construction ------------------------------------------------------
-
-    def _build_cores(self) -> list[_Core]:
-        cores = []
-        shared = _factory_pool(self.qsf) if self.qsf is not None else None
-        for m in self.arch.compute_modules():
-            costs = _module_costs(m, self.qsf)
-            # an ASQPU's cores share its own magic-state pool
-            pool = shared if m.kind != "ASQPU" else _Pool(
-                ASQPU_FACTORY_UNITS, 4 * m.code.distance, m.t_cycle_s)
-            for ci in range(m.cores):
-                cores.append(_Core(m, ci, f"{m.id}:core{ci}",
-                                   m.capacity_per_core, costs,
-                                   costs["1q"][1], pool=pool))
-        # specialty cores first so an estimate tie dispatches to them
-        cores.sort(key=lambda c: (c.module.specialty is None, c.module.id,
-                                  c.core_idx))
-        return cores
 
     def _build_memories(self) -> list[_Memory]:
         mems = []
@@ -852,21 +1025,14 @@ class _Scheduler:
         mems.sort(key=lambda mm: (mm.module.kind != "STQM", mm.module.id))
         return mems
 
-    def _check_capacity(self) -> None:
-        """Refuse a circuit whose live qubits cannot all find a home.
+    def _check_capacity(self, live: int) -> None:
+        """Refuse a circuit whose ``live`` qubits cannot all find a home.
 
         Every touched qubit that is not measured last ends the run in a core
         slot or in a memory cell, and cells are never released, so this is
-        necessary for success; it spares a doomed compile its full run.
-        It reads the circuit's ops, before lowering: every op touches all of
-        its qubits in some lowered gate, and ``Measure`` is the only op that
-        lowers to a ``measure`` gate, so the count is the same.
+        necessary for success; it spares a doomed compile its lowering and
+        its full run.
         """
-        last_kind: dict[int, str] = {}
-        for op in self.circuit.ops:
-            for q in op.qubits:
-                last_kind[q] = op.kind
-        live = sum(kind != "Measure" for kind in last_kind.values())
         slots = sum(c.capacity for c in self.cores)
         cells = sum(mm.module.n_logical for mm in self.memories)
         if live > slots + cells:
@@ -874,29 +1040,6 @@ class _Scheduler:
                 f"{live} qubits stay live to the end but the architecture "
                 f"holds {slots} compute slots and {cells} reachable memory "
                 "cells; compute capacity exhausted")
-
-    def _assign_blocks(self, blocks: list[UnitaryBlock]) -> int:
-        """Append each block's gates to one core's stream; the block count."""
-        finish: dict[int, float] = {}
-        free = {c.lane: 0.0 for c in self.cores}
-        for b in blocks:
-            best = None
-            for core in self.cores:
-                if core.module.kind == "ASQPU" \
-                        and b.tag != core.module.specialty:
-                    continue
-                cyc = sum(core.costs[self.lowered[gi].cost_key][0]
-                          for gi in b.gates)
-                start = max([free[core.lane]] + [finish[d] for d in b.deps])
-                est = start + cyc * core.module.t_cycle_s
-                if best is None or est < best[0]:
-                    best = (est, core)
-            # the QPU's cores take any block
-            est, core = best
-            finish[b.index] = est
-            free[core.lane] = est
-            core.stream.extend(b.gates)
-        return len(blocks)
 
     # -- helpers -----------------------------------------------------------
 
@@ -1212,7 +1355,7 @@ class _Scheduler:
                 else:
                     self._write_out(core, q, t_end, "terminal")
                 continue
-            if self.core_of_gate[nxt] is not core:
+            if self.core_of_gate[nxt] != core.index:
                 self._write_out(core, q, t_end, "cross_core")
                 continue
             gap = self.cycle_at[nxt] - end_cycle
@@ -1267,28 +1410,25 @@ def schedule(circuit: LogicalCircuit,
     architecture once; then an architecture without memory modules runs on
     the grid model, every other one on the modular scheduler.
     """
-    qpu, qsf = _front_end(circuit, arch)
-    if not arch.memory_modules():
-        return _schedule_grid(circuit, arch, qpu, qsf)
-    return _Scheduler(circuit, arch, qpu, qsf).run()
+    return _FrontEnd(circuit, [arch]).schedule(0)
 
 
 # ---------------------------------------------------------------- grid model
 
-def _schedule_grid(circuit: LogicalCircuit, arch: ArchitectureSpec,
-                   qpu: ModuleSpec,
-                   qsf: ModuleSpec | None) -> ScheduledProgram:
+def _schedule_grid(front: _FrontEnd, job: _Job) -> ScheduledProgram:
     """Monolithic reference: square grid, persistent map, swap routing.
 
-    Gates run as one serial stream on ``qpu``, fed by factory ``qsf`` if
+    Gates run as one serial stream on the job's QPU, fed by its factory if
     any; every mapped qubit is charged idle error over the whole makespan
     outside its own gate time.  ``schedule`` runs this model on a validated
     architecture without memory modules: one QPU and at most one factory.
     """
+    circuit, arch, qpu, qsf = front.circuit, job.arch, job.qpu, job.qsf
     if circuit.n_qubits > qpu.n_logical:
         raise CompileError(f"{circuit.n_qubits} qubits exceed the device's "
                            f"{qpu.n_logical}")
-    lowered = _lower(circuit, qsf)
+    lowering = front.lowering(job)
+    lowered = lowering.gates
     costs = _module_costs(qpu, qsf)
     eps = costs["1q"][1]
     t_cyc = qpu.t_cycle_s
@@ -1297,7 +1437,7 @@ def _schedule_grid(circuit: LogicalCircuit, arch: ArchitectureSpec,
     pos = {q: (q // side, q % side) for q in range(n)}
     cell = {p: q for q, p in pos.items()}
     events = EventStore()
-    counters = _gate_counters(lowered)
+    counters = dict(lowering.counters)
     busy = {q: 0.0 for q in range(n)}
     lane = f"{qpu.id}:core0"
     t = 0.0

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 from .arch import ArchitectureSpec, load_architecture
 from .circuits import LogicalCircuit
-from .compiler import CompileError, error_budget, schedule
+from .compiler import CompileError, _FrontEnd, error_budget, schedule
 from .generators import generate_rsa_subroutine
 from .qec import TransferInfeasible
 from .resources import CostWeights, count_architecture, space_cost
@@ -87,6 +87,8 @@ def rsa_estimate(arch: str | ArchitectureSpec,
     architecture carries an arithmetic-specialty core), or the monolithic row
     for an architecture without memory modules, the same test by which
     ``schedule`` picks its model; ``tau_s`` overrides individual entries.
+    An architecture that ``validate`` rejects raises ``ValueError`` from
+    ``count_architecture``.
     """
     spec = load_architecture(arch) if isinstance(arch, str) else arch
     monolithic = not spec.memory_modules()
@@ -157,15 +159,23 @@ def compare_architectures(circuit: LogicalCircuit,
     ``-log1p(-total)``, which do not saturate near 1 the way the totals of
     ``error_ratio`` do.  A failing architecture contributes a diagnostic row
     with the failure text in ``status`` instead of aborting the table.
+
+    The rows share the front end's work, so each comes out as a compile of
+    its own would give it: the circuit is validated once, lowered once per
+    (factory state, eps_magic), and consolidated and assigned to cores once
+    per compute side.  Only the memories, the simulation, the budget and
+    the resource count run for every architecture.
     """
+    specs = [load_architecture(arch) if isinstance(arch, str) else arch
+             for arch in archs]
+    front = _FrontEnd(circuit, specs)
     rows: list[dict] = []
     ref: dict | None = None
-    for arch in archs:
-        spec = load_architecture(arch) if isinstance(arch, str) else arch
+    for i, spec in enumerate(specs):
         row: dict = {k: None for k in COMPARISON_FIELDS}
         row["arch"] = spec.name
         try:
-            prog = schedule(circuit, spec)
+            prog = front.schedule(i)
             budget = error_budget(prog)
             counts = count_architecture(spec)
         except (CompileError, TransferInfeasible, ValueError) as exc:

@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass, field
 
 from .arch import (ASQPU_FACTORY_UNITS, ArchitectureSpec, GROSS_BLOCK_LOGICAL,
-                   GROSS_BLOCK_PHYSICAL, ModuleSpec, derive_boundary)
+                   GROSS_BLOCK_PHYSICAL, ModuleSpec, derive_boundary,
+                   validate)
 
 
 @dataclass
@@ -238,12 +239,17 @@ def count_rsa_architecture(spec: ArchitectureSpec) -> ResourceCounts:
 
 
 def count_architecture(spec: ArchitectureSpec) -> ResourceCounts:
-    """Counts of a validated architecture, by the formula of its family.
+    """Counts of an architecture, by the formula of its family.
 
     Without memory it is the homogeneous device, as in ``schedule``.  With
     memory, a CCZ factory, an ASQPU or both memory kinds pick the
     cryptanalysis plant; otherwise its one memory kind picks the formula.
+    An architecture that ``validate`` rejects raises ``ValueError`` with
+    its problems, since the formulas rely on the shape it checks.
     """
+    problems = validate(spec)
+    if problems:
+        raise ValueError("invalid architecture: " + "; ".join(problems))
     qpu = spec.by_kind("QPU")[0]
     qsf = (spec.by_kind("QSF") or [None])[0]
     if not spec.memory_modules():

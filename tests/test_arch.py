@@ -244,6 +244,17 @@ def test_validate_flags_structural_problems():
     assert validate(builtin_architecture("baseline1000")) == []
 
 
+@pytest.mark.parametrize("module_id", ["qpu0", "raqm0"])
+def test_validate_flags_distance_below_one(module_id):
+    # a code other than the surface code has no odd-distance rule, and a
+    # distance of 0 would make the error model raise mid-compile
+    spec = builtin_architecture("A2")
+    m = spec.module(module_id)
+    m.code = dataclasses.replace(m.code, family="gross", distance=0)
+    assert validate(spec) == [
+        f"module {module_id}: code distance must be >= 1"]
+
+
 def test_derive_boundary():
     a1 = builtin_architecture("A1")
     b = derive_boundary(a1, a1.links[0])

@@ -410,8 +410,8 @@ def test_swap_distances_match_patch_layout(k):
 def test_scheduler_swap_distances_match_patch_layout(arch_name):
     arch = builtin_architecture(arch_name)
     circuit = generate_aqft(4)
-    sched = compiler._Scheduler(circuit, arch,
-                                *compiler._front_end(circuit, arch))
+    front = compiler._FrontEnd(circuit, [arch])
+    sched = compiler._Scheduler(front, front.jobs[0])
     mems = [mm for mm in sched.memories if mm.module.k_swap > 0]
     assert mems
     for mm in sched.memories:

@@ -49,7 +49,7 @@ def _live_blocks() -> int:
 def test_scheduler_keeps_no_blocks():
     before = _live_blocks()
     circuit, arch = generate_aqft(30, k_th=5), builtin_architecture("A1")
-    sched = compiler._Scheduler(circuit, arch,
-                                *compiler._front_end(circuit, arch))
+    front = compiler._FrontEnd(circuit, [arch])
+    sched = compiler._Scheduler(front, front.jobs[0])
     assert sched.n_blocks > 0
     assert _live_blocks() == before

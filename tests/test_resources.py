@@ -5,7 +5,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hetqc.arch import builtin_architecture
+from hetqc.arch import LinkSpec, builtin_architecture
+from hetqc.estimator import rsa_estimate
 from hetqc.resources import (CostWeights, ResourceCounts, count_architecture,
                              count_homogeneous, place_transfer_patches,
                              space_cost, transfer_patch_layout)
@@ -67,6 +68,24 @@ def test_raqm_builtin_counts():
 def test_factoring_architecture_totals(name, total):
     rc = count_architecture(builtin_architecture(name))
     assert rc.total_qubits == total
+
+
+@pytest.mark.parametrize("links,problem", [
+    # reversed, the link once priced A1 at 1,273,680 qubits
+    ([LinkSpec("stqm0", "qpu0", "transversal")],
+     "link stqm0-qpu0: must join a compute module (first) to a memory "
+     "module (second)"),
+    # unlinked, A1 once raised IndexError
+    ([], "module qpu0: has no link; module stqm0: has no link"),
+])
+def test_count_refuses_invalid_architecture(links, problem):
+    spec = builtin_architecture("A1")
+    spec.links = links
+    with pytest.raises(ValueError, match="invalid architecture: .*") as exc:
+        count_architecture(spec)
+    assert problem in str(exc.value)
+    with pytest.raises(ValueError, match="invalid architecture"):
+        rsa_estimate(spec)
 
 
 def test_space_cost_weighting():

@@ -10,12 +10,13 @@ The workload and the architecture take the same forms as in ``hetqc run``.
 Under ``tracemalloc``, the compile runs once, then its error budget, its
 schedule order and its schedule text.  After each stage one line gives the
 heap still in use (``current``) and the highest heap reached during that
-stage (``peak``), both in MB.  The stages are lower, consolidate,
-assign/tables (the rest of the modular scheduler's set-up), simulate,
-budget, order and ``lines()``; the grid model, used on an architecture
-without memories, reports lower and simulate only.  Two summary lines
-follow: the peak of ``schedule()`` and the order's peak above the heap
-before it, per event.
+stage (``peak``), both in MB.  The stages are lower (with validation and
+the scheduler's cores and memories before it), consolidate, assign/tables
+(the rest of the modular scheduler's plan: block assignment and the
+per-gate tables), simulate, budget, order and ``lines()``; the grid model,
+used on an architecture without memories, reports lower and simulate
+only.  Two summary lines follow: the peak of ``schedule()`` and the
+order's peak above the heap before it, per event.
 
 The same stages then run five more times without ``tracemalloc``; the
 last column gives each stage's wall time in ms, the best of those five
@@ -78,7 +79,7 @@ def profile(workload: str, arch_name: str,
     log = StageLog()
     patches = [(compiler, "lower_circuit", "lower"),
                (compiler, "consolidate_blocks", "consolidate"),
-               (compiler._Scheduler, "__init__", "assign/tables"),
+               (compiler, "_build_plan", "assign/tables"),
                (compiler._Scheduler, "run", "simulate"),
                (compiler, "_schedule_grid", "simulate")]
     saved = [(owner, name, getattr(owner, name))

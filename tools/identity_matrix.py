@@ -5,17 +5,22 @@ Usage, from the root of a checkout:
 
     python3 tools/identity_matrix.py > identity.txt
 
-Each ``run`` case prints its exit code, the sha256 of every artifact it
-wrote and its standard output; the ``sweep`` and ``arch`` cases print their
-standard output.  Run it on two commits and diff the two files: no
+Each ``run`` and ``sweep`` case prints its exit code, the sha256 of every
+artifact it wrote and its standard output; the ``arch`` case prints its
+standard output.  A sweep's standard output rounds its numbers, so only
+the hashes of its ``comparison.csv`` and ``summary.json`` show a changed
+last bit.  Run it on two commits and diff the two files: no
 difference means the change left every byte of output as it was.  The hetqc
 imported is the one under this checkout's ``src``.
 
 The cases are the 1000-qubit AQFT on A1, A2 and A3, the 16x16 Fermi-Hubbard
-on A2, A3 and baseline1000, every RSA subroutine on every builtin, and the
-Fermi-Hubbard sweep over baseline1000, A1, A2 and A3.  Together they reach
-both schedulers, every memory kind, the multi-core and the specialty-core
-builtins.  Two more cases, printed last, reach the config path: a ``run``
+on A2, A3 and baseline1000, every RSA subroutine on every builtin, the
+Fermi-Hubbard sweep over baseline1000, A1, A2 and A3, and an 8-bit Cuccaro
+adder swept over B1-B6, A1, A2 and Mono.  Together they reach both
+schedulers, every memory kind, the multi-core and the specialty-core
+builtins, and in a sweep the architectures that share one lowering or one
+modular plan: B1-B3 and B4-B6 with their multi-core and ASQPU plans, the
+CCZ and the T factory, and the grid model.  Two more cases, printed last, reach the config path: a ``run``
 with ``--override`` options, and one on an architecture read back from the
 config file that ``hetqc arch --out`` wrote.  Stdlib only; about ten
 seconds on one core.
@@ -40,6 +45,12 @@ AQFT = "aqft:n=1000,k_th=9"
 HUBBARD = "hubbard:lx=16,ly=16,steps=2"
 RSA_KINDS = ("adder33", "lookup6", "phaseup6")
 ARTIFACTS = ("schedule.txt", "summary.json", "budget.csv")
+SWEEP_ARTIFACTS = ("comparison.csv", "summary.json")
+#: (workload, --archs) of every ``sweep`` case, in printing order
+SWEEP_CASES = (
+    (HUBBARD, "baseline1000,A1,A2,A3"),
+    ("cuccaro:bits=8", "B1,B2,B3,B4,B5,B6,A1,A2,Mono"),
+)
 
 #: the ``arch`` call that writes the config file, shown as <cfg>, and the
 #: ``run`` cases of the config path
@@ -81,12 +92,17 @@ def _print_stdout(stdout: str) -> None:
         print(f"  | {line}")
 
 
-def _print_run(args: list[str], out: Path, shown: str) -> None:
-    code, stdout = _call(["run"] + args, out)
-    print(f"run {shown} exit={code}")
-    for name in ARTIFACTS:
+def _print_call(command: str, args: list[str], out: Path, shown: str,
+                artifacts: tuple[str, ...]) -> None:
+    code, stdout = _call([command] + args, out)
+    print(f"{command} {shown} exit={code}")
+    for name in artifacts:
         print(f"  {name} {_sha256(out / name)}")
     _print_stdout(stdout)
+
+
+def _print_run(args: list[str], out: Path, shown: str) -> None:
+    _print_call("run", args, out, shown, ARTIFACTS)
 
 
 def main_matrix() -> None:
@@ -94,11 +110,10 @@ def main_matrix() -> None:
         for i, (workload, arch) in enumerate(run_cases()):
             _print_run(["--workload", workload, "--arch", arch],
                        Path(tmp) / str(i), f"{workload} {arch}")
-        archs = "baseline1000,A1,A2,A3"
-        code, stdout = _call(["sweep", "--workload", HUBBARD,
-                              "--archs", archs], None)
-        print(f"sweep {HUBBARD} {archs} exit={code}")
-        _print_stdout(stdout)
+        for i, (workload, archs) in enumerate(SWEEP_CASES):
+            _print_call("sweep", ["--workload", workload, "--archs", archs],
+                        Path(tmp) / f"sweep{i}", f"{workload} {archs}",
+                        SWEEP_ARTIFACTS)
         cfg = Path(tmp) / "arch.cfg"
         code, stdout = _call(ARCH_EXPORT, cfg)
         print(f"{' '.join(ARCH_EXPORT)} --out <cfg> exit={code} "
