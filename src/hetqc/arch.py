@@ -158,9 +158,11 @@ def validate(spec: ArchitectureSpec) -> list[str]:
     """Structural diagnostics; an empty list means the architecture is usable.
 
     It also fixes the one shape later stages rely on: one QPU, at most one
-    factory, each link from a compute module (``a``) to a memory (``b``),
-    each memory and ASQPU linked, and the QPU too when there is memory.  So
-    whether there is a memory module alone picks the model.
+    factory and at most one memory of each kind, each link from a compute
+    module (``a``) to a memory (``b``), each memory and ASQPU linked, and
+    the QPU too when there is memory.  So whether there is a memory module
+    alone picks the model, and the resource count, which prices one STQM
+    and one RAQM, sees every memory the scheduler uses.
     """
     out: list[str] = []
     seen: set[str] = set()
@@ -248,7 +250,7 @@ def validate(spec: ArchitectureSpec) -> list[str]:
             out.append(f"{where}: eps_tele outside [0, 1)")
     if not any(m.kind == "QPU" for m in spec.modules):
         out.append("architecture has no QPU module")
-    for kind in ("QPU", "QSF"):
+    for kind in ("QPU", "QSF") + _MEMORY_KINDS:
         if len(spec.by_kind(kind)) > 1:
             out.append(f"architecture has more than one {kind} module")
     return out

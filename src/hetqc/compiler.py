@@ -22,8 +22,11 @@ read-only columnar sequence of the router's :class:`RouterDecision` records.
 
 Each stage keeps only what a later one reads: the modular scheduler frees
 its unitary blocks once they are assigned to cores, keeping their count,
-and holds its per-gate tables as arrays rather than lists of ints.  It
-resolves each (memory, compute module) pair's bare hop once, when built.
+and holds its per-gate tables as arrays rather than lists of ints.  The
+per-gate loops do only per-event work: each core's cycle time and
+``log1p(-eps_cycle)`` and each (memory, compute module) pair's bare hop
+and passive storage constants are bound once.  The grid model routes on
+flat positions and needs no detour (:func:`_schedule_grid`).
 
 The compiles of one circuit on several architectures share their front
 end (:class:`_FrontEnd`): the circuit is validated once and lowered once
@@ -581,15 +584,20 @@ def consolidate_blocks(lowered: list[LoweredGate],
     max_qubits = max(max_qubits, max_arity)
     blocks: list[UnitaryBlock] = []
     last_touch: dict[int, int] = {}
+    touched = last_touch.get
     # tag -> [need] -> ascending indices of blocks with room >= need
     open_blocks: dict[str | None, list[list[int]]] = {}
     for gi, g in enumerate(lowered):
-        qubits = g.qubits
-        frontier = max(map(last_touch.get, qubits, repeat(0)), default=0)
+        qubits, tag = g.qubits, g.tag
+        frontier = 0
+        for q in qubits:
+            b = touched(q, 0)
+            if b > frontier:
+                frontier = b
         chosen = None
         if frontier < len(blocks):
             b = blocks[frontier]
-            if b.tag == g.tag:
+            if b.tag == tag:
                 # the union test: room for the qubits b does not hold yet
                 held = b.qubits
                 room = max_qubits - len(held)
@@ -598,18 +606,20 @@ def consolidate_blocks(lowered: list[LoweredGate],
                         room -= 1
                 if room >= 0:
                     chosen = b
-        if chosen is None and g.tag in open_blocks:
+        by_room = open_blocks.get(tag)
+        if chosen is None and by_room is not None:
             # operands are distinct, so the gate needs one slot for each
-            fits = open_blocks[g.tag][len(qubits)]
+            fits = by_room[len(qubits)]
             i = bisect_right(fits, frontier)
             if i < len(fits):
                 chosen = blocks[fits[i]]
         if chosen is None:
-            chosen = UnitaryBlock(len(blocks), [], set(), g.tag)
+            chosen = UnitaryBlock(len(blocks), [], set(), tag)
             blocks.append(chosen)
-            if g.tag not in open_blocks:
-                open_blocks[g.tag] = [[] for _ in range(max_arity + 1)]
-            for fits in open_blocks[g.tag]:
+            if by_room is None:
+                by_room = open_blocks[tag] = [[] for _ in
+                                              range(max_arity + 1)]
+            for fits in by_room:
                 fits.append(chosen.index)
         index, held = chosen.index, chosen.qubits
         before = len(held)
@@ -618,13 +628,12 @@ def consolidate_blocks(lowered: list[LoweredGate],
         free = max_qubits - len(held)
         if free < max_arity and len(held) > before:
             # drop the block from the lists of needs it no longer meets
-            by_room = open_blocks[g.tag]
             for need in range(free + 1,
                               min(max_qubits - before, max_arity) + 1):
                 fits = by_room[need]
                 del fits[bisect_left(fits, index)]
         for q in qubits:
-            prev = last_touch.get(q)
+            prev = touched(q)
             if prev is not None and prev != index:
                 chosen.deps.add(prev)
             last_touch[q] = index
@@ -708,6 +717,8 @@ class _Core:
     capacity: int
     costs: dict[str, tuple[int, float]]
     eps_cycle: float
+    t_cycle: float
+    log_keep: float  # log1p(-eps_cycle), see _log_keep
     t_free: float = 0.0
     residents: dict[int, float] = field(default_factory=dict)  # q -> busy end
     incoming: dict[int, float] = field(default_factory=dict)   # q -> arrival
@@ -716,8 +727,13 @@ class _Core:
     pool: _Pool | None = None  # magic-state supply
     idle_ids: dict[int, int] = field(default_factory=dict)  # q -> idle key id
 
-    def slots_used(self) -> int:
-        return len(self.residents) + len(self.incoming)
+
+def _log_keep(eps_cycle: float) -> float:
+    """``log1p(-eps_cycle)``, checked as in :func:`idle_error`, so that
+    ``-math.expm1(cycles * log)`` is ``idle_error(eps_cycle, cycles)``."""
+    if not 0 <= eps_cycle < 1:
+        raise ValueError("eps_cycle outside [0, 1)")
+    return math.log1p(-eps_cycle)
 
 
 def _build_cores(arch: ArchitectureSpec,
@@ -732,10 +748,11 @@ def _build_cores(arch: ArchitectureSpec,
         # an ASQPU's cores share its own magic-state pool
         pool = shared if m.kind != "ASQPU" else _Pool(
             ASQPU_FACTORY_UNITS, 4 * m.code.distance, m.t_cycle_s)
+        eps, log_keep = costs["1q"][1], _log_keep(costs["1q"][1])
         for ci in range(m.cores):
             cores.append(_Core(m, len(cores), f"{m.id}:core{ci}",
-                               m.capacity_per_core, costs, costs["1q"][1],
-                               pool=pool))
+                               m.capacity_per_core, costs, eps, m.t_cycle_s,
+                               log_keep, pool=pool))
     return cores
 
 
@@ -948,12 +965,16 @@ class _Memory:
     t_qm_eff: float
     stretched: bool
     eps_cycle: float | None                # None when storage is passive
+    log_keep: float | None                 # log1p(-eps_cycle), or None
     swap_dist: list[int]                   # per cell, all zero if k_swap == 0
     cells: dict[int, _Cell] = field(default_factory=dict)  # qubit -> cell
     write_end: dict[int, float] = field(default_factory=dict)
     # linked compute module id -> its bare boundary hop, resolved up front
     hops: dict[str, TransferResult | _InfeasibleHop] = field(
         default_factory=dict)
+    # passive storage: linked compute module id -> (eps_qpu, d_qpu, eps_th,
+    # eps_tele, t2_s, bare hop error), the error None for a refused hop
+    passive: dict[str, tuple] = field(default_factory=dict)
 
     # transfer legs: physical transport inside the memory lattice before and
     # after the boundary hop, three memory CNOTs per swap step
@@ -992,10 +1013,9 @@ class _Scheduler:
         self.n_blocks = plan.n_blocks
         for core, stream in zip(self.cores, plan.streams):
             core.stream = stream
-        self.core_of_gate, self.cycle_at = plan.core_of_gate, plan.cycle_at
-        self.touches, self.first_slot = plan.touches, plan.first_slot
-        self.prev_gate, self.next_gate = plan.prev_gate, plan.next_gate
+        self.plan = plan
         self.q_mem: dict[int, _Memory] = {}
+        self.st_count = 0  # transfers, added to the counters at the end
 
     # -- construction ------------------------------------------------------
 
@@ -1016,10 +1036,18 @@ class _Scheduler:
                 eps_cycle = logical_error_per_cycle(
                     m.modality.p_phys, m.modality.p_th, m.code.distance)
             mem = _Memory(m, links, t_eff, stretched, eps_cycle,
+                          None if eps_cycle is None else _log_keep(eps_cycle),
                           _swap_distances(m.n_logical, m.k_swap))
             for core in self.cores:
-                if core.module.id in links and core.module.id not in mem.hops:
-                    mem.hops[core.module.id] = self._bare_hop(mem, core)
+                mid, c = core.module.id, core.module
+                if mid in links and mid not in mem.hops:
+                    hop = mem.hops[mid] = self._bare_hop(mem, core)
+                    if eps_cycle is None:
+                        mem.passive[mid] = (
+                            core.eps_cycle, c.code.distance, c.modality.p_th,
+                            links[mid].eps_tele, m.modality.t2_s,
+                            None if isinstance(hop, _InfeasibleHop)
+                            else hop.error)
             mems.append(mem)
         # short-term memory is the preferred eviction target
         mems.sort(key=lambda mm: (mm.module.kind != "STQM", mm.module.id))
@@ -1052,29 +1080,9 @@ class _Scheduler:
             core.idle_ids[q] = self.events.intern((
                 "idle_buffer", core.module.id, f"{core.module.id}:q{q}",
                 (q,), "resident_idle", "qpu_idle"))
-        self.events.add_id(last, dur, core.idle_ids[q], idle_error(
-            core.eps_cycle, dur / core.module.t_cycle_s))
+        self.events.add_id(last, dur, core.idle_ids[q],
+                           -math.expm1(dur / core.t_cycle * core.log_keep))
         core.residents[q] = until
-
-    def _next_touch(self, q: int, after_gate: int) -> int | None:
-        lst = self.touches[q]
-        i = bisect_right(lst, after_gate)
-        return lst[i] if i < len(lst) else None
-
-    def _memory_for(self, q: int, core: _Core) -> _Memory:
-        """The memory holding q, claiming a free reachable cell if none."""
-        mem = self.q_mem.get(q)
-        if mem is not None:
-            return mem
-        mem = self._probe_memory(core)
-        if mem is None:
-            raise CompileError(
-                f"no reachable memory cell for qubit {q} from {core.lane}; "
-                "compute capacity exhausted")
-        mem.cells[q] = _Cell(f"{mem.module.id}:q{q}", (q,),
-                             *mem.legs(len(mem.cells)))
-        self.q_mem[q] = mem
-        return mem
 
     def _probe_memory(self, core: _Core) -> _Memory | None:
         """A reachable memory with a free cell."""
@@ -1108,16 +1116,20 @@ class _Scheduler:
     def _storage_error(self, mem: _Memory, core: _Core,
                        dwell_s: float) -> float:
         """Error a read adds to its bare hop after ``dwell_s`` in the cell."""
-        if mem.eps_cycle is not None:
-            return idle_error(mem.eps_cycle, dwell_s / mem.t_qm_eff)
+        # the arithmetic of idle_error, or of transversal_error below
+        if mem.log_keep is not None:
+            return -math.expm1(dwell_s / mem.t_qm_eff * mem.log_keep)
         # passive store, linked transversally: the dwell's physical error
         # rides through the hop and is corrected on arrival; charge only
         # the residue
-        full = transversal_error(
-            core.eps_cycle, core.module.code.distance,
-            core.module.modality.p_th, mem.links[core.module.id].eps_tele,
-            dwell_s / mem.module.modality.t2_s)
-        return max(full - mem.hops[core.module.id].error, 0.0)
+        eps_qpu, d, eps_th, eps_tele, t2_s, hop_err = \
+            mem.passive[core.module.id]
+        residue = dwell_s / t2_s + eps_tele
+        if eps_th <= 0 or residue >= eps_th:
+            # refused, as a refused hop is at any dwell: this raises
+            transversal_error(eps_qpu, d, eps_th, eps_tele, dwell_s / t2_s)
+        return max(2 * eps_qpu + (residue / eps_th) ** ((d + 1) / 2)
+                   - hop_err, 0.0)
 
     def _align(self, t: float) -> tuple[float, float]:
         """(t rounded up to a compute boundary, pad) on a stretched memory."""
@@ -1129,7 +1141,16 @@ class _Scheduler:
     def _write_out(self, core: _Core, q: int, t: float, reason: str,
                    gap_cycles: int = 0, cost_keep: float = math.inf,
                    cost_move: float = 0.0) -> None:
-        mem = self._memory_for(q, core)
+        mem = self.q_mem.get(q)
+        if mem is None:  # first write: claim a free reachable cell
+            mem = self._probe_memory(core)
+            if mem is None:
+                raise CompileError(
+                    f"no reachable memory cell for qubit {q} from "
+                    f"{core.lane}; compute capacity exhausted")
+            self.q_mem[q] = mem
+            mem.cells[q] = _Cell(f"{mem.module.id}:q{q}", (q,),
+                                 *mem.legs(len(mem.cells)))
         self._charge_idle(core, q, t)
         del core.residents[q]
         cell = mem.cells[q]
@@ -1140,8 +1161,7 @@ class _Scheduler:
             if pad > 0:
                 events.add(t0 - pad, pad, "qec_cycle_stretch",
                            core.module.id, cell.lane, cell.qs, "clock_pad",
-                           idle_error(core.eps_cycle,
-                                      pad / core.module.t_cycle_s),
+                           -math.expm1(pad / core.t_cycle * core.log_keep),
                            "qpu_idle")
         hop = mem.hops[core.module.id]
         hop_dur = hop.duration_s
@@ -1150,7 +1170,7 @@ class _Scheduler:
                 "transfer_write", mem.module.id, cell.lane, cell.qs, "write",
                 "transfer"))
         events.add_id(t0, hop_dur, cell.write_id, hop.error)
-        self.counters["st_count"] += 1
+        self.st_count += 1
         t_cell = t0 + hop_dur
         if cell.dist:
             events.add(t_cell, cell.leg_dur, "swap_route", mem.module.id,
@@ -1205,8 +1225,7 @@ class _Scheduler:
             if pad > 0:
                 events.add(t_legs, pad, "qec_cycle_stretch", core.module.id,
                            cell.lane, cell.qs, "clock_pad",
-                           idle_error(core.eps_cycle,
-                                      pad / core.module.t_cycle_s),
+                           -math.expm1(pad / core.t_cycle * core.log_keep),
                            "qpu_idle")
         t_arrive = t_read + hop_dur
         if cell.read_id < 0:
@@ -1214,7 +1233,7 @@ class _Scheduler:
                 "transfer_read", mem.module.id, cell.lane, cell.qs, "read",
                 "transfer"))
         events.add_id(t_read, hop_dur, cell.read_id, hop.error)
-        self.counters["st_count"] += 1
+        self.st_count += 1
         core.incoming[q] = t_arrive
         return t_arrive
 
@@ -1224,12 +1243,13 @@ class _Scheduler:
         if not victims:
             raise CompileError(f"core {core.lane} has no evictable slot "
                                f"(capacity {core.capacity})")
-        gate_now = (core.stream[core.pos] if core.pos < len(core.stream)
-                    else _FAR)
+        gate_now = core.stream[core.pos]
 
         def farness(q: int):
-            nxt = self._next_touch(q, gate_now)
-            return (-(nxt if nxt is not None else _FAR), q)
+            # the latest next touch first, and none latest of all
+            touches = self.plan.touches[q]
+            i = bisect_right(touches, gate_now)
+            return (-(touches[i] if i < len(touches) else _FAR), q)
 
         victim = min(victims, key=farness)
         self._write_out(core, victim, max(t, core.residents[victim]),
@@ -1250,7 +1270,7 @@ class _Scheduler:
                 owner.residents[q] = arrival
             self._write_out(owner, q, max(t_issue, owner.residents[q]),
                             "cross_core")
-        while core.slots_used() >= core.capacity:
+        while len(core.residents) + len(core.incoming) >= core.capacity:
             self._force_slot(core, t_issue, protected)
         mem = self.q_mem.get(q)
         if mem is not None and q in mem.write_end:
@@ -1262,31 +1282,125 @@ class _Scheduler:
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> ScheduledProgram:
-        done = 0
-        total = len(self.lowered)
+        """Run the cores' streams, visiting the cores in turn.
+
+        A gate runs once each operand's previous gate has.  Per gate the
+        loop fetches the operands, charges their idle time, appends the
+        gate, reads the next gate's operands ahead and keeps or moves each
+        operand.  A core's fields, its cycle time and ``log1p(-eps_cycle)``
+        among them, are bound once per visit; ``pos`` is stored back before
+        any call that can evict, since ``_force_slot`` reads it.
+        """
+        lowered, q_mem, plan = self.lowered, self.q_mem, self.plan
+        first, prev, next_gate = plan.first_slot, plan.prev_gate, \
+            plan.next_gate
+        core_of_gate, cycle_at = plan.core_of_gate, plan.cycle_at
+        add, audit_add, expm1 = self.events.add, self.audit.add, math.expm1
+        done, total = 0, len(lowered)
         # one flag per gate plus a set one at the end, which a previous
         # gate of -1 (none) reads
         scheduled = bytearray(total + 1)
         scheduled[total] = 1
-        first, prev = self.first_slot, self.prev_gate
         while done < total:
-            progress = False
+            done_before = done
             for core in self.cores:
-                while core.pos < len(core.stream):
-                    gi = core.stream[core.pos]
+                stream, pos, n_stream = core.stream, core.pos, len(core.stream)
+                residents, incoming = core.residents, core.incoming
+                costs, capacity, pool = core.costs, core.capacity, core.pool
+                mid, lane, index = core.module.id, core.lane, core.index
+                t_cyc, log_keep, t_free = core.t_cycle, core.log_keep, \
+                    core.t_free
+                while pos < n_stream:
+                    gi = stream[pos]
+                    slot = first[gi]
                     blocked = False
-                    for s in range(first[gi], first[gi + 1]):
+                    for s in range(slot, first[gi + 1]):
                         if not scheduled[prev[s]]:
                             blocked = True
                             break
                     if blocked:
                         break
-                    self._execute(core, gi, self.lowered[gi])
+                    g = lowered[gi]
+                    qubits = g.qubits
+                    if len(qubits) > capacity:
+                        raise CompileError(
+                            f"gate {g.label} needs {len(qubits)} slots, "
+                            f"core {lane} holds {capacity}")
+                    start = t_free
+                    for q in qubits:
+                        ready = residents.get(q, incoming.get(q))
+                        if ready is None:
+                            core.pos = pos
+                            ready = self._ensure_operand(core, q, t_free,
+                                                         qubits)
+                        if ready > start:
+                            start = ready
+                    cost_key = g.cost_key
+                    cycles, err = costs[cost_key]
+                    if g.magic and pool is not None:
+                        start = max(start, pool.take(g.magic))
+                    for q in qubits:
+                        arrival = incoming.pop(q, None)
+                        if arrival is not None:
+                            residents[q] = arrival
+                        if start > residents[q] + 1e-15:
+                            self._charge_idle(core, q, start)
+                    dur = cycles * t_cyc
+                    add(start, dur, _INJECT_KINDS.get(cost_key, "gate"), mid,
+                        lane, qubits, g.label, err, g.category)
+                    end = t_free = start + dur
+                    for q in qubits:
+                        residents[q] = end
+                    # read the next gate's stored operands ahead
+                    if pos + 1 < n_stream:
+                        for q in lowered[stream[pos + 1]].qubits:
+                            mem = q_mem.get(q)
+                            if (mem is not None and q in mem.write_end
+                                    and len(residents) + len(incoming)
+                                    < capacity):
+                                self._read_in(core, q, start, target_s=end)
+                    # keep or move each operand
+                    end_cycle = cycle_at[gi] + cycles
+                    for s, q in enumerate(qubits, slot):
+                        nxt = next_gate[s]
+                        if nxt < 0:
+                            if cost_key == "measure":
+                                # measured out: the slot is simply released
+                                del residents[q]
+                            else:
+                                self._write_out(core, q, end, "terminal")
+                            continue
+                        if core_of_gate[nxt] != index:
+                            self._write_out(core, q, end, "cross_core")
+                            continue
+                        gap = cycle_at[nxt] - end_cycle
+                        if gap <= 0:
+                            continue
+                        mem = q_mem.get(q) or self._probe_memory(core)
+                        if mem is None:
+                            continue
+                        cost_keep = -expm1(gap * log_keep)
+                        cell = mem.cells.get(q)
+                        leg_err = cell.leg_err if cell is not None else 0.0
+                        try:
+                            # a write and a read, each over the bare hop
+                            hop_err = mem.hops[mid].error
+                            cost_move = hop_err + hop_err + \
+                                self._storage_error(mem, core, gap * t_cyc) \
+                                + 2 * leg_err
+                        except TransferInfeasible:
+                            cost_move = math.inf
+                        if cost_move < cost_keep:
+                            self._write_out(core, q, end, "router", gap,
+                                            cost_keep, cost_move)
+                        else:
+                            audit_add(end, lane, q, gap, cost_keep,
+                                      cost_move, False, "router")
                     scheduled[gi] = 1
-                    core.pos += 1
+                    pos += 1
                     done += 1
-                    progress = True
-            if not progress:
+                core.pos, core.t_free = pos, t_free
+            if done == done_before:
                 raise CompileError("scheduler stalled on a dependency cycle")
         makespan = self.events.makespan()
         for core in self.cores:
@@ -1294,92 +1408,10 @@ class _Scheduler:
                 self._charge_idle(core, q, makespan)
         self._terminal_storage(makespan)
         makespan = self.events.makespan()
+        self.counters["st_count"] += self.st_count
         return ScheduledProgram(self.circuit.name, self.arch.name,
                                 self.events, makespan, self.counters,
                                 self.audit, self.n_blocks, self.warnings)
-
-    def _execute(self, core: _Core, gi: int, g: LoweredGate) -> None:
-        if len(g.qubits) > core.capacity:
-            raise CompileError(
-                f"gate {g.label} needs {len(g.qubits)} slots, core "
-                f"{core.lane} holds {core.capacity}")
-        start = t_issue = core.t_free
-        residents, incoming = core.residents, core.incoming
-        for q in g.qubits:
-            ready = residents.get(q, incoming.get(q))
-            if ready is None:
-                ready = self._ensure_operand(core, q, t_issue, g.qubits)
-            if ready > start:
-                start = ready
-        cycles, err = core.costs[g.cost_key]
-        if g.magic and core.pool is not None:
-            start = max(start, core.pool.take(g.magic))
-        for q in g.qubits:
-            arrival = incoming.pop(q, None)
-            if arrival is not None:
-                residents[q] = arrival
-            self._charge_idle(core, q, start)
-        dur = cycles * core.module.t_cycle_s
-        self.events.add(start, dur, _INJECT_KINDS.get(g.cost_key, "gate"),
-                        core.module.id, core.lane, g.qubits, g.label, err,
-                        g.category)
-        end = core.t_free = start + dur
-        for q in g.qubits:
-            residents[q] = end
-        self._prefetch(core, start)
-        self._route(core, gi, g, end, self.cycle_at[gi] + cycles)
-
-    def _prefetch(self, core: _Core, t_now: float) -> None:
-        nxt = core.pos + 1
-        if nxt >= len(core.stream):
-            return
-        for q in self.lowered[core.stream[nxt]].qubits:
-            # only a qubit in a memory cell is read ahead; it is on no core
-            mem = self.q_mem.get(q)
-            if (mem is not None and q in mem.write_end
-                    and core.slots_used() < core.capacity):
-                self._read_in(core, q, t_now, target_s=core.t_free)
-
-    def _route(self, core: _Core, gi: int, g: LoweredGate, t_end: float,
-               end_cycle: int) -> None:
-        """Keep or move each operand of gate ``gi``, which ends at
-        ``t_end``, ``end_cycle`` cycles into its core's stream."""
-        for s, q in enumerate(g.qubits, self.first_slot[gi]):
-            if q not in core.residents:
-                continue
-            nxt = self.next_gate[s]
-            if nxt < 0:
-                if g.cost_key == "measure":
-                    # measured out: the slot is simply released
-                    del core.residents[q]
-                else:
-                    self._write_out(core, q, t_end, "terminal")
-                continue
-            if self.core_of_gate[nxt] != core.index:
-                self._write_out(core, q, t_end, "cross_core")
-                continue
-            gap = self.cycle_at[nxt] - end_cycle
-            if gap <= 0:
-                continue
-            mem = self.q_mem.get(q) or self._probe_memory(core)
-            if mem is None:
-                continue
-            cost_keep = idle_error(core.eps_cycle, gap)
-            cell = mem.cells.get(q)
-            leg_err = cell.leg_err if cell is not None else 0.0
-            try:
-                # a write and a read, each over the bare hop
-                hop_err = mem.hops[core.module.id].error
-                cost_move = hop_err + hop_err + self._storage_error(
-                    mem, core, gap * core.module.t_cycle_s) + 2 * leg_err
-            except TransferInfeasible:
-                cost_move = math.inf
-            if cost_move < cost_keep:
-                self._write_out(core, q, t_end, "router", gap, cost_keep,
-                                cost_move)
-            else:
-                self.audit.add(t_end, core.lane, q, gap, cost_keep,
-                               cost_move, False, "router")
 
     def _terminal_storage(self, makespan: float) -> None:
         for mem in self.memories:
@@ -1422,98 +1454,86 @@ def _schedule_grid(front: _FrontEnd, job: _Job) -> ScheduledProgram:
     any; every mapped qubit is charged idle error over the whole makespan
     outside its own gate time.  ``schedule`` runs this model on a validated
     architecture without memory modules: one QPU and at most one factory.
+
+    A gate's second and third operands are swapped, a step at a time, to
+    within distance 1 and 2 of its first: along the column while the rows
+    differ, then along the row.  A step lands at distance d - 1 >= stop, so
+    it never swaps the first operand (at 0) or a placed second (at most 1)
+    and needs no detour.  Positions are flat ``row * side + col`` ints.
     """
     circuit, arch, qpu, qsf = front.circuit, job.arch, job.qpu, job.qsf
     if circuit.n_qubits > qpu.n_logical:
         raise CompileError(f"{circuit.n_qubits} qubits exceed the device's "
                            f"{qpu.n_logical}")
     lowering = front.lowering(job)
-    lowered = lowering.gates
     costs = _module_costs(qpu, qsf)
-    eps = costs["1q"][1]
     t_cyc = qpu.t_cycle_s
     n = circuit.n_qubits
     side = math.isqrt(n - 1) + 1 if n else 1
-    pos = {q: (q // side, q % side) for q in range(n)}
-    cell = {p: q for q, p in pos.items()}
+    pos = list(range(n))  # qubit -> flat position, row-major from 0
+    cell = pos + [-1] * (side * side - n)  # flat position -> qubit, or -1
     events = EventStore()
-    counters = dict(lowering.counters)
-    busy = {q: 0.0 for q in range(n)}
+    add, add_id, intern = events.add, events.add_id, events.intern
+    busy = [0.0] * n
     lane = f"{qpu.id}:core0"
     t = 0.0
     pool = _factory_pool(qsf) if qsf is not None else None
-    swap_cycles = 3 * qpu.code.distance
+    swap_dur = 3 * qpu.code.distance * t_cyc
     swap_err = -math.expm1(3 * math.log1p(-costs["2q"][1]))
-
-    def do_swap(a_pos, b_pos):
-        nonlocal t
-        qa, qb = cell.get(a_pos), cell.get(b_pos)
-        moved = tuple(q for q in (qa, qb) if q is not None)
-        events.add(t, swap_cycles * t_cyc, "swap_route", qpu.id, lane, moved,
-                   "swap", swap_err, "gate_2q")
-        counters["swap_count"] += 1
-        counters["cnot_count"] += 3
-        for q in moved:
-            busy[q] += swap_cycles * t_cyc
-        cell.pop(a_pos, None)
-        cell.pop(b_pos, None)
-        if qa is not None:
-            pos[qa] = b_pos
-            cell[b_pos] = qa
-        if qb is not None:
-            pos[qb] = a_pos
-            cell[a_pos] = qb
-        t += swap_cycles * t_cyc
-
-    def route(mover: int, anchor: int, stop_dist: int,
-              avoid: set[int]) -> None:
-        steps_left = 4 * side * side
-        while True:
-            (mr, mc), (ar, ac) = pos[mover], pos[anchor]
-            if abs(mr - ar) + abs(mc - ac) <= stop_dist:
-                return
-            steps_left -= 1
-            if steps_left < 0:
-                raise CompileError("grid routing failed to converge")
-            cands = []
-            if mr != ar:
-                cands.append((mr + (1 if ar > mr else -1), mc))
-            if mc != ac:
-                cands.append((mr, mc + (1 if ac > mc else -1)))
-            for nxt in cands:
-                occupant = cell.get(nxt)
-                if occupant == anchor or occupant in avoid:
-                    continue
-                do_swap(pos[mover], nxt)
-                break
-            else:  # both forward steps blocked by protected patches
-                detour_r = mr + (1 if mr < side - 1 else -1)
-                do_swap(pos[mover], (detour_r, mc))
-
-    for g in lowered:
-        if len(g.qubits) >= 2:
-            anchor = g.qubits[0]
-            placed = {anchor}
-            for extra, stop in zip(g.qubits[1:], (1, 2)):
-                route(extra, anchor, stop, placed)
-                placed.add(extra)
+    swap_ids: dict[int, int] = {}  # mover * (n + 1) + occupant + 1 -> id
+    for g in lowering.gates:
+        qubits = g.qubits
+        if len(qubits) >= 2:
+            ar, ac = divmod(pos[qubits[0]], side)
+            for mover, stop in zip(qubits[1:], (1, 2)):
+                p = pos[mover]
+                mr, mc = divmod(p, side)
+                for _ in range(abs(mr - ar) + abs(mc - ac) - stop):
+                    if mr != ar:
+                        step = side if ar > mr else -side
+                        mr += step // side
+                    else:  # stops short of column ac, so never turns
+                        step = 1 if ac > mc else -1
+                    occupant = cell[p + step]
+                    k = mover * (n + 1) + occupant + 1
+                    key_id = swap_ids.get(k)
+                    if key_id is None:
+                        key_id = swap_ids[k] = intern((
+                            "swap_route", qpu.id, lane,
+                            (mover, occupant) if occupant >= 0
+                            else (mover,), "swap", "gate_2q"))
+                    add_id(t, swap_dur, key_id, swap_err)
+                    busy[mover] += swap_dur
+                    if occupant >= 0:
+                        busy[occupant] += swap_dur
+                        pos[occupant] = p
+                    cell[p] = occupant
+                    p += step
+                    cell[p] = mover
+                    t += swap_dur
+                pos[mover] = p
         cycles, err = costs[g.cost_key]
         if g.magic and pool is not None:
             t = max(t, pool.take(g.magic))
         dur = cycles * t_cyc
-        events.add(t, dur, _INJECT_KINDS.get(g.cost_key, "gate"), qpu.id,
-                   lane, g.qubits, g.label, err, g.category)
-        for q in g.qubits:
+        add(t, dur, _INJECT_KINDS.get(g.cost_key, "gate"), qpu.id, lane,
+            qubits, g.label, err, g.category)
+        for q in qubits:
             busy[q] += dur
         t += dur
 
     makespan = t
+    n_swaps = len(events) - len(lowering.gates)  # the other events
+    counters = dict(lowering.counters)
+    counters["swap_count"] += n_swaps
+    counters["cnot_count"] += 3 * n_swaps
     for q in range(n):
         dur = makespan - busy[q]
         if dur <= 0:
             continue
-        events.add(0.0, dur, "idle_buffer", qpu.id, f"{qpu.id}:q{q}", (q,),
-                   "mapped_idle", idle_error(eps, dur / t_cyc), "qpu_idle")
+        add(0.0, dur, "idle_buffer", qpu.id, f"{qpu.id}:q{q}", (q,),
+            "mapped_idle", idle_error(costs["1q"][1], dur / t_cyc),
+            "qpu_idle")
     return ScheduledProgram(circuit.name, arch.name, events, makespan,
                             counters, AuditStore(), 1, [])
 

@@ -214,6 +214,18 @@ def test_validate_flags_structural_problems():
     spec.modules.append(dataclasses.replace(ccz, id="qsf1"))
     assert validate(spec) == ["architecture has more than one QSF module"]
 
+    # the resource count prices one memory of each kind: A1 with a second
+    # linked STQM once counted 825,030 qubits, as A1 alone
+    for name, kind in (("A1", "STQM"), ("B2", "STQM"), ("A2", "RAQM"),
+                       ("B2", "RAQM")):
+        spec = builtin_architecture(name)
+        mem = spec.by_kind(kind)[0]
+        spec.modules.append(dataclasses.replace(mem, id=f"{kind.lower()}9"))
+        spec.links.append(dataclasses.replace(spec.links_of(mem.id)[0],
+                                              b=f"{kind.lower()}9"))
+        assert validate(spec) == \
+            [f"architecture has more than one {kind} module"], name
+
     # the compute side comes first, and the other end is a memory
     for a, b in (("stqm0", "qpu0"), ("qpu0", "qsf0")):
         spec = builtin_architecture("A1")

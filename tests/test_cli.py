@@ -206,7 +206,23 @@ def _a1_second_factory():
     return spec
 
 
-@pytest.mark.parametrize("make", [_a1_unlinked, _a1_second_factory])
+def _a1_second_stqm():
+    # once scheduled on both memories but priced as A1 alone
+    spec = builtin_architecture("A1")
+    spec.modules.append(dataclasses.replace(spec.module("stqm0"), id="stqm1"))
+    spec.links.append(dataclasses.replace(spec.links[0], b="stqm1"))
+    return spec
+
+
+def _a2_second_raqm():
+    spec = builtin_architecture("A2")
+    spec.modules.append(dataclasses.replace(spec.module("raqm0"), id="raqm1"))
+    spec.links.append(dataclasses.replace(spec.links[0], b="raqm1"))
+    return spec
+
+
+@pytest.mark.parametrize("make", [_a1_unlinked, _a1_second_factory,
+                                  _a1_second_stqm, _a2_second_raqm])
 @pytest.mark.parametrize("command", [
     ["run", "--workload", "aqft:n=2", "--arch"],
     ["sweep", "--workload", "aqft:n=2", "--archs"],

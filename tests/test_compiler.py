@@ -369,6 +369,51 @@ def test_baseline_routes_distant_pairs():
     assert any(ev.kind == "swap_route" for ev in prog.events)
 
 
+def _grid_routing_swaps(prog):
+    """(gate qubits, its routing swaps' moved qubits) per grid gate, read
+    in emission order: a gate's swaps are the ones right before it."""
+    keys, pending = prog.events.keys, []
+    for key_id in prog.events.key:
+        kind, _, _, qubits, _, _ = keys[key_id]
+        if kind == "swap_route":
+            pending.append(qubits)
+        elif kind != "idle_buffer":
+            yield qubits, pending
+            pending = []
+    assert not pending
+
+
+@pytest.mark.parametrize("arch_name", ["Mono", "baseline1000"])
+def test_grid_router_never_moves_a_placed_operand(arch_name):
+    # each routing step goes toward the gate's first operand and lands at
+    # distance >= its stop, so the first operand and a placed second one
+    # are never swapped away, and the router needs no detour
+    arch = builtin_architecture(arch_name)
+    rng = random.Random(13)
+    n_swaps = 0
+    for n in (3, 5, 9, 10, 24, 37, 64, 90):
+        for _ in range(4):
+            c = LogicalCircuit(f"grid{n}", n)
+            for _ in range(rng.randint(1, 60)):
+                kind = rng.choice(("CNOT", "Toffoli", "CCZ"))
+                c.add(kind, *rng.sample(range(n), 2 if kind == "CNOT" else 3))
+            prog = schedule(c, arch)
+            for qubits, swaps in _grid_routing_swaps(prog):
+                n_swaps += len(swaps)
+                # the second operand's swaps, then the third's; each swap
+                # moves one of them, into the cell of another qubit or none
+                movers = [moved[0] for moved in swaps]
+                assert movers == sorted(movers, key=qubits.index)
+                for moved in swaps:
+                    assert moved[0] in qubits[1:]
+                    assert qubits[0] not in moved
+                    if moved[0] == qubits[-1] and len(qubits) == 3:
+                        assert qubits[1] not in moved
+            assert prog.counters["swap_count"] == sum(
+                ev.kind == "swap_route" for ev in prog.events)
+    assert n_swaps > 1000
+
+
 def test_baseline_rejects_oversized_circuit(monkeypatch):
     def never(*args):
         raise AssertionError("lowered a circuit that cannot fit")

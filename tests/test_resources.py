@@ -1,5 +1,6 @@
 """Hardware counting: device tallies, cost weights, transfer-patch layout."""
 
+import dataclasses
 import math
 
 import pytest
@@ -86,6 +87,17 @@ def test_count_refuses_invalid_architecture(links, problem):
     assert problem in str(exc.value)
     with pytest.raises(ValueError, match="invalid architecture"):
         rsa_estimate(spec)
+
+
+def test_count_refuses_a_second_memory_of_a_kind():
+    # A1 with a second linked 1000-cell STQM once priced 825,030 qubits,
+    # as A1 alone, though the scheduler used both memories
+    spec = builtin_architecture("A1")
+    spec.modules.append(dataclasses.replace(spec.module("stqm0"), id="stqm1",
+                                            n_logical=1000))
+    spec.links.append(LinkSpec("qpu0", "stqm1", "transversal"))
+    with pytest.raises(ValueError, match="more than one STQM module"):
+        count_architecture(spec)
 
 
 def test_space_cost_weighting():

@@ -8,6 +8,9 @@ and route only when the move is cheaper than idling.  Where no memory has
 swap legs and the grid model is not used, the only swaps are the ones the
 circuit asks for.
 
+On every builtin, a random circuit and a small AQFT use every key they
+intern, and their transfer counter counts their transfer events.
+
 A property test then draws physical parameters on every builtin: every
 config that ``validate`` accepts compiles to finite numbers or is refused
 cleanly, and its resource count and factoring-run estimate are finite.
@@ -16,11 +19,13 @@ cleanly, and its resource count and factoring-run estimate are finite.
 import dataclasses
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hetqc.arch import BUILTIN_NAMES, builtin_architecture, validate
+from hetqc.cli import build_workload
 from hetqc.compiler import CompileError, EVENT_KINDS, error_budget, schedule
 from hetqc.estimator import rsa_estimate
 from hetqc.qec import TransferInfeasible
@@ -53,6 +58,22 @@ def test_random_schedule_invariants(index):
 @pytest.mark.parametrize("index", range(N_OTHER_CASES))
 def test_random_schedule_invariants_other_builtins(index):
     _check_invariants(*_case(N_CASES + index, OTHER_NAMES))
+
+
+@pytest.mark.parametrize("arch_name", BUILTIN_NAMES)
+def test_keys_interned_on_use_and_transfers_counted(arch_name):
+    # keys are interned right before their first event, and the transfer
+    # counter, kept apart during the run, is added once at its end
+    rng = random.Random(31_000 + BUILTIN_NAMES.index(arch_name))
+    for circuit in (random_circuit(rng, rng.randint(2, 64),
+                                   rng.randint(1, 160)),
+                    build_workload("aqft:n=32,k_th=5")):
+        prog = schedule(circuit, builtin_architecture(arch_name))
+        store = prog.events
+        assert len(set(store.key)) == len(store.keys)
+        kinds = Counter(store.keys[key_id][0] for key_id in store.key)
+        assert prog.counters["st_count"] == \
+            kinds["transfer_write"] + kinds["transfer_read"]
 
 
 def _check_invariants(circuit, arch_name):
