@@ -1473,14 +1473,13 @@ def _schedule_grid(front: _FrontEnd, job: _Job) -> ScheduledProgram:
     pos = list(range(n))  # qubit -> flat position, row-major from 0
     cell = pos + [-1] * (side * side - n)  # flat position -> qubit, or -1
     events = EventStore()
-    add, add_id, intern = events.add, events.add_id, events.intern
+    add = events.add
     busy = [0.0] * n
     lane = f"{qpu.id}:core0"
     t = 0.0
     pool = _factory_pool(qsf) if qsf is not None else None
     swap_dur = 3 * qpu.code.distance * t_cyc
     swap_err = -math.expm1(3 * math.log1p(-costs["2q"][1]))
-    swap_ids: dict[int, int] = {}  # mover * (n + 1) + occupant + 1 -> id
     for g in lowering.gates:
         qubits = g.qubits
         if len(qubits) >= 2:
@@ -1495,14 +1494,9 @@ def _schedule_grid(front: _FrontEnd, job: _Job) -> ScheduledProgram:
                     else:  # stops short of column ac, so never turns
                         step = 1 if ac > mc else -1
                     occupant = cell[p + step]
-                    k = mover * (n + 1) + occupant + 1
-                    key_id = swap_ids.get(k)
-                    if key_id is None:
-                        key_id = swap_ids[k] = intern((
-                            "swap_route", qpu.id, lane,
-                            (mover, occupant) if occupant >= 0
-                            else (mover,), "swap", "gate_2q"))
-                    add_id(t, swap_dur, key_id, swap_err)
+                    add(t, swap_dur, "swap_route", qpu.id, lane,
+                        (mover, occupant) if occupant >= 0 else (mover,),
+                        "swap", swap_err, "gate_2q")
                     busy[mover] += swap_dur
                     if occupant >= 0:
                         busy[occupant] += swap_dur
