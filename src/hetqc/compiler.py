@@ -45,11 +45,11 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
 from operator import add, itemgetter
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .arch import (ASQPU_FACTORY_UNITS, ArchitectureSpec, LinkSpec,
                    ModuleSpec, validate)
-from .circuits import GateOp, LogicalCircuit
+from .circuits import LogicalCircuit
 from .qec import (TransferInfeasible, TransferParams, TransferResult,
                   idle_error, logical_error_per_cycle, stqm_storage_valid,
                   transfer_lattice_surgery, transfer_transversal,
@@ -68,6 +68,9 @@ _INJECT_KINDS = {"t": "t_inject", "rz": "t_inject", "toffoli_t": "t_inject",
                  "ccz": "ccz_inject"}
 
 _FAR = 1 << 60
+#: router costs a core keeps, for the first (memory, gap, legs) it meets:
+#: a 1000-qubit AQFT on A1 meets 44, a 16x16 Hubbard 2369 worth 0.5 MB
+_ROUTE_KEYS = 64
 
 
 class CompileError(RuntimeError):
@@ -306,8 +309,9 @@ class ScheduledProgram:
         """The lines of :meth:`to_text`, each ending in a newline.
 
         A schedule repeats few durations, errors and keys across many
-        events, so each distinct one is formatted once; only the start time
-        is formatted per event.
+        events, so each distinct one is formatted once.  The events come
+        sorted by start, so equal starts are adjacent: a start is formatted
+        where it changes, and a zero every time, since ``0.0 == -0.0``.
         """
         yield f"circuit {self.circuit_name} on {self.arch_name}\n"
         yield f"makespan_s {self.makespan_s!r}\n"
@@ -317,11 +321,12 @@ class ScheduledProgram:
         store = self.events
         middles = [f"{kind} {module} {lane} {label} {','.join(map(str, qs))}"
                    for kind, module, lane, qs, label, _ in store.keys]
-        reprs = _Reprs()
+        reprs, last, text = _Reprs(), None, ""
         start, dur, err, key = store.start, store.dur, store.err, store.key
         for i in store.order():
-            yield (f"{start[i]!r} {reprs[dur[i]]} {middles[key[i]]} "
-                   f"{reprs[err[i]]}\n")
+            if (t := start[i]) != last or not t:
+                last, text = t, repr(t)
+            yield f"{text} {reprs[dur[i]]} {middles[key[i]]} {reprs[err[i]]}\n"
 
     def to_text(self) -> str:
         return "".join(self.lines())
@@ -452,63 +457,65 @@ class LoweredGate(NamedTuple):
     tag: str | None = None
 
 
-def _lower_op(op: GateOp, factory_state: str | None,
-              t_per_rz: int) -> list[LoweredGate]:
-    """The lowered gates of one op.  Records are immutable, so a gate
-    that recurs is one record listed twice, and a gate on all of the op's
-    qubits, in their order, shares the op's qubit tuple."""
-    def g(key, label, qubits, cat, **kw):
-        return LoweredGate(key, label, qubits, cat, tag=op.tag, **kw)
+#: op kinds whose lowering takes magic states
+_MAGIC_KINDS = frozenset({"T", "Tdg", "Rz", "CPhase", "Toffoli", "CCZ"})
 
-    k, q = op.kind, op.qubits
-    if k in ("H", "S", "X", "Z", "Prep"):
-        return [g("1q", k, q, "gate_1q")]
-    if k in ("T", "Tdg"):
-        return [g("t", k, q, "gate_t", magic=1, n_t=1)]
-    if k == "Rz":
-        return [g("rz", "Rz", q, "gate_t", magic=t_per_rz, n_t=t_per_rz)]
-    if k in ("CNOT", "CZ"):
-        return [g("2q", k, q, "gate_2q", n_cnot=1)]
-    if k == "SWAP":
-        a, b = q
-        return [g("2q", "CNOT", q, "gate_2q", n_cnot=1, n_swap=1),
-                g("2q", "CNOT", (b, a), "gate_2q", n_cnot=1),
-                g("2q", "CNOT", q, "gate_2q", n_cnot=1)]
-    if k == "CPhase":
-        a, b = q
-        rz_b = g("rz", "Rz", (b,), "gate_t", magic=t_per_rz, n_t=t_per_rz)
-        cnot = g("2q", "CNOT", q, "gate_2q", n_cnot=1)
-        return [g("rz", "Rz", (a,), "gate_t", magic=t_per_rz, n_t=t_per_rz),
-                rz_b, cnot, rz_b, cnot]
-    if k in ("Toffoli", "CCZ"):
-        if factory_state == "CCZ":
-            core = [g("ccz", "CCZ", q, "gate_t", magic=1)]
-            needs_basis_flip = k == "Toffoli"
-        else:
-            core = [g("toffoli_t", "Toffoli", q, "gate_t",
-                      magic=4, n_t=4, n_cnot=3)]
-            needs_basis_flip = k == "CCZ"
-        if needs_basis_flip:
-            flip = g("1q", "H", (q[2],), "gate_1q")
-            return [flip] + core + [flip]
-        return core
-    if k == "Measure":
-        return [g("measure", "Measure", q, "measure")]
-    raise CompileError(f"no lowering for gate kind {k!r}")
+
+def _lowering_templates(factory_state: str | None,
+                        t_per_rz: int) -> dict[str, tuple]:
+    """op kind -> (rows, order): each row a :class:`LoweredGate` but for
+    its tag, its qubits a slice of the op's or None for the op's own tuple,
+    and ``order`` picking the rows' records in sequence, None for each row
+    once.  A gate that recurs in an op is one row, so one record."""
+    g = LoweredGate
+    cnot = g("2q", "CNOT", None, "gate_2q", n_cnot=1)
+    rz = [g("rz", "Rz", qs, "gate_t", magic=t_per_rz, n_t=t_per_rz)
+          for qs in (None, slice(0, 1), slice(1, 2))]
+    # the factory's state runs natively; the other three-qubit kind flips
+    # its target's basis around it
+    if factory_state == "CCZ":
+        native, flipped = g("ccz", "CCZ", None, "gate_t", magic=1), "Toffoli"
+    else:
+        native, flipped = g("toffoli_t", "Toffoli", None, "gate_t", magic=4,
+                            n_cnot=3, n_t=4), "CCZ"
+    rows = [g("1q", k, None, "gate_1q") for k in ("H", "S", "X", "Z", "Prep")]
+    rows += [g("t", k, None, "gate_t", magic=1, n_t=1) for k in ("T", "Tdg")]
+    rows += [g("2q", k, None, "gate_2q", n_cnot=1) for k in ("CNOT", "CZ")]
+    rows += [rz[0], native, g("measure", "Measure", None, "measure")]
+    templates = {row.label: ((row,), None) for row in rows}
+    templates["SWAP"] = ((cnot._replace(n_swap=1), cnot._replace(
+        qubits=slice(None, None, -1)), cnot), None)
+    templates["CPhase"] = ((rz[1], rz[2], cnot), itemgetter(0, 1, 2, 1, 2))
+    templates[flipped] = ((g("1q", "H", slice(2, 3), "gate_1q"), native),
+                          itemgetter(0, 1, 0))
+    return templates
 
 
 def lower_circuit(circuit: LogicalCircuit, factory_state: str | None,
                   eps_magic: float) -> list[LoweredGate]:
-    """Translate circuit ops to device-native lowered gates, in order."""
-    needs_magic = any(op.kind in ("T", "Tdg", "Rz", "CPhase", "Toffoli", "CCZ")
-                      for op in circuit.ops)
+    """Translate circuit ops to device-native lowered gates, in order, by
+    the templates of :func:`_lowering_templates`."""
+    ops = circuit.ops
+    kinds = {op.kind for op in ops}
+    needs_magic = not kinds.isdisjoint(_MAGIC_KINDS)
     if needs_magic and factory_state is None:
         raise CompileError("circuit needs magic states but the architecture "
                            "has no factory module")
-    t_per_rz = rz_t_count(eps_magic) if needs_magic else 0
-    out: list[LoweredGate] = []
-    for op in circuit.ops:
-        out.extend(_lower_op(op, factory_state, t_per_rz))
+    templates = _lowering_templates(
+        factory_state, rz_t_count(eps_magic) if needs_magic else 0)
+    if not kinds <= templates.keys():
+        k = next(op.kind for op in ops if op.kind not in templates)
+        raise CompileError(f"no lowering for gate kind {k!r}")
+    new, out = tuple.__new__, []
+    for op in ops:
+        rows, order = templates[op.kind]
+        q, tag = op.qubits, op.tag
+        made = []
+        for key, label, qs, cat, magic, n_cnot, n_t, n_swap, _ in rows:
+            made.append(new(LoweredGate, (key, label,
+                                          q if qs is None else q[qs], cat,
+                                          magic, n_cnot, n_t, n_swap, tag)))
+        out += made if order is None else order(made)
     return out
 
 
@@ -528,10 +535,10 @@ class _Lowering(NamedTuple):
 def _lowering(circuit: LogicalCircuit, factory_state: str | None,
               eps_magic: float) -> _Lowering:
     lowered = lower_circuit(circuit, factory_state, eps_magic)
-    return _Lowering(lowered, (
-        ("cnot_count", sum(g.n_cnot for g in lowered)), ("st_count", 0),
-        ("t_count", sum(g.n_t for g in lowered)),
-        ("swap_count", sum(g.n_swap for g in lowered))))
+    n_cnot, n_t, n_swap = (sum(map(itemgetter(i), lowered))
+                           for i in range(5, 8))  # their n_ fields
+    return _Lowering(lowered, (("cnot_count", n_cnot), ("st_count", 0),
+                               ("t_count", n_t), ("swap_count", n_swap)))
 
 
 def _module_costs(module: ModuleSpec,
@@ -1131,6 +1138,28 @@ class _Scheduler:
         return max(2 * eps_qpu + (residue / eps_th) ** ((d + 1) / 2)
                    - hop_err, 0.0)
 
+    @staticmethod
+    def _unlinked(mem: _Memory, core: _Core, q: int) -> NoReturn:
+        """Refuse to move qubit ``q`` between ``mem`` and an unlinked core."""
+        raise CompileError(f"qubit {q} is stored in {mem.module.id}, "
+                           f"which {core.lane} has no link to")
+
+    def _route_costs(self, core: _Core, mem: _Memory, gap: int,
+                     leg_err: float) -> tuple[float, float]:
+        """(cost_keep, cost_move) of a ``gap``-cycle gap on ``core`` for a
+        qubit in ``mem`` with legs of error ``leg_err``; a move, a write and
+        a read over the bare hop, costs inf if refused or unlinked."""
+        cost_keep = -math.expm1(gap * core.log_keep)
+        hop = mem.hops.get(core.module.id)
+        if hop is not None:
+            try:
+                hop_err = hop.error
+                return cost_keep, hop_err + hop_err + self._storage_error(
+                    mem, core, gap * core.t_cycle) + 2 * leg_err
+            except TransferInfeasible:
+                pass
+        return cost_keep, math.inf
+
     def _align(self, t: float) -> tuple[float, float]:
         """(t rounded up to a compute boundary, pad) on a stretched memory."""
         n = math.ceil(t / self.t_qpu - 1e-9)
@@ -1163,7 +1192,7 @@ class _Scheduler:
                            core.module.id, cell.lane, cell.qs, "clock_pad",
                            -math.expm1(pad / core.t_cycle * core.log_keep),
                            "qpu_idle")
-        hop = mem.hops[core.module.id]
+        hop = mem.hops.get(core.module.id) or self._unlinked(mem, core, q)
         hop_dur = hop.duration_s
         if cell.write_id < 0:
             cell.write_id = events.intern((
@@ -1192,7 +1221,7 @@ class _Scheduler:
         """
         mem = self.q_mem[q]
         cell = mem.cells[q]
-        hop = mem.hops[core.module.id]
+        hop = mem.hops.get(core.module.id) or self._unlinked(mem, core, q)
         hop_dur = hop.duration_s
         stored = mem.write_end.pop(q)
         t0 = max(t_issue, stored)
@@ -1287,15 +1316,16 @@ class _Scheduler:
         A gate runs once each operand's previous gate has.  Per gate the
         loop fetches the operands, charges their idle time, appends the
         gate, reads the next gate's operands ahead and keeps or moves each
-        operand.  A core's fields, its cycle time and ``log1p(-eps_cycle)``
-        among them, are bound once per visit; ``pos`` is stored back before
+        operand.  A core's fields and its router costs, cached per (memory,
+        gap, legs), are bound once per visit; ``pos`` is stored back before
         any call that can evict, since ``_force_slot`` reads it.
         """
         lowered, q_mem, plan = self.lowered, self.q_mem, self.plan
         first, prev, next_gate = plan.first_slot, plan.prev_gate, \
             plan.next_gate
         core_of_gate, cycle_at = plan.core_of_gate, plan.cycle_at
-        add, audit_add, expm1 = self.events.add, self.audit.add, math.expm1
+        add, audit_add = self.events.add, self.audit.add
+        route_costs = [{} for _ in self.cores]
         done, total = 0, len(lowered)
         # one flag per gate plus a set one at the end, which a previous
         # gate of -1 (none) reads
@@ -1308,8 +1338,8 @@ class _Scheduler:
                 residents, incoming = core.residents, core.incoming
                 costs, capacity, pool = core.costs, core.capacity, core.pool
                 mid, lane, index = core.module.id, core.lane, core.index
-                t_cyc, log_keep, t_free = core.t_cycle, core.log_keep, \
-                    core.t_free
+                t_cyc, t_free, routes = core.t_cycle, core.t_free, \
+                    route_costs[index]
                 while pos < n_stream:
                     gi = stream[pos]
                     slot = first[gi]
@@ -1379,17 +1409,15 @@ class _Scheduler:
                         mem = q_mem.get(q) or self._probe_memory(core)
                         if mem is None:
                             continue
-                        cost_keep = -expm1(gap * log_keep)
                         cell = mem.cells.get(q)
                         leg_err = cell.leg_err if cell is not None else 0.0
-                        try:
-                            # a write and a read, each over the bare hop
-                            hop_err = mem.hops[mid].error
-                            cost_move = hop_err + hop_err + \
-                                self._storage_error(mem, core, gap * t_cyc) \
-                                + 2 * leg_err
-                        except TransferInfeasible:
-                            cost_move = math.inf
+                        key = (mem.module.id, gap, leg_err)
+                        route = routes.get(key)
+                        if route is None:
+                            route = self._route_costs(core, mem, gap, leg_err)
+                            if len(routes) < _ROUTE_KEYS:
+                                routes[key] = route
+                        cost_keep, cost_move = route
                         if cost_move < cost_keep:
                             self._write_out(core, q, end, "router", gap,
                                             cost_keep, cost_move)
@@ -1402,15 +1430,21 @@ class _Scheduler:
                 core.pos, core.t_free = pos, t_free
             if done == done_before:
                 raise CompileError("scheduler stalled on a dependency cycle")
-        makespan = self.events.makespan()
+        # freed before the run's last events, where its heap peaks
+        route_costs = routes = scheduled = None
+        events = self.events
+        makespan, n_run = events.makespan(), len(events)
         for core in self.cores:
             for q in sorted(core.residents):
                 self._charge_idle(core, q, makespan)
         self._terminal_storage(makespan)
-        makespan = self.events.makespan()
+        # the scan of all the ends, resumed at the events appended since
+        ends = (events.start[i] + events.dur[i]
+                for i in range(n_run, len(events)))
+        makespan = max(chain((makespan,), ends))
         self.counters["st_count"] += self.st_count
         return ScheduledProgram(self.circuit.name, self.arch.name,
-                                self.events, makespan, self.counters,
+                                events, makespan, self.counters,
                                 self.audit, self.n_blocks, self.warnings)
 
     def _terminal_storage(self, makespan: float) -> None:

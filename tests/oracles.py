@@ -150,6 +150,56 @@ def slow_logical_error(p: float, p_th: float, d: int, a: float = 0.03):
     return a * (p / p_th) ** ((d + 1) / 2)
 
 
+# ------------------------------------------------------------ gate lowering
+
+def lower_op_reference(op, factory_state, t_per_rz: int) -> list[tuple]:
+    """The lowered gates of one op, each a plain tuple of a lowered gate's
+    fields (cost_key, label, qubits, category, magic, n_cnot, n_t, n_swap,
+    tag), built by keyword per gate, one branch per op kind.
+
+    A gate that recurs within the op is one tuple listed twice, and a gate
+    on all of the op's qubits, in their order, holds the op's own tuple.
+    """
+    def g(key, label, qubits, cat, magic=0, n_cnot=0, n_t=0, n_swap=0):
+        return (key, label, qubits, cat, magic, n_cnot, n_t, n_swap, op.tag)
+
+    k, q = op.kind, op.qubits
+    if k in ("H", "S", "X", "Z", "Prep"):
+        return [g("1q", k, q, "gate_1q")]
+    if k in ("T", "Tdg"):
+        return [g("t", k, q, "gate_t", magic=1, n_t=1)]
+    if k == "Rz":
+        return [g("rz", "Rz", q, "gate_t", magic=t_per_rz, n_t=t_per_rz)]
+    if k in ("CNOT", "CZ"):
+        return [g("2q", k, q, "gate_2q", n_cnot=1)]
+    if k == "SWAP":
+        a, b = q
+        return [g("2q", "CNOT", q, "gate_2q", n_cnot=1, n_swap=1),
+                g("2q", "CNOT", (b, a), "gate_2q", n_cnot=1),
+                g("2q", "CNOT", q, "gate_2q", n_cnot=1)]
+    if k == "CPhase":
+        a, b = q
+        rz_b = g("rz", "Rz", (b,), "gate_t", magic=t_per_rz, n_t=t_per_rz)
+        cnot = g("2q", "CNOT", q, "gate_2q", n_cnot=1)
+        return [g("rz", "Rz", (a,), "gate_t", magic=t_per_rz, n_t=t_per_rz),
+                rz_b, cnot, rz_b, cnot]
+    if k in ("Toffoli", "CCZ"):
+        if factory_state == "CCZ":
+            core = [g("ccz", "CCZ", q, "gate_t", magic=1)]
+            needs_basis_flip = k == "Toffoli"
+        else:
+            core = [g("toffoli_t", "Toffoli", q, "gate_t",
+                      magic=4, n_t=4, n_cnot=3)]
+            needs_basis_flip = k == "CCZ"
+        if needs_basis_flip:
+            flip = g("1q", "H", (q[2],), "gate_1q")
+            return [flip] + core + [flip]
+        return core
+    if k == "Measure":
+        return [g("measure", "Measure", q, "measure")]
+    raise ValueError(f"no reference lowering for {k!r}")
+
+
 # ------------------------------------------------------ block consolidation
 
 def consolidate_blocks_linear(lowered, max_qubits: int) -> list[tuple]:

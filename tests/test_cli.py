@@ -143,6 +143,19 @@ def test_run_untouched_qubits_do_not_count_against_capacity(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_run_refuses_a_read_from_an_unlinked_memory(tmp_path, capsys):
+    # the B5/B6 adder core reads only cache0; qubit 190 lands in raqm0
+    ops = [f"H q{q}" for q in range(200)]
+    ops += [f"CNOT q{q} q{q + 1} tag=adder" for q in range(190, 199)]
+    spec = _circuit_file(tmp_path, 200, ops + ops[:200])
+    for arch in ("B5", "B6"):
+        assert main(["run", "--workload", spec, "--arch", arch,
+                     "--out", str(tmp_path / arch)]) == 4
+        err = capsys.readouterr().err
+        assert "qubit 190 is stored in raqm0, which asqpu0:core0" in err
+        assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("override", [
     "qpu0.t_cycle_s=nan",
     "qpu0.t_cycle_s=inf",

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hetqc import compiler
 from hetqc.arch import apply_override, builtin_architecture, validate
-from hetqc.circuits import LogicalCircuit
+from hetqc.circuits import GATE_ARITY, LogicalCircuit
 from hetqc.cli import build_workload
 from hetqc.compiler import (CATEGORIES, CompileError, ErrorBudget, EVENT_KINDS,
                             LoweredGate, RouterDecision, ScheduledEvent,
@@ -100,6 +100,35 @@ def test_lowering_requires_factory_for_magic():
     clifford.add("H", 0)
     clifford.add("CNOT", 0, 1)
     assert len(lower_circuit(clifford, None, 2.1e-9)) == 2
+
+
+@pytest.mark.parametrize("factory", ["T", "CCZ", None])
+def test_lowering_matches_per_op_reference(factory):
+    # each kind untagged and tagged, on qubits out of order; without a
+    # factory only the kinds that take no magic state
+    magic = {"T", "Tdg", "Rz", "CPhase", "Toffoli", "CCZ"}
+    c = LogicalCircuit("every", 8)
+    for kind, arity in GATE_ARITY.items():
+        if factory is None and kind in magic:
+            continue
+        for tag in (None, "adder"):
+            c.add(kind, *(6, 1, 4)[:arity], tag=tag,
+                  angle=0.1 if kind in ("Rz", "CPhase") else None)
+    lowered = lower_circuit(c, factory, 2.1e-9)
+    t_per_rz = rz_t_count(2.1e-9) if factory else 0
+    at = 0
+    for op in c.ops:
+        want = oracles.lower_op_reference(op, factory, t_per_rz)
+        got, at = lowered[at:at + len(want)], at + len(want)
+        assert got == want and all(type(g) is LoweredGate for g in got)
+        # the same records recur, and the same ones hold the op's tuple
+        assert [[a is b for b in got] for a in got] == \
+            [[a is b for b in want] for a in want]
+        assert [g.qubits is op.qubits for g in got] == \
+            [w[2] is op.qubits for w in want]
+    assert at == len(lowered)
+    assert {op.kind for op in c.ops} == (
+        set(GATE_ARITY) - magic if factory is None else set(GATE_ARITY))
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 16), st.integers(1, 80),
@@ -332,6 +361,30 @@ def test_infeasible_hop_stays_with_its_module_pair():
             schedule(lookup, stock).to_text().encode()).hexdigest()
 
 
+def test_unlinked_memory_refuses_the_move_and_the_read():
+    # on B5 and B6 the adder core asqpu0 links to cache0 only: once its
+    # cells are full the QPU writes to raqm0, which asqpu0 cannot read
+    c = LogicalCircuit("cross", 200)
+    for q in range(200):
+        c.add("H", q)
+    for q in range(190, 199):
+        c.add("CNOT", q, q + 1, tag="adder")
+    for q in range(200):
+        c.add("H", q)
+    for name in ("B5", "B6"):
+        with pytest.raises(CompileError, match="qubit 190 is stored in "
+                           "raqm0, which asqpu0:core0 has no link to"):
+            schedule(c, builtin_architecture(name))
+        front = compiler._FrontEnd(c, [builtin_architecture(name)])
+        sched = compiler._Scheduler(front, front.jobs[0])
+        adder, = [core for core in sched.cores
+                  if core.module.id == "asqpu0"]
+        raqm, = [mm for mm in sched.memories if mm.module.id == "raqm0"]
+        cost_keep, cost_move = sched._route_costs(adder, raqm, 7, 0.0)
+        assert cost_keep == -math.expm1(7 * adder.log_keep)
+        assert cost_move == math.inf
+
+
 def test_factory_pool_throttles_magic():
     arch = builtin_architecture("A1")
     apply_override(arch, "qsf.n=1")
@@ -522,6 +575,24 @@ def test_event_store_matches_record_list():
         assert budget.total.hex() == total.hex()
         assert {c: v.hex() for c, v in budget.categories.items()} == \
             {c: v.hex() for c, v in categories.items()}
+
+
+def test_schedule_text_formats_each_start_as_given():
+    # equal starts sit next to each other in schedule order; 0.0 and -0.0
+    # are equal but print apart, so a start text reused on equality alone
+    # would print one of them wrong
+    starts = [0.0, -0.0, 0.0, 2.5e-6, 2.5e-6, 2.5e-6, 1e-6, -0.0, 1e-6]
+    store, ref = compiler.EventStore(), oracles.EventListReference()
+    for q, t in enumerate(starts):
+        fields = (t, 1e-6 if q % 3 else 0.0, "gate", "qpu0", "qpu0:core0",
+                  (q,), "H", 3.3e-7 if q % 2 else 0.0, "gate_1q")
+        store.add(*fields)
+        ref.add(*fields)
+    body = ref.body_lines()
+    assert [line.split()[0] for line in body[:4]] == \
+        ["0.0", "-0.0", "0.0", "-0.0"]
+    prog = ScheduledProgram("c", "a", store, store.makespan(), {}, [], 0)
+    assert list(prog.lines())[4:] == body
 
 
 def test_event_store_by_id_matches_by_fields():

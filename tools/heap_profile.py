@@ -30,15 +30,19 @@ summary gives the sweep's peak.
 
 The same stages then run five more times without ``tracemalloc``; the
 last column gives each stage's wall time in ms, the best of those five
-passes, and a last line the best total of the compile stages (of the
-whole sweep).  The hetqc imported is the one under this checkout's
-``src``.  Stdlib only.
+passes, and a line the best total of the compile stages (of the whole
+sweep).  Last comes one ``repeats`` line per schedule, read off the
+finished program, untimed: how many schedule lines start where the line
+before does, and how many router decisions its audit holds on how many
+distinct (core, gap) pairs.  The hetqc imported is the one under this
+checkout's ``src``.  Stdlib only.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import operator
 import sys
 import time
 import tracemalloc
@@ -55,15 +59,35 @@ MB = 1 << 20
 TIMED_PASSES = 5
 
 
+def repeats(prog: compiler.ScheduledProgram) -> str:
+    """The ``repeats`` line of a finished schedule.
+
+    Its starts are sorted as the schedule text lists them, so a line
+    repeats the previous line's start when the sorted neighbours are equal.
+    Every record of the audit is a router decision.
+    """
+    starts = sorted(prog.events.start)
+    same = sum(map(operator.eq, starts[1:], starts))
+    audit = prog.audit
+    pairs = {(audit.kinds[k][0], gap)
+             for k, gap in zip(audit.kind, audit.gap_cycles)}
+    return (f"repeats {prog.arch_name}: {same} of {len(starts)} schedule "
+            f"lines ({same / max(len(starts), 1):.1%}) start as the line "
+            f"before; {len(audit)} router decisions on {len(pairs)} "
+            "distinct (core, gap) pairs")
+
+
 class StageLog:
     """Readings taken at the end of each stage, in call order: the traced
     heap, both 0 when ``tracemalloc`` is off, and the wall time since the
-    previous reading; and the events of the schedules simulated."""
+    previous reading; the events of the schedules simulated, and, without
+    ``tracemalloc``, their ``repeats`` lines."""
 
     def __init__(self):
         self.rows: list[tuple[str, int, int, float]] = []
         self.clock = time.perf_counter()
         self.events = 0
+        self.repeats: list[str] = []
 
     def mark(self, stage: str) -> None:
         current, peak = tracemalloc.get_traced_memory()
@@ -78,9 +102,14 @@ class StageLog:
         @functools.wraps(fn)
         def marked(*args, **kwargs):
             result = fn(*args, **kwargs)
-            if isinstance(result, compiler.ScheduledProgram):
+            program = isinstance(result, compiler.ScheduledProgram)
+            if program:
                 self.events += len(result.events)
             self.mark(stage(*args) if callable(stage) else stage)
+            if program and not tracemalloc.is_tracing():
+                # off the clock, and never in a traced heap reading
+                self.repeats.append(repeats(result))
+                self.clock = time.perf_counter()
             return result
         return marked
 
@@ -144,8 +173,9 @@ def main(argv: list[str] | None = None) -> int:
         p.error("--arch names no architecture")
     sweep = len(arch_names) > 1
     log = profile(args.workload, arch_names)
-    timed = [profile(args.workload, arch_names, traced=False).rows
-             for _ in range(TIMED_PASSES)]
+    logs = [profile(args.workload, arch_names, traced=False)
+            for _ in range(TIMED_PASSES)]
+    timed = [untraced.rows for untraced in logs]
     wall = [min(rows[i][3] for rows in timed) for i in range(len(log.rows))]
     print(f"{args.workload} on {args.arch}: {log.events} events")
     print(f"{'stage':<24} {'current MB':>10} {'peak MB':>10} {'wall ms':>8}")
@@ -164,6 +194,7 @@ def main(argv: list[str] | None = None) -> int:
         order_peak = log.rows[stages.index("order")][2]
         print(f"order peak {(order_peak - before) / max(log.events, 1):.1f} "
               "B/event above the heap before it")
+    print("\n".join(logs[0].repeats))
     return 0
 
 
