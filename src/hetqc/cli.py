@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .arch import (BUILTIN_NAMES, ConfigError, apply_override,
@@ -171,7 +172,10 @@ def cmd_run(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "summary.json", summary)
         with (out / "schedule.txt").open("w", encoding="utf-8") as fh:
-            fh.writelines(prog.lines())
+            # one write per batch of lines, about 0.4 MB each
+            lines = prog.lines()
+            while batch := "".join(islice(lines, 4096)):
+                fh.write(batch)
         with (out / "budget.csv").open("w", newline="",
                                        encoding="utf-8") as fh:
             w = csv.writer(fh)

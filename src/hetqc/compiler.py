@@ -11,9 +11,13 @@ Core lanes carry gates; a memory cell lane carries the write, the stored
 dwell, any swap legs, and the read for one qubit, in that order.
 
 Both schedulers append their events to one :class:`EventStore`: columns
-of start, duration and error plus an interned key per event; the modular
-one appends each memory cell's and each resident's events by key ids it
-keeps.  A :class:`ScheduledProgram` is built on that store; its ``events``
+of start, duration and error plus an interned key per event.  They append
+to the columns, and the modular one its router decisions to an
+:class:`AuditStore`, through ``array.append``s bound once per compile,
+with no method call per event.  The modular one appends a gate by the key
+id its plan holds, and each memory cell's and each resident's events by
+key ids it keeps; the grid model interns each key inline.  A
+:class:`ScheduledProgram` is built on that store; its ``events``
 is the store itself, a lazy read-only sequence of :class:`ScheduledEvent`
 records in schedule order.  The makespan, the event count and the error
 budget read the columns and never sort; only the schedule text and reading
@@ -30,9 +34,10 @@ flat positions and needs no detour (:func:`_schedule_grid`).
 
 The compiles of one circuit on several architectures share their front
 end (:class:`_FrontEnd`): the circuit is validated once and lowered once
-per factory, and the modular model's read-only plan (its core streams and
-per-gate tables) is built once per compute side.  A lone ``schedule`` call
-takes the same path with nothing to share.
+per factory, and the modular model's read-only plan (its core streams,
+per-gate tables and the gates' interned event keys) is built once per
+compute side.  A lone ``schedule`` call takes the same path with nothing
+to share.
 """
 
 from __future__ import annotations
@@ -40,10 +45,10 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, count, repeat
 from operator import add, itemgetter
 from typing import NamedTuple, NoReturn
 
@@ -121,33 +126,39 @@ class RouterDecision(NamedTuple):
 #: a key's sort fields after the start time: (module, lane, kind, qubits)
 _SORT_FIELDS = itemgetter(1, 2, 0, 3)
 _CATEGORY = itemgetter(5)
-_COST_KEY = itemgetter(0)  # of a LoweredGate
 _CYCLES = itemgetter(0)    # of a (cycles, error) cost
 
 
 class EventStore(Sequence):
     """The events of one schedule, kept as columns.
 
-    ``add`` appends an event: its start, duration and error go to
-    ``array('d')`` columns, and the rest, (kind, module, lane, qubits,
-    label, category), to ``key`` as an id interned in ``keys``; ``add_id``
-    appends by an id from ``intern``.  A schedule repeats few such keys over
-    many events.  The columns stay in emission order.
+    An event's start, duration and error go to ``array('d')`` columns, and
+    the rest, (kind, module, lane, qubits, label, category), to ``key`` as
+    the id that ``ids`` maps that key to, interned right before its first
+    event.  A schedule repeats few such keys over many events.  A store
+    made from ``keys`` starts with them interned, in their order.  The
+    columns stay in emission order.
+
+    ``add`` appends one event by its fields.  The schedulers append to the
+    columns themselves, through the bound ``append``s of :meth:`appends`,
+    by ids they intern with ``ids.setdefault(key, len(ids))``.
 
     As a sequence the store is read-only and holds :class:`ScheduledEvent`
     records in schedule order: by start time, then module, lane, kind and
     qubits, with ties in emission order.  That order is worked out on the
-    first read of an element, never for ``len`` or the makespan.
+    first read of an element, never for ``len`` or the makespan.  So the
+    ids themselves are never seen: two stores that append the same events
+    by different ids read the same.
     """
 
-    __slots__ = ("start", "dur", "err", "key", "_ids", "_keys", "_order")
+    __slots__ = ("start", "dur", "err", "key", "ids", "_keys", "_order")
 
-    def __init__(self):
+    def __init__(self, keys: Iterable[tuple] = ()):
         self.start = array("d")
         self.dur = array("d")
         self.err = array("d")
         self.key = array("i")
-        self._ids: dict[tuple, int] = {}
+        self.ids: dict[tuple, int] = dict(zip(keys, count()))
         self._keys: list[tuple] = []
         self._order = array("i")
 
@@ -155,30 +166,24 @@ class EventStore(Sequence):
             module: str, lane: str, qubits: tuple[int, ...], label: str,
             error: float, category: str) -> None:
         """Append one event; the arguments are a ScheduledEvent's fields."""
-        ids = self._ids
+        ids = self.ids
         self.key.append(ids.setdefault(
             (kind, module, lane, qubits, label, category), len(ids)))
         self.start.append(t_start_s)
         self.dur.append(duration_s)
         self.err.append(error)
 
-    def intern(self, key: tuple) -> int:
-        """A key's id for :meth:`add_id`, taken right before its first use."""
-        return self._ids.setdefault(key, len(self._ids))
-
-    def add_id(self, t_start_s: float, duration_s: float, key_id: int,
-               error: float) -> None:
-        """Append one event whose key has the interned id ``key_id``."""
-        self.key.append(key_id)
-        self.start.append(t_start_s)
-        self.dur.append(duration_s)
-        self.err.append(error)
+    def appends(self) -> tuple:
+        """The bound ``append`` of the key, start, duration and error
+        columns, in that order; an event goes to all four."""
+        return (self.key.append, self.start.append, self.dur.append,
+                self.err.append)
 
     @property
     def keys(self) -> list[tuple]:
         """Each distinct (kind, module, lane, qubits, label, category)."""
-        if len(self._keys) != len(self._ids):
-            self._keys = list(self._ids)
+        if len(self._keys) != len(self.ids):
+            self._keys = list(self.ids)
         return self._keys
 
     def makespan(self) -> float:
@@ -234,15 +239,17 @@ class EventStore(Sequence):
 class AuditStore(Sequence):
     """The router's keep-or-move decisions of one schedule, kept as columns.
 
-    ``add`` appends a decision: its time and its two costs go to
-    ``array('d')`` columns, its qubit and gap to ``array('q')`` ones, and
-    (core, moved, reason) to ``kind`` as an id interned in ``kinds``.  As a
+    A decision's time and its two costs go to ``array('d')`` columns, its
+    qubit and gap to ``array('q')`` ones, and (core, moved, reason) to
+    ``kind`` as the id that ``ids`` maps it to, interned on first use.
+    ``add`` appends one decision by its fields; the modular scheduler
+    appends to the columns itself, by ids it interns once per core.  As a
     sequence the store is read-only and holds :class:`RouterDecision`
     records in the order they were added; ``len`` builds none.
     """
 
     __slots__ = ("t_s", "qubit", "gap_cycles", "cost_keep", "cost_move",
-                 "kind", "_ids", "_kinds")
+                 "kind", "ids", "_kinds")
 
     def __init__(self):
         self.t_s = array("d")
@@ -251,14 +258,14 @@ class AuditStore(Sequence):
         self.cost_keep = array("d")
         self.cost_move = array("d")
         self.kind = array("i")
-        self._ids: dict[tuple[str, bool, str], int] = {}
+        self.ids: dict[tuple[str, bool, str], int] = {}
         self._kinds: list[tuple[str, bool, str]] = []
 
     def add(self, t_s: float, core: str, qubit: int, gap_cycles: int,
             cost_keep: float, cost_move: float, moved: bool,
             reason: str) -> None:
         """Append one decision; the arguments are a RouterDecision's fields."""
-        ids = self._ids
+        ids = self.ids
         self.kind.append(ids.setdefault((core, moved, reason), len(ids)))
         self.t_s.append(t_s)
         self.qubit.append(qubit)
@@ -266,11 +273,18 @@ class AuditStore(Sequence):
         self.cost_keep.append(cost_keep)
         self.cost_move.append(cost_move)
 
+    def appends(self) -> tuple:
+        """The bound ``append`` of the kind, time, qubit, gap and two cost
+        columns, in that order; a decision goes to all six."""
+        return (self.kind.append, self.t_s.append, self.qubit.append,
+                self.gap_cycles.append, self.cost_keep.append,
+                self.cost_move.append)
+
     @property
     def kinds(self) -> list[tuple[str, bool, str]]:
         """Each distinct (core, moved, reason)."""
-        if len(self._kinds) != len(self._ids):
-            self._kinds = list(self._ids)
+        if len(self._kinds) != len(self.ids):
+            self._kinds = list(self.ids)
         return self._kinds
 
     def record(self, i: int) -> RouterDecision:
@@ -699,17 +713,17 @@ def _swap_distances(n: int, k: int) -> list[int]:
 
 @dataclass
 class _Pool:
-    """Magic-state supply of ``units`` factories, ``prod`` cycles per state."""
+    """Magic-state supply of ``units`` factories, ``prod`` cycles per state.
+
+    A gate that takes ``n`` states adds them to ``consumed`` and waits
+    until ``consumed * prod * t_cycle / units``, when the last is ready;
+    each model's gate loop takes them so, in that order of operations.
+    """
 
     units: int
     prod: int
     t_cycle: float
     consumed: int = 0
-
-    def take(self, n: int) -> float:
-        """Consume ``n`` states; returns when the last of them is ready."""
-        self.consumed += n
-        return self.consumed * self.prod * self.t_cycle / self.units
 
 
 def _factory_pool(qsf: ModuleSpec) -> _Pool:
@@ -733,6 +747,10 @@ class _Core:
     pos: int = 0
     pool: _Pool | None = None  # magic-state supply
     idle_ids: dict[int, int] = field(default_factory=dict)  # q -> idle key id
+    # audit kind ids of its decisions, interned on first use: a kept
+    # operand's, and a moved one's by reason
+    kept_id: int = -1
+    moved_ids: dict[str, int] = field(default_factory=dict)
 
 
 def _log_keep(eps_cycle: float) -> float:
@@ -770,7 +788,10 @@ class _Plan(NamedTuple):
 
     ``streams`` holds each core's gates in order, cores in dispatch order;
     ``core_of_gate`` each gate's core, as its index in that order, and
-    ``cycle_at`` the cycles of its core's stream before it.  The touch
+    ``cycle_at`` the cycles of its core's stream before it.  ``gate_keys``
+    lists the distinct (kind, module, lane, qubits, label, category) keys
+    of the gates' events on their cores, in the order of the streams, and
+    ``gate_key`` gives each gate's key as its index there.  The touch
     tables are those of :func:`_touch_tables`.  A plan is read-only: every
     compile that shares it reads these arrays and writes none of them.
     """
@@ -779,6 +800,8 @@ class _Plan(NamedTuple):
     streams: tuple[array, ...]
     core_of_gate: array
     cycle_at: array
+    gate_key: array
+    gate_keys: list[tuple]
     touches: dict[int, array]
     first_slot: array
     prev_gate: array
@@ -828,15 +851,25 @@ def _build_plan(cores: list[_Core], lowered: list[LoweredGate]) -> _Plan:
     n = len(lowered)
     core_of_gate = array("i", bytes(4 * n))
     cycle_at = array("q", bytes(8 * n))
+    gate_key = array("i", bytes(4 * n))
+    key_ids = defaultdict(count().__next__)  # key -> id, in order of use
     for core, stream in zip(cores, streams):
-        costs = map(core.costs.__getitem__,
-                    map(_COST_KEY, map(lowered.__getitem__, stream)))
-        # per gate of the stream, at C speed
+        # per gate of the stream, at C speed: one pass for each field read
+        by_cycles, by_kind, labels, qubits, categories = (
+            map(itemgetter(i), map(lowered.__getitem__, stream))
+            for i in (0, 0, 1, 2, 3))
+        costs = map(core.costs.__getitem__, by_cycles)
         deque(map(cycle_at.__setitem__, stream,
                   accumulate(map(_CYCLES, costs), initial=0)), maxlen=0)
         deque(map(core_of_gate.__setitem__, stream, repeat(core.index)),
               maxlen=0)
-    return _Plan(n_blocks, tuple(streams), core_of_gate, cycle_at, *tables)
+        keys = zip(map(_INJECT_KINDS.get, by_kind, repeat("gate")),
+                   repeat(core.module.id), repeat(core.lane), qubits, labels,
+                   categories)
+        deque(map(gate_key.__setitem__, stream,
+                  map(key_ids.__getitem__, keys)), maxlen=0)
+    return _Plan(n_blocks, tuple(streams), core_of_gate, cycle_at, gate_key,
+                 list(key_ids), *tables)
 
 
 # ------------------------------------------------------------- the front end
@@ -956,13 +989,14 @@ class _Cell:
     """A claimed memory cell; its event key ids are -1 until first used."""
 
     __slots__ = ("lane", "qs", "dist", "leg_dur", "leg_err", "write_id",
-                 "stored_id", "read_id")
+                 "legs_in_id", "stored_id", "legs_out_id", "read_id")
 
     def __init__(self, lane: str, qs: tuple[int], dist: int, leg_dur: float,
                  leg_err: float):
         self.lane, self.qs = lane, qs
         self.dist, self.leg_dur, self.leg_err = dist, leg_dur, leg_err
-        self.write_id = self.stored_id = self.read_id = -1
+        self.write_id = self.legs_in_id = self.stored_id = -1
+        self.legs_out_id = self.read_id = -1
 
 
 @dataclass
@@ -1007,7 +1041,6 @@ class _Scheduler:
         self.circuit = front.circuit
         self.arch = job.arch
         self.t_qpu = job.qpu.t_cycle_s
-        self.events = EventStore()
         self.audit = AuditStore()
         self.warnings: list[str] = []
         self.cores = job.cores
@@ -1021,8 +1054,9 @@ class _Scheduler:
         for core, stream in zip(self.cores, plan.streams):
             core.stream = stream
         self.plan = plan
+        # the gates' keys first, so that a gate appends its plan's key id
+        self.events = EventStore(plan.gate_keys)
         self.q_mem: dict[int, _Memory] = {}
-        self.st_count = 0  # transfers, added to the counters at the end
 
     # -- construction ------------------------------------------------------
 
@@ -1077,19 +1111,6 @@ class _Scheduler:
                 "cells; compute capacity exhausted")
 
     # -- helpers -----------------------------------------------------------
-
-    def _charge_idle(self, core: _Core, q: int, until: float) -> None:
-        last = core.residents.get(q)
-        if last is None or until <= last + 1e-15:
-            return
-        dur = until - last
-        if q not in core.idle_ids:
-            core.idle_ids[q] = self.events.intern((
-                "idle_buffer", core.module.id, f"{core.module.id}:q{q}",
-                (q,), "resident_idle", "qpu_idle"))
-        self.events.add_id(last, dur, core.idle_ids[q],
-                           -math.expm1(dur / core.t_cycle * core.log_keep))
-        core.residents[q] = until
 
     def _probe_memory(self, core: _Core) -> _Memory | None:
         """A reachable memory with a free cell."""
@@ -1165,149 +1186,6 @@ class _Scheduler:
         n = math.ceil(t / self.t_qpu - 1e-9)
         return n * self.t_qpu, max(n * self.t_qpu - t, 0.0)
 
-    # -- transfers ---------------------------------------------------------
-
-    def _write_out(self, core: _Core, q: int, t: float, reason: str,
-                   gap_cycles: int = 0, cost_keep: float = math.inf,
-                   cost_move: float = 0.0) -> None:
-        mem = self.q_mem.get(q)
-        if mem is None:  # first write: claim a free reachable cell
-            mem = self._probe_memory(core)
-            if mem is None:
-                raise CompileError(
-                    f"no reachable memory cell for qubit {q} from "
-                    f"{core.lane}; compute capacity exhausted")
-            self.q_mem[q] = mem
-            mem.cells[q] = _Cell(f"{mem.module.id}:q{q}", (q,),
-                                 *mem.legs(len(mem.cells)))
-        self._charge_idle(core, q, t)
-        del core.residents[q]
-        cell = mem.cells[q]
-        events = self.events
-        t0 = t
-        if mem.stretched:
-            t0, pad = self._align(t)
-            if pad > 0:
-                events.add(t0 - pad, pad, "qec_cycle_stretch",
-                           core.module.id, cell.lane, cell.qs, "clock_pad",
-                           -math.expm1(pad / core.t_cycle * core.log_keep),
-                           "qpu_idle")
-        hop = mem.hops.get(core.module.id) or self._unlinked(mem, core, q)
-        hop_dur = hop.duration_s
-        if cell.write_id < 0:
-            cell.write_id = events.intern((
-                "transfer_write", mem.module.id, cell.lane, cell.qs, "write",
-                "transfer"))
-        events.add_id(t0, hop_dur, cell.write_id, hop.error)
-        self.st_count += 1
-        t_cell = t0 + hop_dur
-        if cell.dist:
-            events.add(t_cell, cell.leg_dur, "swap_route", mem.module.id,
-                       cell.lane, cell.qs, f"legs_in:{cell.dist}",
-                       cell.leg_err, "qm_idle")
-            self.counters["swap_count"] += cell.dist
-            t_cell += cell.leg_dur
-        mem.write_end[q] = t_cell
-        self.audit.add(t, core.lane, q, gap_cycles, cost_keep, cost_move,
-                       True, reason)
-
-    def _read_in(self, core: _Core, q: int, t_issue: float,
-                 target_s: float | None = None) -> float:
-        """Start the read no earlier than t_issue; returns arrival time.
-
-        With a target the read is issued just in time for the patch to
-        arrive then, so the dwell stays in the cell instead of turning
-        into compute-side idle.
-        """
-        mem = self.q_mem[q]
-        cell = mem.cells[q]
-        hop = mem.hops.get(core.module.id) or self._unlinked(mem, core, q)
-        hop_dur = hop.duration_s
-        stored = mem.write_end.pop(q)
-        t0 = max(t_issue, stored)
-        if target_s is not None:
-            t0 = max(t0, target_s - hop_dur - cell.leg_dur)
-        dwell = t0 - stored
-        if mem.eps_cycle is None and not stqm_storage_valid(
-                mem.module.modality, dwell, core.module.modality.p_phys):
-            self.warnings.append(
-                f"qubit {q}: stored {dwell:.3e} s, beyond the consumer's "
-                f"physical rate {core.module.modality.p_phys}")
-        storage_err = self._storage_error(mem, core, dwell)
-        events = self.events
-        if dwell > 0 or storage_err > 0:
-            if cell.stored_id < 0:
-                cell.stored_id = events.intern((
-                    "idle_buffer", mem.module.id, cell.lane, cell.qs,
-                    "stored", "qm_idle"))
-            events.add_id(stored, dwell, cell.stored_id, storage_err)
-        t_read = t0
-        if cell.dist:
-            events.add(t_read, cell.leg_dur, "swap_route", mem.module.id,
-                       cell.lane, cell.qs, f"legs_out:{cell.dist}",
-                       cell.leg_err, "qm_idle")
-            self.counters["swap_count"] += cell.dist
-            t_read += cell.leg_dur
-        if mem.stretched:
-            t_legs = t_read
-            t_read, pad = self._align(t_legs)
-            if pad > 0:
-                events.add(t_legs, pad, "qec_cycle_stretch", core.module.id,
-                           cell.lane, cell.qs, "clock_pad",
-                           -math.expm1(pad / core.t_cycle * core.log_keep),
-                           "qpu_idle")
-        t_arrive = t_read + hop_dur
-        if cell.read_id < 0:
-            cell.read_id = events.intern((
-                "transfer_read", mem.module.id, cell.lane, cell.qs, "read",
-                "transfer"))
-        events.add_id(t_read, hop_dur, cell.read_id, hop.error)
-        self.st_count += 1
-        core.incoming[q] = t_arrive
-        return t_arrive
-
-    def _force_slot(self, core: _Core, t: float,
-                    protected: tuple[int, ...]) -> None:
-        victims = [q for q in core.residents if q not in protected]
-        if not victims:
-            raise CompileError(f"core {core.lane} has no evictable slot "
-                               f"(capacity {core.capacity})")
-        gate_now = core.stream[core.pos]
-
-        def farness(q: int):
-            # the latest next touch first, and none latest of all
-            touches = self.plan.touches[q]
-            i = bisect_right(touches, gate_now)
-            return (-(touches[i] if i < len(touches) else _FAR), q)
-
-        victim = min(victims, key=farness)
-        self._write_out(core, victim, max(t, core.residents[victim]),
-                        "capacity")
-
-    def _ensure_operand(self, core: _Core, q: int, t_issue: float,
-                        protected: tuple[int, ...]) -> float:
-        """Make q, not yet on this core, available there for a gate on the
-        ``protected`` qubits, none of which may be evicted; returns q's
-        ready time."""
-        owner = next((c for c in self.cores
-                      if q in c.residents or q in c.incoming), None)
-        if owner is not None:
-            # another core holds q; a read still in flight to it lands
-            # before the write-out
-            arrival = owner.incoming.pop(q, None)
-            if arrival is not None:
-                owner.residents[q] = arrival
-            self._write_out(owner, q, max(t_issue, owner.residents[q]),
-                            "cross_core")
-        while len(core.residents) + len(core.incoming) >= core.capacity:
-            self._force_slot(core, t_issue, protected)
-        mem = self.q_mem.get(q)
-        if mem is not None and q in mem.write_end:
-            return self._read_in(core, q, t_issue)
-        # first touch: the patch is prepared directly in a compute slot
-        core.residents[q] = t_issue
-        return t_issue
-
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> ScheduledProgram:
@@ -1318,14 +1196,240 @@ class _Scheduler:
         gate, reads the next gate's operands ahead and keeps or moves each
         operand.  A core's fields and its router costs, cached per (memory,
         gap, legs), are bound once per visit; ``pos`` is stored back before
-        any call that can evict, since ``_force_slot`` reads it.
+        any call that can evict, since ``force_slot`` reads it.
+
+        Events and decisions go straight to the stores' columns, through
+        ``append``s bound once here: a gate by its plan's key id, any other
+        event by an id interned right before its first use.  Each event of
+        a resident or a memory cell is appended in one place, a closure of
+        this run: ``charge_idle`` a resident's idle, ``write_out`` a cell's
+        write and legs in, ``read_in`` its legs out and read,
+        ``store_dwell`` its stored dwell and ``clock_pad`` the pad of a
+        transfer to a compute cycle boundary.
         """
-        lowered, q_mem, plan = self.lowered, self.q_mem, self.plan
+        lowered, q_mem, plan, cores = (self.lowered, self.q_mem, self.plan,
+                                       self.cores)
         first, prev, next_gate = plan.first_slot, plan.prev_gate, \
             plan.next_gate
-        core_of_gate, cycle_at = plan.core_of_gate, plan.cycle_at
-        add, audit_add = self.events.add, self.audit.add
-        route_costs = [{} for _ in self.cores]
+        core_of_gate, cycle_at, gate_key = plan.core_of_gate, \
+            plan.cycle_at, plan.gate_key
+        events, audit, warnings = self.events, self.audit, self.warnings
+        add_key, add_start, add_dur, add_err = events.appends()
+        ids = events.ids
+        intern = ids.setdefault  # intern(key, len(ids)) is the key's id
+        add_kind, add_t, add_qubit, add_gap, add_keep, add_move = \
+            audit.appends()
+        audit_ids = audit.ids
+        probe_memory, storage_error, align = (
+            self._probe_memory, self._storage_error, self._align)
+        n_transfers = n_leg_swaps = 0  # added to the counters at the end
+
+        def charge_idle(core: _Core, q: int, last: float,
+                        until: float) -> None:
+            """Charge resident q's idle on ``core`` from ``last`` to
+            ``until``; the caller checks that the gap is not nil."""
+            key_id = core.idle_ids.get(q)
+            if key_id is None:
+                mid = core.module.id
+                key_id = core.idle_ids[q] = intern((
+                    "idle_buffer", mid, f"{mid}:q{q}", (q,), "resident_idle",
+                    "qpu_idle"), len(ids))
+            dur = until - last
+            add_key(key_id)
+            add_start(last)
+            add_dur(dur)
+            add_err(-math.expm1(dur / core.t_cycle * core.log_keep))
+
+        def clock_pad(core: _Core, cell: _Cell, t: float, pad: float) -> None:
+            """The ``pad`` from ``t`` that aligns a transfer of ``cell``'s
+            qubit to a compute cycle boundary, charged to ``core``."""
+            add_key(intern(("qec_cycle_stretch", core.module.id, cell.lane,
+                            cell.qs, "clock_pad", "qpu_idle"), len(ids)))
+            add_start(t)
+            add_dur(pad)
+            add_err(-math.expm1(pad / core.t_cycle * core.log_keep))
+
+        def store_dwell(mem: _Memory, cell: _Cell, t0: float, dwell: float,
+                        err: float) -> None:
+            """The dwell of ``cell``'s qubit from ``t0``, with its error."""
+            if cell.stored_id < 0:
+                cell.stored_id = intern((
+                    "idle_buffer", mem.module.id, cell.lane, cell.qs,
+                    "stored", "qm_idle"), len(ids))
+            add_key(cell.stored_id)
+            add_start(t0)
+            add_dur(dwell)
+            add_err(err)
+
+        def write_out(core: _Core, q: int, t: float, reason: str,
+                      gap_cycles: int = 0, cost_keep: float = math.inf,
+                      cost_move: float = 0.0, mem: _Memory | None = None,
+                      cell: _Cell | None = None) -> None:
+            """Move resident q from ``core`` to memory at ``t``.
+
+            ``mem`` and ``cell`` are q's memory and cell where the caller
+            holds them; a memory without a cell for q yet is the one q
+            claims a cell in.
+            """
+            nonlocal n_transfers, n_leg_swaps
+            if mem is None:
+                mem = q_mem.get(q) or probe_memory(core)
+                if mem is None:
+                    raise CompileError(
+                        f"no reachable memory cell for qubit {q} from "
+                        f"{core.lane}; compute capacity exhausted")
+            if cell is None:
+                cell = mem.cells.get(q)
+                if cell is None:  # first write: claim a free cell
+                    q_mem[q] = mem
+                    cell = mem.cells[q] = _Cell(
+                        f"{mem.module.id}:q{q}", (q,),
+                        *mem.legs(len(mem.cells)))
+            last = core.residents.pop(q)
+            if t > last + 1e-15:
+                charge_idle(core, q, last, t)
+            t0 = t
+            if mem.stretched:
+                t0, pad = align(t)
+                if pad > 0:
+                    clock_pad(core, cell, t0 - pad, pad)
+            hop = mem.hops.get(core.module.id) or self._unlinked(mem, core, q)
+            hop_dur = hop.duration_s
+            if cell.write_id < 0:
+                cell.write_id = intern((
+                    "transfer_write", mem.module.id, cell.lane, cell.qs,
+                    "write", "transfer"), len(ids))
+            add_key(cell.write_id)
+            add_start(t0)
+            add_dur(hop_dur)
+            add_err(hop.error)
+            n_transfers += 1
+            t_cell = t0 + hop_dur
+            if cell.dist:
+                if cell.legs_in_id < 0:
+                    cell.legs_in_id = intern((
+                        "swap_route", mem.module.id, cell.lane, cell.qs,
+                        f"legs_in:{cell.dist}", "qm_idle"), len(ids))
+                add_key(cell.legs_in_id)
+                add_start(t_cell)
+                add_dur(cell.leg_dur)
+                add_err(cell.leg_err)
+                n_leg_swaps += cell.dist
+                t_cell += cell.leg_dur
+            mem.write_end[q] = t_cell
+            kind_id = core.moved_ids.get(reason)
+            if kind_id is None:
+                kind_id = core.moved_ids[reason] = audit_ids.setdefault(
+                    (core.lane, True, reason), len(audit_ids))
+            add_kind(kind_id)
+            add_t(t)
+            add_qubit(q)
+            add_gap(gap_cycles)
+            add_keep(cost_keep)
+            add_move(cost_move)
+
+        def read_in(core: _Core, q: int, mem: _Memory, t_issue: float,
+                    target_s: float | None) -> float:
+            """Read q, stored in ``mem``, into ``core``, issued no earlier
+            than ``t_issue``; returns its arrival.
+
+            With a target the read is issued just in time for the patch to
+            arrive then, so the dwell stays in the cell instead of turning
+            into compute-side idle.
+            """
+            nonlocal n_transfers, n_leg_swaps
+            cell = mem.cells[q]
+            hop = mem.hops.get(core.module.id) or self._unlinked(mem, core, q)
+            hop_dur = hop.duration_s
+            stored = mem.write_end.pop(q)
+            t0 = stored if stored > t_issue else t_issue
+            if target_s is not None:
+                just_in_time = target_s - hop_dur - cell.leg_dur
+                if just_in_time > t0:
+                    t0 = just_in_time
+            dwell = t0 - stored
+            if mem.eps_cycle is None and not stqm_storage_valid(
+                    mem.module.modality, dwell, core.module.modality.p_phys):
+                warnings.append(
+                    f"qubit {q}: stored {dwell:.3e} s, beyond the consumer's "
+                    f"physical rate {core.module.modality.p_phys}")
+            storage_err = storage_error(mem, core, dwell)
+            if dwell > 0 or storage_err > 0:
+                store_dwell(mem, cell, stored, dwell, storage_err)
+            t_read = t0
+            if cell.dist:
+                if cell.legs_out_id < 0:
+                    cell.legs_out_id = intern((
+                        "swap_route", mem.module.id, cell.lane, cell.qs,
+                        f"legs_out:{cell.dist}", "qm_idle"), len(ids))
+                add_key(cell.legs_out_id)
+                add_start(t_read)
+                add_dur(cell.leg_dur)
+                add_err(cell.leg_err)
+                n_leg_swaps += cell.dist
+                t_read += cell.leg_dur
+            if mem.stretched:
+                t_legs = t_read
+                t_read, pad = align(t_legs)
+                if pad > 0:
+                    clock_pad(core, cell, t_legs, pad)
+            if cell.read_id < 0:
+                cell.read_id = intern((
+                    "transfer_read", mem.module.id, cell.lane, cell.qs,
+                    "read", "transfer"), len(ids))
+            add_key(cell.read_id)
+            add_start(t_read)
+            add_dur(hop_dur)
+            add_err(hop.error)
+            n_transfers += 1
+            t_arrive = core.incoming[q] = t_read + hop_dur
+            return t_arrive
+
+        def force_slot(core: _Core, t: float,
+                       protected: tuple[int, ...]) -> None:
+            """Write out the resident of ``core``, none of ``protected``,
+            whose next touch is latest."""
+            victims = [q for q in core.residents if q not in protected]
+            if not victims:
+                raise CompileError(f"core {core.lane} has no evictable slot "
+                                   f"(capacity {core.capacity})")
+            gate_now = core.stream[core.pos]
+
+            def farness(q: int):
+                # the latest next touch first, and none latest of all
+                touches = plan.touches[q]
+                i = bisect_right(touches, gate_now)
+                return (-(touches[i] if i < len(touches) else _FAR), q)
+
+            victim = min(victims, key=farness)
+            write_out(core, victim, max(t, core.residents[victim]),
+                      "capacity")
+
+        def ensure_operand(core: _Core, q: int, t_issue: float,
+                           protected: tuple[int, ...]) -> float:
+            """Make q, not yet on this core, available there for a gate on
+            the ``protected`` qubits, none of which may be evicted; returns
+            q's ready time."""
+            owner = next((c for c in cores
+                          if q in c.residents or q in c.incoming), None)
+            if owner is not None:
+                # another core holds q; a read still in flight to it lands
+                # before the write-out
+                arrival = owner.incoming.pop(q, None)
+                if arrival is not None:
+                    owner.residents[q] = arrival
+                write_out(owner, q, max(t_issue, owner.residents[q]),
+                          "cross_core")
+            while len(core.residents) + len(core.incoming) >= core.capacity:
+                force_slot(core, t_issue, protected)
+            mem = q_mem.get(q)
+            if mem is not None and q in mem.write_end:
+                return read_in(core, q, mem, t_issue, None)
+            # first touch: the patch is prepared directly in a compute slot
+            core.residents[q] = t_issue
+            return t_issue
+
+        route_costs = [{} for _ in cores]
         done, total = 0, len(lowered)
         # one flag per gate plus a set one at the end, which a previous
         # gate of -1 (none) reads
@@ -1333,11 +1437,11 @@ class _Scheduler:
         scheduled[total] = 1
         while done < total:
             done_before = done
-            for core in self.cores:
+            for core in cores:
                 stream, pos, n_stream = core.stream, core.pos, len(core.stream)
                 residents, incoming = core.residents, core.incoming
                 costs, capacity, pool = core.costs, core.capacity, core.pool
-                mid, lane, index = core.module.id, core.lane, core.index
+                lane, index, kept_id = core.lane, core.index, core.kept_id
                 t_cyc, t_free, routes = core.t_cycle, core.t_free, \
                     route_costs[index]
                 while pos < n_stream:
@@ -1361,23 +1465,28 @@ class _Scheduler:
                         ready = residents.get(q, incoming.get(q))
                         if ready is None:
                             core.pos = pos
-                            ready = self._ensure_operand(core, q, t_free,
-                                                         qubits)
+                            ready = ensure_operand(core, q, t_free, qubits)
                         if ready > start:
                             start = ready
                     cost_key = g.cost_key
                     cycles, err = costs[cost_key]
                     if g.magic and pool is not None:
-                        start = max(start, pool.take(g.magic))
+                        pool.consumed += g.magic
+                        ready = pool.consumed * pool.prod * pool.t_cycle \
+                            / pool.units
+                        if ready > start:
+                            start = ready
                     for q in qubits:
-                        arrival = incoming.pop(q, None)
-                        if arrival is not None:
-                            residents[q] = arrival
-                        if start > residents[q] + 1e-15:
-                            self._charge_idle(core, q, start)
+                        last = incoming.pop(q, None)
+                        if last is None:
+                            last = residents[q]
+                        if start > last + 1e-15:
+                            charge_idle(core, q, last, start)
                     dur = cycles * t_cyc
-                    add(start, dur, _INJECT_KINDS.get(cost_key, "gate"), mid,
-                        lane, qubits, g.label, err, g.category)
+                    add_key(gate_key[gi])
+                    add_start(start)
+                    add_dur(dur)
+                    add_err(err)
                     end = t_free = start + dur
                     for q in qubits:
                         residents[q] = end
@@ -1388,7 +1497,7 @@ class _Scheduler:
                             if (mem is not None and q in mem.write_end
                                     and len(residents) + len(incoming)
                                     < capacity):
-                                self._read_in(core, q, start, target_s=end)
+                                read_in(core, q, mem, start, end)
                     # keep or move each operand
                     end_cycle = cycle_at[gi] + cycles
                     for s, q in enumerate(qubits, slot):
@@ -1398,15 +1507,15 @@ class _Scheduler:
                                 # measured out: the slot is simply released
                                 del residents[q]
                             else:
-                                self._write_out(core, q, end, "terminal")
+                                write_out(core, q, end, "terminal")
                             continue
                         if core_of_gate[nxt] != index:
-                            self._write_out(core, q, end, "cross_core")
+                            write_out(core, q, end, "cross_core")
                             continue
                         gap = cycle_at[nxt] - end_cycle
                         if gap <= 0:
                             continue
-                        mem = q_mem.get(q) or self._probe_memory(core)
+                        mem = q_mem.get(q) or probe_memory(core)
                         if mem is None:
                             continue
                         cell = mem.cells.get(q)
@@ -1419,11 +1528,18 @@ class _Scheduler:
                                 routes[key] = route
                         cost_keep, cost_move = route
                         if cost_move < cost_keep:
-                            self._write_out(core, q, end, "router", gap,
-                                            cost_keep, cost_move)
-                        else:
-                            audit_add(end, lane, q, gap, cost_keep,
-                                      cost_move, False, "router")
+                            write_out(core, q, end, "router", gap, cost_keep,
+                                      cost_move, mem, cell)
+                            continue
+                        if kept_id < 0:
+                            kept_id = core.kept_id = audit_ids.setdefault(
+                                (lane, False, "router"), len(audit_ids))
+                        add_kind(kept_id)
+                        add_t(end)
+                        add_qubit(q)
+                        add_gap(gap)
+                        add_keep(cost_keep)
+                        add_move(cost_move)
                     scheduled[gi] = 1
                     pos += 1
                     done += 1
@@ -1432,24 +1548,16 @@ class _Scheduler:
                 raise CompileError("scheduler stalled on a dependency cycle")
         # freed before the run's last events, where its heap peaks
         route_costs = routes = scheduled = None
-        events = self.events
         makespan, n_run = events.makespan(), len(events)
-        for core in self.cores:
-            for q in sorted(core.residents):
-                self._charge_idle(core, q, makespan)
-        self._terminal_storage(makespan)
-        # the scan of all the ends, resumed at the events appended since
-        ends = (events.start[i] + events.dur[i]
-                for i in range(n_run, len(events)))
-        makespan = max(chain((makespan,), ends))
-        self.counters["st_count"] += self.st_count
-        return ScheduledProgram(self.circuit.name, self.arch.name,
-                                events, makespan, self.counters,
-                                self.audit, self.n_blocks, self.warnings)
-
-    def _terminal_storage(self, makespan: float) -> None:
+        for core in cores:
+            residents = core.residents
+            for q in sorted(residents):
+                last = residents[q]
+                if makespan > last + 1e-15:
+                    charge_idle(core, q, last, makespan)
+        # what memory still holds at the end dwells there until then
         for mem in self.memories:
-            readers = [c for c in self.cores if c.module.id in mem.links]
+            readers = [c for c in cores if c.module.id in mem.links]
             consumer = next((c for c in readers if c.module.kind == "QPU"),
                             readers[0])
             for q, t0 in sorted(mem.write_end.items()):
@@ -1457,15 +1565,22 @@ class _Scheduler:
                 if dwell <= 0:
                     continue
                 try:
-                    err = self._storage_error(mem, consumer, dwell)
+                    err = storage_error(mem, consumer, dwell)
                 except TransferInfeasible:
                     err = 1.0 - 1e-16
-                    self.warnings.append(
+                    warnings.append(
                         f"qubit {q}: terminal dwell {dwell:.3e} s "
                         "exceeds the recoverable storage window")
-                cell = mem.cells[q]
-                self.events.add(t0, dwell, "idle_buffer", mem.module.id,
-                                cell.lane, cell.qs, "stored", err, "qm_idle")
+                store_dwell(mem, mem.cells[q], t0, dwell, err)
+        # the scan of all the ends, resumed at the events appended since
+        ends = (events.start[i] + events.dur[i]
+                for i in range(n_run, len(events)))
+        makespan = max(chain((makespan,), ends))
+        self.counters["st_count"] += n_transfers
+        self.counters["swap_count"] += n_leg_swaps
+        return ScheduledProgram(self.circuit.name, self.arch.name,
+                                events, makespan, self.counters,
+                                audit, self.n_blocks, warnings)
 
 
 def schedule(circuit: LogicalCircuit,
@@ -1507,9 +1622,12 @@ def _schedule_grid(front: _FrontEnd, job: _Job) -> ScheduledProgram:
     pos = list(range(n))  # qubit -> flat position, row-major from 0
     cell = pos + [-1] * (side * side - n)  # flat position -> qubit, or -1
     events = EventStore()
-    add = events.add
+    # each event goes to the columns through these, by its key's id
+    add_key, add_start, add_dur, add_err = events.appends()
+    ids = events.ids
+    intern = ids.setdefault  # intern(key, len(ids)) is the key's id
     busy = [0.0] * n
-    lane = f"{qpu.id}:core0"
+    mid, lane = qpu.id, f"{qpu.id}:core0"
     t = 0.0
     pool = _factory_pool(qsf) if qsf is not None else None
     swap_dur = 3 * qpu.code.distance * t_cyc
@@ -1528,9 +1646,13 @@ def _schedule_grid(front: _FrontEnd, job: _Job) -> ScheduledProgram:
                     else:  # stops short of column ac, so never turns
                         step = 1 if ac > mc else -1
                     occupant = cell[p + step]
-                    add(t, swap_dur, "swap_route", qpu.id, lane,
+                    add_key(intern((
+                        "swap_route", mid, lane,
                         (mover, occupant) if occupant >= 0 else (mover,),
-                        "swap", swap_err, "gate_2q")
+                        "swap", "gate_2q"), len(ids)))
+                    add_start(t)
+                    add_dur(swap_dur)
+                    add_err(swap_err)
                     busy[mover] += swap_dur
                     if occupant >= 0:
                         busy[occupant] += swap_dur
@@ -1542,10 +1664,14 @@ def _schedule_grid(front: _FrontEnd, job: _Job) -> ScheduledProgram:
                 pos[mover] = p
         cycles, err = costs[g.cost_key]
         if g.magic and pool is not None:
-            t = max(t, pool.take(g.magic))
+            pool.consumed += g.magic
+            t = max(t, pool.consumed * pool.prod * pool.t_cycle / pool.units)
         dur = cycles * t_cyc
-        add(t, dur, _INJECT_KINDS.get(g.cost_key, "gate"), qpu.id, lane,
-            qubits, g.label, err, g.category)
+        add_key(intern((_INJECT_KINDS.get(g.cost_key, "gate"), mid, lane,
+                        qubits, g.label, g.category), len(ids)))
+        add_start(t)
+        add_dur(dur)
+        add_err(err)
         for q in qubits:
             busy[q] += dur
         t += dur
@@ -1559,9 +1685,11 @@ def _schedule_grid(front: _FrontEnd, job: _Job) -> ScheduledProgram:
         dur = makespan - busy[q]
         if dur <= 0:
             continue
-        add(0.0, dur, "idle_buffer", qpu.id, f"{qpu.id}:q{q}", (q,),
-            "mapped_idle", idle_error(costs["1q"][1], dur / t_cyc),
-            "qpu_idle")
+        add_key(intern(("idle_buffer", mid, f"{mid}:q{q}", (q,),
+                        "mapped_idle", "qpu_idle"), len(ids)))
+        add_start(0.0)
+        add_dur(dur)
+        add_err(idle_error(costs["1q"][1], dur / t_cyc))
     return ScheduledProgram(circuit.name, arch.name, events, makespan,
                             counters, AuditStore(), 1, [])
 

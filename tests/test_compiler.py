@@ -596,17 +596,30 @@ def test_schedule_text_formats_each_start_as_given():
 
 
 def test_event_store_by_id_matches_by_fields():
+    # the schedulers' path: a store that starts from some keys, as from a
+    # plan's gate keys, interns the rest right before their first event
+    # and appends every event to its columns by id; the ids differ from a
+    # store filled by fields, and nothing read off the store may show it
     rng = random.Random(2025)
     for n in [0, 1, 2, 7, 40, 300, 3000]:
-        by_fields, by_id = compiler.EventStore(), compiler.EventStore()
-        ids: dict[tuple, int] = {}
-        for start, dur, *key, err, category in _seeded_emission(rng, n):
+        emission = _seeded_emission(rng, n)
+        seeded = list(dict.fromkeys((*key, category)
+                                    for _, _, *key, _, category in emission
+                                    if key[0] == "gate"))
+        rng.shuffle(seeded)
+        by_fields, by_id = compiler.EventStore(), compiler.EventStore(seeded)
+        add_key, add_start, add_dur, add_err = by_id.appends()
+        ids = by_id.ids
+        for start, dur, *key, err, category in emission:
             by_fields.add(start, dur, *key, err, category)
-            fields = (*key, category)
-            if fields not in ids:  # interned right before its first event
-                ids[fields] = by_id.intern(fields)
-            by_id.add_id(start, dur, ids[fields], err)
-        assert by_id.keys == by_fields.keys
+            add_key(ids.setdefault((*key, category), len(ids)))
+            add_start(start)
+            add_dur(dur)
+            add_err(err)
+        assert by_id.keys[:len(seeded)] == seeded
+        assert sorted(by_id.keys) == sorted(by_fields.keys)
+        assert [by_id.keys[k] for k in by_id.key] == \
+            [by_fields.keys[k] for k in by_fields.key]
         assert sorted(set(by_id.key)) == list(range(len(by_id.keys)))
         assert list(by_id.order()) == list(by_fields.order())
         progs = [ScheduledProgram("c", "a", st, st.makespan(), {}, [], 0)
@@ -620,7 +633,8 @@ def test_event_store_by_id_matches_by_fields():
 
 
 def test_schedule_keys_all_have_events():
-    # cells and residents intern their keys on first use, not on claim
+    # gates take their keys from the plan, where each is a key some gate
+    # uses; cells and residents intern theirs on first use, not on claim
     for spec, name in (("aqft:n=40,k_th=9", "A1"), ("aqft:n=40,k_th=9", "A3"),
                        ("rsa:kind=adder33", "B5")):
         store = schedule(build_workload(spec), builtin_architecture(name)) \

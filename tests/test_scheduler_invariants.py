@@ -62,8 +62,10 @@ def test_random_schedule_invariants_other_builtins(index):
 
 @pytest.mark.parametrize("arch_name", BUILTIN_NAMES)
 def test_keys_interned_on_use_and_transfers_counted(arch_name):
-    # keys are interned right before their first event, and the transfer
-    # counter, kept apart during the run, is added once at its end
+    # a gate's key comes from the plan, which holds only keys that some
+    # gate uses, and any other key is interned right before its first
+    # event, so every key has events; the transfer counter, kept apart
+    # during the run, is added once at its end
     rng = random.Random(31_000 + BUILTIN_NAMES.index(arch_name))
     for circuit in (random_circuit(rng, rng.randint(2, 64),
                                    rng.randint(1, 160)),

@@ -12,6 +12,7 @@ same way a single compile does.
 import dataclasses
 import random
 from array import array
+from collections import Counter
 
 import pytest
 
@@ -25,6 +26,9 @@ from hetqc.estimator import compare_architectures
 from hetqc.generators import generate_cuccaro_adder
 
 from oracles import random_circuit
+
+#: event kinds of a lowered gate
+GATE_KINDS = ("gate", "t_inject", "ccz_inject")
 
 #: columns that a row reads off the sweep's first clean row
 RATIO_FIELDS = ("error_ratio", "log_error_ratio", "makespan_ratio")
@@ -83,6 +87,73 @@ def test_sweep_rows_match_single_compiles(seed):
     singles = [compare_architectures(circuit, [spec])[0] for spec in specs]
     assert [_without_ratios(r) for r in rows] == \
         [_without_ratios(r) for r in singles]
+
+
+def _b2_stretched():
+    """B2 with a 4-cell cache and a stretched RAQM: capacity write-outs,
+    swap legs and clock pads on the compute side of stock B2."""
+    spec = builtin_architecture("B2")
+    for override in ("cache0.logical_qubits=4", "raqm0.t_cycle_s=1.5e-6",
+                     "raqm0.t_cycle_min_s=1.5e-6",
+                     "raqm0.t_cycle_max_s=1.5e-6"):
+        apply_override(spec, override)
+    return spec
+
+
+def _emitted(prog) -> tuple:
+    """A schedule's events in emission order, each with its key, and its
+    router decisions."""
+    store = prog.events
+    return ([store.keys[k] for k in store.key], store.start.tobytes(),
+            store.dur.tobytes(), store.err.tobytes(), list(prog.audit))
+
+
+@pytest.mark.parametrize("workload, specs", [
+    ("hubbard:lx=4,ly=4", lambda: [builtin_architecture(name)
+                                   for name in ("A1", "A2", "A3")]),
+    ("rsa:kind=adder33", lambda: [builtin_architecture(name)
+                                  for name in ("B5", "B6")]),
+    ("hubbard:lx=4,ly=4", lambda: [builtin_architecture("B2"),
+                                   _b2_stretched()]),
+])
+def test_sweep_compiles_match_lone_compiles_event_for_event(
+        monkeypatch, workload, specs):
+    # the compiles share one plan, its gate keys included, and each must
+    # append the events and decisions that a compile of its own appends
+    circuit, specs = build_workload(workload), specs()
+    plans = _counted(monkeypatch, "_build_plan")
+    front = compiler._FrontEnd(circuit, specs)
+    progs = [front.schedule(i) for i in range(len(specs))]
+    assert len(plans) == 1
+    for prog, spec in zip(progs, specs):
+        assert _emitted(prog) == _emitted(schedule(circuit, spec))
+
+
+@pytest.mark.parametrize("name", ["A1", "B1", "B2", "B3", "B4", "B5", "B6"])
+def test_plan_gate_keys_are_the_gates_event_keys(name):
+    # single-core, multi-core and ASQPU plans: each gate's key id names the
+    # key of the event it gets on the core that runs it
+    circuit = build_workload("hubbard:lx=4,ly=4")
+    front = compiler._FrontEnd(circuit, [builtin_architecture(name)])
+    job = front.jobs[0]
+    lowered = front.lowering(job).gates
+    plan = front.plan(job, lowered)
+    assert len(plan.gate_key) == len(lowered)
+    want = []
+    for gi, g in enumerate(lowered):
+        core = job.cores[plan.core_of_gate[gi]]
+        key = (compiler._INJECT_KINDS.get(g.cost_key, "gate"),
+               core.module.id, core.lane, g.qubits, g.label, g.category)
+        assert plan.gate_keys[plan.gate_key[gi]] == key
+        want.append(key)
+    # distinct keys, in the order the streams first use them
+    stream_order = [want[gi] for stream in plan.streams for gi in stream]
+    assert plan.gate_keys == list(dict.fromkeys(stream_order))
+    # and the schedule on the plan gives each gate one event, by that key
+    store = front.schedule(0).events
+    gate_events = Counter(store.keys[k] for k in store.key
+                          if store.keys[k][0] in GATE_KINDS)
+    assert gate_events == Counter(want)
 
 
 def _counted(monkeypatch, name: str) -> list:
@@ -159,7 +230,7 @@ def test_models_write_nothing_they_share(monkeypatch):
     for plan in plans:
         assert all(isinstance(t, array) for t in plan.streams)
         assert all(isinstance(t, array) for t in (
-            plan.core_of_gate, plan.cycle_at, plan.first_slot,
+            plan.core_of_gate, plan.cycle_at, plan.gate_key, plan.first_slot,
             plan.prev_gate, plan.next_gate, *plan.touches.values()))
 
 

@@ -36,6 +36,14 @@ finished program, untimed: how many schedule lines start where the line
 before does, and how many router decisions its audit holds on how many
 distinct (core, gap) pairs.  The hetqc imported is the one under this
 checkout's ``src``.  Stdlib only.
+
+``tracemalloc`` counts the tuples on CPython's free lists, up to 2,000 of
+each length, as heap in use.  So a stage that frees many small tuples
+reads as if it kept up to that many: after a run whose router cache of
+2,369 (memory, gap, legs) keys had been freed, a snapshot still counted
+1,999 3-tuples (125 KiB) at the cache's key line.  Compare a stage's
+``current`` over changes that make or free many small tuples with that
+in mind.
 """
 
 from __future__ import annotations
