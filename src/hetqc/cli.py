@@ -15,7 +15,6 @@ import argparse
 import csv
 import json
 import sys
-from itertools import islice
 from pathlib import Path
 
 from .arch import (BUILTIN_NAMES, ConfigError, apply_override,
@@ -144,8 +143,12 @@ def _compile(circ: LogicalCircuit, spec):
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    # streamed: no whole-document string, which after a big compile would
+    # be one more sub-kilobyte block freed high in the heap (see
+    # compiler._drain)
+    with path.open("w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def cmd_run(args) -> int:
@@ -172,10 +175,9 @@ def cmd_run(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "summary.json", summary)
         with (out / "schedule.txt").open("w", encoding="utf-8") as fh:
-            # one write per batch of lines, about 0.4 MB each
-            lines = prog.lines()
-            while batch := "".join(islice(lines, 4096)):
-                fh.write(batch)
+            # line by line: joining batches would grow a list through the
+            # sub-kilobyte sizes on every batch (see compiler._drain)
+            fh.writelines(prog.lines())
         with (out / "budget.csv").open("w", newline="",
                                        encoding="utf-8") as fh:
             w = csv.writer(fh)

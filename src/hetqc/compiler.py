@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import Counter, defaultdict, deque
+from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, count, repeat
@@ -129,6 +129,19 @@ _CATEGORY = itemgetter(5)
 _CYCLES = itemgetter(0)    # of a (cycles, error) cost
 
 
+def _drain(calls: Iterator[None]) -> None:
+    """Run ``calls``, a ``map`` of a method that returns None, to its end.
+
+    ``any`` reads every None at C speed and allocates nothing.  The usual
+    ``deque(calls, maxlen=0)`` mallocs a 528-byte block per call, and the
+    last one freed in a compile stays in glibc's per-thread cache wherever
+    it landed: high in a heap spread out by the compile's columns, it
+    splits the freed space, so the next large allocation extends the heap
+    instead, and peak RSS differs from one run to the next.
+    """
+    any(calls)
+
+
 class EventStore(Sequence):
     """The events of one schedule, kept as columns.
 
@@ -209,8 +222,8 @@ class EventStore(Sequence):
                     buckets.append([])
                 bucket_of[k] = buckets[-1]
             # list.append(bucket, index) per event, at C speed
-            deque(map(list.append, map(bucket_of.__getitem__, self.key),
-                      range(len(self.key))), maxlen=0)
+            _drain(map(list.append, map(bucket_of.__getitem__, self.key),
+                       range(len(self.key))))
             del fields, last, bucket_of
             order = list(chain.from_iterable(buckets))
             del buckets
@@ -407,8 +420,8 @@ class ErrorBudget:
                                map(_CATEGORY, events.keys)))
         logs_of = _Logs()
         # list.append(part, log) per event, at C speed
-        deque(map(list.append, map(part_of_key.__getitem__, events.key),
-                  map(logs_of.__getitem__, events.err)), maxlen=0)
+        _drain(map(list.append, map(part_of_key.__getitem__, events.key),
+                   map(logs_of.__getitem__, events.err)))
         if logs_of.nan:
             ev = next(ev for ev in events if math.isnan(ev.error))
             raise ValueError(f"NaN error on {ev.kind} event {ev.label} "
@@ -859,15 +872,14 @@ def _build_plan(cores: list[_Core], lowered: list[LoweredGate]) -> _Plan:
             map(itemgetter(i), map(lowered.__getitem__, stream))
             for i in (0, 0, 1, 2, 3))
         costs = map(core.costs.__getitem__, by_cycles)
-        deque(map(cycle_at.__setitem__, stream,
-                  accumulate(map(_CYCLES, costs), initial=0)), maxlen=0)
-        deque(map(core_of_gate.__setitem__, stream, repeat(core.index)),
-              maxlen=0)
+        _drain(map(cycle_at.__setitem__, stream,
+                   accumulate(map(_CYCLES, costs), initial=0)))
+        _drain(map(core_of_gate.__setitem__, stream, repeat(core.index)))
         keys = zip(map(_INJECT_KINDS.get, by_kind, repeat("gate")),
                    repeat(core.module.id), repeat(core.lane), qubits, labels,
                    categories)
-        deque(map(gate_key.__setitem__, stream,
-                  map(key_ids.__getitem__, keys)), maxlen=0)
+        _drain(map(gate_key.__setitem__, stream,
+                   map(key_ids.__getitem__, keys)))
     return _Plan(n_blocks, tuple(streams), core_of_gate, cycle_at, gate_key,
                  list(key_ids), *tables)
 

@@ -496,6 +496,12 @@ def test_touch_tables_match_bisection():
         assert set(touches) == {q for g in lowered for q in g.qubits}
 
 
+def test_drain_runs_every_call_in_order():
+    seen = []
+    assert compiler._drain(map(seen.append, range(1000))) is None
+    assert seen == list(range(1000))
+
+
 @pytest.mark.parametrize("k", range(7))
 def test_swap_distances_match_patch_layout(k):
     quota = 2 * k * k + 6 * k + 1
