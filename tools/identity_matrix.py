@@ -15,6 +15,7 @@ imported is the one under this checkout's ``src``.
 
 The cases are the 1000-qubit AQFT on A1, A2 and A3, the 16x16 Fermi-Hubbard
 on A2, A3 and baseline1000, every RSA subroutine on every builtin, the
+8x8 Fermi-Hubbard on B1, whose operands pass between its cores, the
 Fermi-Hubbard sweep over baseline1000, A1, A2 and A3, and an 8-bit Cuccaro
 adder swept over B1-B6, A1, A2 and Mono.  Together they reach both
 schedulers, every memory kind, the multi-core and the specialty-core
@@ -43,6 +44,8 @@ from hetqc.cli import main  # noqa: E402
 
 AQFT = "aqft:n=1000,k_th=9"
 HUBBARD = "hubbard:lx=16,ly=16,steps=2"
+#: a multi-core run: its operands are handed from core to core
+HANDBACK = ("hubbard:lx=8,ly=8,steps=2", "B1")
 RSA_KINDS = ("adder33", "lookup6", "phaseup6")
 ARTIFACTS = ("schedule.txt", "summary.json", "budget.csv")
 SWEEP_ARTIFACTS = ("comparison.csv", "summary.json")
@@ -68,6 +71,7 @@ def run_cases() -> list[tuple[str, str]]:
     cases += [(HUBBARD, arch) for arch in ("A2", "A3", "baseline1000")]
     cases += [(f"rsa:kind={kind}", arch)
               for kind in RSA_KINDS for arch in BUILTIN_NAMES]
+    cases.append(HANDBACK)
     return cases
 
 
