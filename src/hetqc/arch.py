@@ -128,17 +128,15 @@ class Boundary:
 
     n_bdry: int
     d_bdry: int
-    d_time: int
 
 
 def derive_boundary(spec: ArchitectureSpec, link: LinkSpec) -> Boundary:
-    """Boundary rail count and merged distances for a compute-memory
+    """Boundary rail count and merged distance for a compute-memory
     ``link``.  Rails: one per memory patch plus two per compute patch."""
     compute, memory = spec.module(link.a), spec.module(link.b)
     n_bdry = memory.n_logical + 2 * compute.n_logical
     d_bdry = min(compute.code.distance, memory.code.distance)
-    d_time = max(compute.code.distance, memory.code.distance)
-    return Boundary(n_bdry, d_bdry, d_time)
+    return Boundary(n_bdry, d_bdry)
 
 
 #: accepted QEC cycle times, seconds: wider than any hardware's, and narrow

@@ -5,18 +5,19 @@ them into unitary blocks, assign blocks to compute cores, then run a
 deterministic in-order simulation per core.  Operands stream through core
 slots; a cost router decides after every gate whether an operand stays
 resident or moves to memory.  Writes do not block the core, reads do.
+A core reads a stored operand ahead only once its previous gate has run.
 
 The per-lane rule: events that share a lane string never overlap in time.
 Core lanes carry gates; a memory cell lane carries the write, the stored
 dwell, any swap legs, and the read for one qubit, in that order.
 
 Both schedulers append their events to one :class:`EventStore`: columns
-of start, duration and error plus an interned key per event.  They append
-to the columns, and the modular one its router decisions to an
-:class:`AuditStore`, through ``array.append``s bound once per compile,
-with no method call per event.  The modular one appends a gate by the key
-id its plan holds, and each memory cell's and each resident's events by
-key ids it keeps; the grid model interns each key inline.  A
+of start, duration and error plus an interned key per event.  Stores are
+filled only through their columns' ``array.append``s, bound once per
+compile, with no method call per event; the modular one also fills an
+:class:`AuditStore` with its router decisions.  It appends a gate by the
+key id its plan holds, and each memory cell's and each resident's events
+by key ids it keeps; the grid model interns each key inline.  A
 :class:`ScheduledProgram` is built on that store; its ``events``
 is the store itself, a lazy read-only sequence of :class:`ScheduledEvent`
 records in schedule order.  The makespan, the event count and the error
@@ -152,9 +153,8 @@ class EventStore(Sequence):
     made from ``keys`` starts with them interned, in their order.  The
     columns stay in emission order.
 
-    ``add`` appends one event by its fields.  The schedulers append to the
-    columns themselves, through the bound ``append``s of :meth:`appends`,
-    by ids they intern with ``ids.setdefault(key, len(ids))``.
+    The store is filled only through the bound ``append``s of
+    :meth:`appends`, by ids interned with ``ids.setdefault(key, len(ids))``.
 
     As a sequence the store is read-only and holds :class:`ScheduledEvent`
     records in schedule order: by start time, then module, lane, kind and
@@ -174,17 +174,6 @@ class EventStore(Sequence):
         self.ids: dict[tuple, int] = dict(zip(keys, count()))
         self._keys: list[tuple] = []
         self._order = array("i")
-
-    def add(self, t_start_s: float, duration_s: float, kind: str,
-            module: str, lane: str, qubits: tuple[int, ...], label: str,
-            error: float, category: str) -> None:
-        """Append one event; the arguments are a ScheduledEvent's fields."""
-        ids = self.ids
-        self.key.append(ids.setdefault(
-            (kind, module, lane, qubits, label, category), len(ids)))
-        self.start.append(t_start_s)
-        self.dur.append(duration_s)
-        self.err.append(error)
 
     def appends(self) -> tuple:
         """The bound ``append`` of the key, start, duration and error
@@ -255,10 +244,10 @@ class AuditStore(Sequence):
     A decision's time and its two costs go to ``array('d')`` columns, its
     qubit and gap to ``array('q')`` ones, and (core, moved, reason) to
     ``kind`` as the id that ``ids`` maps it to, interned on first use.
-    ``add`` appends one decision by its fields; the modular scheduler
-    appends to the columns itself, by ids it interns once per core.  As a
-    sequence the store is read-only and holds :class:`RouterDecision`
-    records in the order they were added; ``len`` builds none.
+    The store is filled only through the bound ``append``s of
+    :meth:`appends`.  As a sequence it is read-only and holds
+    :class:`RouterDecision` records in the order they were appended;
+    ``len`` builds none.
     """
 
     __slots__ = ("t_s", "qubit", "gap_cycles", "cost_keep", "cost_move",
@@ -273,18 +262,6 @@ class AuditStore(Sequence):
         self.kind = array("i")
         self.ids: dict[tuple[str, bool, str], int] = {}
         self._kinds: list[tuple[str, bool, str]] = []
-
-    def add(self, t_s: float, core: str, qubit: int, gap_cycles: int,
-            cost_keep: float, cost_move: float, moved: bool,
-            reason: str) -> None:
-        """Append one decision; the arguments are a RouterDecision's fields."""
-        ids = self.ids
-        self.kind.append(ids.setdefault((core, moved, reason), len(ids)))
-        self.t_s.append(t_s)
-        self.qubit.append(qubit)
-        self.gap_cycles.append(gap_cycles)
-        self.cost_keep.append(cost_keep)
-        self.cost_move.append(cost_move)
 
     def appends(self) -> tuple:
         """The bound ``append`` of the kind, time, qubit, gap and two cost
@@ -402,19 +379,14 @@ class ErrorBudget:
     categories: dict[str, float]
 
     @classmethod
-    def from_events(cls, events: Iterable[ScheduledEvent]) -> "ErrorBudget":
-        """Budget of any events; a schedule's store is read as it is.
+    def from_events(cls, events: EventStore) -> "ErrorBudget":
+        """Budget of a schedule's events.
 
         One pass over the key and error columns files each event's
         ``-log1p(-error)``, taken once per distinct error, under the
         category of its key.  ``fsum`` rounds correctly, so the sums do not
         depend on the order of the events.
         """
-        if not isinstance(events, EventStore):
-            store = EventStore()
-            for ev in events:
-                store.add(*ev)
-            events = store
         parts: dict[str, list[float]] = {c: [] for c in CATEGORIES}
         part_of_key = list(map(parts.__getitem__,
                                map(_CATEGORY, events.keys)))
@@ -1156,20 +1128,16 @@ class _Scheduler:
     def _storage_error(self, mem: _Memory, core: _Core,
                        dwell_s: float) -> float:
         """Error a read adds to its bare hop after ``dwell_s`` in the cell."""
-        # the arithmetic of idle_error, or of transversal_error below
+        # the arithmetic of idle_error
         if mem.log_keep is not None:
             return -math.expm1(dwell_s / mem.t_qm_eff * mem.log_keep)
         # passive store, linked transversally: the dwell's physical error
         # rides through the hop and is corrected on arrival; charge only
-        # the residue
+        # the residue.  A refused hop raises here before its error is read.
         eps_qpu, d, eps_th, eps_tele, t2_s, hop_err = \
             mem.passive[core.module.id]
-        residue = dwell_s / t2_s + eps_tele
-        if eps_th <= 0 or residue >= eps_th:
-            # refused, as a refused hop is at any dwell: this raises
-            transversal_error(eps_qpu, d, eps_th, eps_tele, dwell_s / t2_s)
-        return max(2 * eps_qpu + (residue / eps_th) ** ((d + 1) / 2)
-                   - hop_err, 0.0)
+        return max(transversal_error(eps_qpu, d, eps_th, eps_tele,
+                                     dwell_s / t2_s) - hop_err, 0.0)
 
     @staticmethod
     def _unlinked(mem: _Memory, core: _Core, q: int) -> NoReturn:
@@ -1205,8 +1173,8 @@ class _Scheduler:
 
         A gate runs once each operand's previous gate has.  Per gate the
         loop fetches the operands, charges their idle time, appends the
-        gate, reads the next gate's operands ahead and keeps or moves each
-        operand.  A core's fields and its router costs, cached per (memory,
+        gate, reads ahead those of the next gate's operands whose previous
+        gate has run, and keeps or moves each operand.  A core's fields and its router costs, cached per (memory,
         gap, legs), are bound once per visit; ``pos`` is stored back before
         any call that can evict, since ``force_slot`` reads it.
 
@@ -1421,17 +1389,9 @@ class _Scheduler:
                            protected: tuple[int, ...]) -> float:
             """Make q, not yet on this core, available there for a gate on
             the ``protected`` qubits, none of which may be evicted; returns
-            q's ready time."""
-            owner = next((c for c in cores
-                          if q in c.residents or q in c.incoming), None)
-            if owner is not None:
-                # another core holds q; a read still in flight to it lands
-                # before the write-out
-                arrival = owner.incoming.pop(q, None)
-                if arrival is not None:
-                    owner.residents[q] = arrival
-                write_out(owner, q, max(t_issue, owner.residents[q]),
-                          "cross_core")
+            q's ready time.  No other core holds q: a core writes out an
+            operand whose next gate is elsewhere, and reads one ahead only
+            once its previous gate has run."""
             while len(core.residents) + len(core.incoming) >= core.capacity:
                 force_slot(core, t_issue, protected)
             mem = q_mem.get(q)
@@ -1502,11 +1462,14 @@ class _Scheduler:
                     end = t_free = start + dur
                     for q in qubits:
                         residents[q] = end
-                    # read the next gate's stored operands ahead
+                    # read the next gate's stored operands ahead, each once
+                    # its previous gate has run
                     if pos + 1 < n_stream:
-                        for q in lowered[stream[pos + 1]].qubits:
+                        gn = stream[pos + 1]
+                        for s, q in enumerate(lowered[gn].qubits, first[gn]):
                             mem = q_mem.get(q)
                             if (mem is not None and q in mem.write_end
+                                    and scheduled[prev[s]]
                                     and len(residents) + len(incoming)
                                     < capacity):
                                 read_in(core, q, mem, start, end)

@@ -188,6 +188,7 @@ def compare_architectures(circuit: LogicalCircuit,
                    space_cost=space_cost(counts),
                    **{k: prog.counters[k] for k in
                       ("cnot_count", "st_count", "t_count", "swap_count")})
+        del prog  # freed before the next row is scheduled
         if ref is None:
             ref = row
             row["error_ratio"] = 1.0

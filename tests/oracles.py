@@ -2,7 +2,8 @@
 
 Deliberately dumb and slow: dense matrices built entry by entry, classical
 truth tables, breadth-first search on the raw lattice.  Nothing here imports
-from the compiler or resource modules beyond plain data types.
+from the compiler or resource modules beyond plain data types; the store
+fillers take the store to fill as an argument.
 """
 
 from __future__ import annotations
@@ -322,6 +323,38 @@ class EventListReference:
                     None)
 
 
+# ------------------------------------------------------------ store filling
+
+def fill_events(store, events):
+    """``store``, an empty event store, filled with ``events`` (tuples of a
+    ScheduledEvent's fields) as the schedulers fill one: through its
+    bound ``appends()``, by ids interned with ``ids.setdefault``."""
+    add_key, add_start, add_dur, add_err = store.appends()
+    ids = store.ids
+    for start, dur, kind, module, lane, qubits, label, err, category in events:
+        add_key(ids.setdefault((kind, module, lane, qubits, label, category),
+                               len(ids)))
+        add_start(start)
+        add_dur(dur)
+        add_err(err)
+    return store
+
+
+def fill_audit(store, decisions):
+    """``store``, an empty audit store, filled with ``decisions`` (tuples of
+    a RouterDecision's fields) through its bound ``appends()``."""
+    add_kind, add_t, add_qubit, add_gap, add_keep, add_move = store.appends()
+    ids = store.ids
+    for t, core, qubit, gap, keep, move, moved, reason in decisions:
+        add_kind(ids.setdefault((core, moved, reason), len(ids)))
+        add_t(t)
+        add_qubit(qubit)
+        add_gap(gap)
+        add_keep(keep)
+        add_move(move)
+    return store
+
+
 # ------------------------------------------------- schedule invariant checks
 
 def check_lane_exclusive(program) -> list[str]:
@@ -404,6 +437,26 @@ def check_qubit_locations(program) -> list[str]:
             if problem:
                 problems.append(problem)
                 break
+    return problems
+
+
+def check_no_read_back(program) -> list[str]:
+    """No qubit is read into a core and written out again before a gate
+    uses it: a read is followed, among the qubit's gates, reads and
+    writes, by a gate."""
+    per_qubit: dict[int, list] = {}
+    for ev in program.events:
+        on_core = ev.lane.rpartition(":")[2].startswith("core")
+        if on_core or ev.kind in ("transfer_write", "transfer_read"):
+            for q in ev.qubits:
+                per_qubit.setdefault(q, []).append(ev)
+    problems = []
+    for q, evs in sorted(per_qubit.items()):
+        evs.sort(key=lambda e: (e.t_start_s, e.t_end_s))
+        for prev, ev in zip(evs, evs[1:]):
+            if prev.kind == "transfer_read" and ev.kind == "transfer_write":
+                problems.append(f"q{q}: read at {prev.t_start_s:.9f} and "
+                                f"written out at {ev.t_start_s:.9f} unused")
     return problems
 
 

@@ -272,10 +272,8 @@ def test_derive_boundary():
     b = derive_boundary(a1, a1.links[0])
     assert b.n_bdry == 1000 + 2 * 3
     assert b.d_bdry == 15
-    assert b.d_time == 15
 
     a2 = builtin_architecture("A2")
     b = derive_boundary(a2, a2.links[0])
     assert b.n_bdry == 1006
     assert b.d_bdry == 9
-    assert b.d_time == 15

@@ -23,7 +23,8 @@ from hetqc.resources import transfer_patch_layout
 
 import oracles
 from oracles import (consolidate_blocks_linear, error_budget_uncached,
-                     product_error, random_circuit, touch_neighbours_bisect)
+                     fill_audit, fill_events, product_error, random_circuit,
+                     touch_neighbours_bisect)
 
 
 def test_rz_t_count():
@@ -226,7 +227,7 @@ def test_error_budget_masses():
 
 
 def test_error_budget_empty():
-    budget = ErrorBudget.from_events([])
+    budget = ErrorBudget.from_events(compiler.EventStore())
     assert budget.total == 0.0
     assert set(c for c, _ in budget.rows()) == {
         "qpu_idle", "qm_idle", "gate_1q", "gate_2q", "gate_t", "transfer",
@@ -243,7 +244,8 @@ def test_error_budget_matches_uncached_reference():
                                  "qpu0:core0", (0,), "H", rng.choice(pool),
                                  rng.choice(CATEGORIES))
                   for _ in range(rng.randint(0, 300))]
-        budget = ErrorBudget.from_events(events)
+        budget = ErrorBudget.from_events(
+            fill_events(compiler.EventStore(), events))
         total, categories = error_budget_uncached(events, CATEGORIES)
         assert budget.total.hex() == total.hex()
         assert {c: v.hex() for c, v in budget.categories.items()} == \
@@ -254,7 +256,7 @@ def test_error_budget_rejects_nan():
     ev = ScheduledEvent(0.0, 1e-6, "gate", "qpu0", "qpu0:core0", (0,), "H",
                         math.nan, "gate_1q")
     with pytest.raises(ValueError, match="NaN"):
-        ErrorBudget.from_events([ev])
+        ErrorBudget.from_events(fill_events(compiler.EventStore(), [ev]))
 
 
 def _check_program(prog, n_qubits):
@@ -560,12 +562,23 @@ def _seeded_emission(rng, n):
 
 
 def test_event_store_matches_record_list():
+    # filled as the schedulers fill it: a store that starts from some keys,
+    # as from a plan's gate keys, interns the rest right before their
+    # first event and appends every event to its columns by id; nothing
+    # read off the store may show the ids
     rng = random.Random(2024)
     for n in [0, 1, 2, 7, 40, 300, 3000]:
-        store, ref = compiler.EventStore(), oracles.EventListReference()
-        for fields in _seeded_emission(rng, n):
-            store.add(*fields)
+        emission = _seeded_emission(rng, n)
+        seeded = list(dict.fromkeys((*key, category)
+                                    for _, _, *key, _, category in emission
+                                    if key[0] == "gate"))
+        rng.shuffle(seeded)
+        store = fill_events(compiler.EventStore(seeded), emission)
+        ref = oracles.EventListReference()
+        for fields in emission:
             ref.add(*fields)
+        assert store.keys[:len(seeded)] == seeded
+        assert sorted(set(store.key)) == list(range(len(store.keys)))
         if n >= 40:
             assert len(store.keys) < n  # keys do repeat
         ordered = [_hex_fields(ev) for ev in ref.ordered()]
@@ -588,54 +601,18 @@ def test_schedule_text_formats_each_start_as_given():
     # are equal but print apart, so a start text reused on equality alone
     # would print one of them wrong
     starts = [0.0, -0.0, 0.0, 2.5e-6, 2.5e-6, 2.5e-6, 1e-6, -0.0, 1e-6]
-    store, ref = compiler.EventStore(), oracles.EventListReference()
-    for q, t in enumerate(starts):
-        fields = (t, 1e-6 if q % 3 else 0.0, "gate", "qpu0", "qpu0:core0",
-                  (q,), "H", 3.3e-7 if q % 2 else 0.0, "gate_1q")
-        store.add(*fields)
+    emission = [(t, 1e-6 if q % 3 else 0.0, "gate", "qpu0", "qpu0:core0",
+                 (q,), "H", 3.3e-7 if q % 2 else 0.0, "gate_1q")
+                for q, t in enumerate(starts)]
+    store = fill_events(compiler.EventStore(), emission)
+    ref = oracles.EventListReference()
+    for fields in emission:
         ref.add(*fields)
     body = ref.body_lines()
     assert [line.split()[0] for line in body[:4]] == \
         ["0.0", "-0.0", "0.0", "-0.0"]
     prog = ScheduledProgram("c", "a", store, store.makespan(), {}, [], 0)
     assert list(prog.lines())[4:] == body
-
-
-def test_event_store_by_id_matches_by_fields():
-    # the schedulers' path: a store that starts from some keys, as from a
-    # plan's gate keys, interns the rest right before their first event
-    # and appends every event to its columns by id; the ids differ from a
-    # store filled by fields, and nothing read off the store may show it
-    rng = random.Random(2025)
-    for n in [0, 1, 2, 7, 40, 300, 3000]:
-        emission = _seeded_emission(rng, n)
-        seeded = list(dict.fromkeys((*key, category)
-                                    for _, _, *key, _, category in emission
-                                    if key[0] == "gate"))
-        rng.shuffle(seeded)
-        by_fields, by_id = compiler.EventStore(), compiler.EventStore(seeded)
-        add_key, add_start, add_dur, add_err = by_id.appends()
-        ids = by_id.ids
-        for start, dur, *key, err, category in emission:
-            by_fields.add(start, dur, *key, err, category)
-            add_key(ids.setdefault((*key, category), len(ids)))
-            add_start(start)
-            add_dur(dur)
-            add_err(err)
-        assert by_id.keys[:len(seeded)] == seeded
-        assert sorted(by_id.keys) == sorted(by_fields.keys)
-        assert [by_id.keys[k] for k in by_id.key] == \
-            [by_fields.keys[k] for k in by_fields.key]
-        assert sorted(set(by_id.key)) == list(range(len(by_id.keys)))
-        assert list(by_id.order()) == list(by_fields.order())
-        progs = [ScheduledProgram("c", "a", st, st.makespan(), {}, [], 0)
-                 for st in (by_fields, by_id)]
-        assert list(progs[1].lines()) == list(progs[0].lines())
-        assert by_id.makespan().hex() == by_fields.makespan().hex()
-        budgets = [error_budget(prog) for prog in progs]
-        assert budgets[1].total.hex() == budgets[0].total.hex()
-        assert [v.hex() for v in budgets[1].categories.values()] == \
-            [v.hex() for v in budgets[0].categories.values()]
 
 
 def test_schedule_keys_all_have_events():
@@ -651,12 +628,12 @@ def test_schedule_keys_all_have_events():
 def test_event_store_nan_names_first_in_schedule_order():
     rng = random.Random(77)
     for _ in range(30):
-        store, ref = compiler.EventStore(), oracles.EventListReference()
         fields = _seeded_emission(rng, 60)
         for i in rng.sample(range(60), 3):
             fields[i] = fields[i][:6] + (f"nan{i}", math.nan) + fields[i][8:]
+        store = fill_events(compiler.EventStore(), fields)
+        ref = oracles.EventListReference()
         for f in fields:
-            store.add(*f)
             ref.add(*f)
         ev = ref.first_nan()
         with pytest.raises(ValueError) as exc:
@@ -693,11 +670,9 @@ def _seeded_decisions(rng, n):
 def test_audit_store_matches_record_list():
     rng = random.Random(3031)
     for n in [0, 1, 2, 9, 200, 2000]:
-        store = compiler.AuditStore()
-        ref = []
-        for fields in _seeded_decisions(rng, n):
-            store.add(*fields)
-            ref.append(RouterDecision(*fields))
+        decisions = _seeded_decisions(rng, n)
+        store = fill_audit(compiler.AuditStore(), decisions)
+        ref = [RouterDecision(*fields) for fields in decisions]
         if n >= 200:
             assert len(store.kinds) < n  # (core, moved, reason) repeats
         want = [_hex_fields(d) for d in ref]

@@ -96,15 +96,15 @@ AUDIT_SHA256 = {
 
 #: the ``file:`` text of ``random_circuit(random.Random(7001), 40, 120)``:
 #: on A3 the router evicts for capacity, on B1 it writes out across cores,
-#: two paths the cases above never take.  On B1 that includes writing out
-#: a qubit whose read to the other core is still in flight.
+#: two paths the cases above never take.  On B1 a core reads ahead only an
+#: operand whose previous gate has run, which moved its hashes.
 RANDOM_FILE_SHA256 = {
     "A3": ("b2a644c30ba5d795641cdda4d118f0183eb54e3f1629f4dacf0b5fea0e499087",
            "63b9f96b38268c4ce837a745d6a9eb6e490af841b838f8a33774720ac2a239d9",
            "1f20eb30db56f8ed667be15d4c9f50cc3d754257c2cfc406b16709c6c9a5ecad"),
-    "B1": ("59a9e99e94863b03bcca6bcba8fd1a15ed269b7ab4c468874c84c33065e9dc81",
-           "0673b06bf7b63a7c4bd263b3b7ac105bf5b998b532be857433348b3f90b24b8b",
-           "c988b65b58dd545f9e6c99a8046cdd631ef8763c8fd0b1937ffc021fdf479df7"),
+    "B1": ("7e72d20b3b005162564c87dc57af49c12559d0519e4116facaa3e7f0a74073ae",
+           "870df416aac7121575e5ad9fdb10cc6b45f6f078d32c8a515c0c259ea3058ce6",
+           "e2585e0c4228dbb76e066a192edcf9468dff13ee4bdce9402df6f1029db5deca"),
 }
 
 COMPARISON_SHA256 = \

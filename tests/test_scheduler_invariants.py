@@ -3,10 +3,15 @@
 A seeded corpus of circuits (up to 64 logical qubits) is spread round-robin
 over the three memory-backed builtins A1-A3, and a second one over the
 other eight.  Every schedule must be reproducible, keep each lane
-exclusive, keep each qubit in one place at a time, pair writes with reads
-and route only when the move is cheaper than idling.  Where no memory has
+exclusive, keep each qubit in one place at a time, pair writes with reads,
+never read a qubit into a core only to write it out again unused, and
+route only when the move is cheaper than idling.  Where no memory has
 swap legs and the grid model is not used, the only swaps are the ones the
 circuit asks for.
+
+On the multi-core builtins B1-B6, a seeded random corpus, the golden
+random circuit and an 8x8 Fermi-Hubbard, whose operands pass between
+cores, read no qubit back unused.
 
 On every builtin, a random circuit and a small AQFT use every key they
 intern, and their transfer counter counts their transfer events.
@@ -31,15 +36,17 @@ from hetqc.estimator import rsa_estimate
 from hetqc.qec import TransferInfeasible
 from hetqc.resources import count_architecture
 
-from oracles import (check_lane_exclusive, check_no_routing_swaps,
-                     check_qubit_locations, check_router_audit,
-                     check_transfer_pairing, random_circuit)
+from oracles import (check_lane_exclusive, check_no_read_back,
+                     check_no_routing_swaps, check_qubit_locations,
+                     check_router_audit, check_transfer_pairing,
+                     random_circuit)
 
 #: the memory-backed builtins of acceptance criterion 9, and the others
 HET_NAMES = ("A1", "A2", "A3")
 OTHER_NAMES = tuple(a for a in BUILTIN_NAMES if a not in HET_NAMES)
 N_CASES = 102
 N_OTHER_CASES = 12 * len(OTHER_NAMES)
+MULTI_CORE_NAMES = ("B1", "B2", "B3", "B4", "B5", "B6")
 
 
 def _case(index, arch_names=HET_NAMES):
@@ -58,6 +65,21 @@ def test_random_schedule_invariants(index):
 @pytest.mark.parametrize("index", range(N_OTHER_CASES))
 def test_random_schedule_invariants_other_builtins(index):
     _check_invariants(*_case(N_CASES + index, OTHER_NAMES))
+
+
+@pytest.mark.parametrize("arch_name", MULTI_CORE_NAMES)
+def test_no_read_back_between_cores(arch_name):
+    # a core reads ahead only an operand whose previous gate has run, so
+    # no other core is left waiting for it
+    rng = random.Random(41_000 + MULTI_CORE_NAMES.index(arch_name))
+    circuits = [random_circuit(rng, rng.randint(2, 64), rng.randint(1, 160))
+                for _ in range(8)]
+    circuits += [random_circuit(random.Random(7001), 40, 120),
+                 build_workload("hubbard:lx=8,ly=8,steps=2")]
+    for circuit in circuits:
+        prog = schedule(circuit, builtin_architecture(arch_name))
+        assert check_no_read_back(prog) == []
+        assert check_qubit_locations(prog) == []
 
 
 @pytest.mark.parametrize("arch_name", BUILTIN_NAMES)
@@ -87,6 +109,7 @@ def _check_invariants(circuit, arch_name):
     assert check_lane_exclusive(prog) == []
     assert check_qubit_locations(prog) == []
     assert check_transfer_pairing(prog) == []
+    assert check_no_read_back(prog) == []
     assert check_router_audit(prog) == []
     memories = arch.memory_modules()
     if memories and all(m.k_swap == 0 for m in memories):

@@ -6,11 +6,13 @@ compute side.  A seeded property test draws architecture lists with
 repeats and with edits to every field a plan reads: each row must be the
 row of a compile of its own.  The other tests count the shared work, check
 that no model writes what it shares, and check that a sweep refuses the
-same way a single compile does.
+same way a single compile does, and that it drops each row's schedule
+before it runs the next.
 """
 
 import dataclasses
 import random
+import weakref
 from array import array
 from collections import Counter
 
@@ -250,6 +252,25 @@ def test_too_wide_circuit_in_sweep_is_never_lowered(monkeypatch):
     assert [r["status"] for r in rows] == [
         no_home, "failed: 1100 qubits exceed the device's 1000", no_home,
         no_home]
+
+
+def test_sweep_frees_each_row_schedule_before_the_next(monkeypatch):
+    # a row keeps numbers only, so no earlier row's schedule may be alive
+    # while the next row is scheduled
+    programs = []
+    schedule_row = compiler._FrontEnd.schedule
+
+    def tracked(front, i):
+        assert [ref for ref in programs if ref() is not None] == []
+        prog = schedule_row(front, i)
+        programs.append(weakref.ref(prog))
+        return prog
+
+    monkeypatch.setattr(compiler._FrontEnd, "schedule", tracked)
+    rows = compare_architectures(build_workload("hubbard:lx=4,ly=4"),
+                                 ["baseline1000", "A1", "A2", "A3"])
+    assert [row["status"] for row in rows] == ["ok"] * 4
+    assert len(programs) == 4
 
 
 def test_invalid_circuit_fails_every_row_as_alone():
