@@ -615,6 +615,35 @@ def test_schedule_text_formats_each_start_as_given():
     assert list(prog.lines())[4:] == body
 
 
+def test_event_store_by_id_matches_by_fields():
+    # a store that starts from some keys, as from a plan's gate keys, gives
+    # its events other ids than a store that interns every key by fields
+    # on first use; nothing read off the store may show it
+    rng = random.Random(2025)
+    for n in [0, 1, 2, 7, 40, 300, 3000]:
+        emission = _seeded_emission(rng, n)
+        seeded = list(dict.fromkeys((*key, category)
+                                    for _, _, *key, _, category in emission
+                                    if key[0] == "gate"))
+        rng.shuffle(seeded)
+        by_fields = fill_events(compiler.EventStore(), emission)
+        by_id = fill_events(compiler.EventStore(seeded), emission)
+        assert by_id.keys[:len(seeded)] == seeded
+        assert sorted(by_id.keys) == sorted(by_fields.keys)
+        assert [by_id.keys[k] for k in by_id.key] == \
+            [by_fields.keys[k] for k in by_fields.key]
+        assert sorted(set(by_id.key)) == list(range(len(by_id.keys)))
+        assert list(by_id.order()) == list(by_fields.order())
+        progs = [ScheduledProgram("c", "a", st, st.makespan(), {}, [], 0)
+                 for st in (by_fields, by_id)]
+        assert list(progs[1].lines()) == list(progs[0].lines())
+        assert by_id.makespan().hex() == by_fields.makespan().hex()
+        budgets = [error_budget(prog) for prog in progs]
+        assert budgets[1].total.hex() == budgets[0].total.hex()
+        assert [v.hex() for v in budgets[1].categories.values()] == \
+            [v.hex() for v in budgets[0].categories.values()]
+
+
 def test_schedule_keys_all_have_events():
     # gates take their keys from the plan, where each is a key some gate
     # uses; cells and residents intern theirs on first use, not on claim
