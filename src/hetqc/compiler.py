@@ -30,8 +30,9 @@ its unitary blocks once they are assigned to cores, keeping their count,
 and holds its per-gate tables as arrays rather than lists of ints.  The
 per-gate loops do only per-event work: each core's cycle time and
 ``log1p(-eps_cycle)`` and each (memory, compute module) pair's bare hop
-and passive storage constants are bound once.  The grid model routes on
-flat positions and needs no detour (:func:`_schedule_grid`).
+are bound once.  A stored qubit has one record, its :class:`_Cell`, found
+by one lookup.  The grid model routes on flat positions and needs no
+detour (:func:`_schedule_grid`).
 
 The compiles of one circuit on several architectures share their front
 end (:class:`_FrontEnd`): the circuit is validated once and lowered once
@@ -970,15 +971,19 @@ class _InfeasibleHop(TransferInfeasible):
 
 
 class _Cell:
-    """A claimed memory cell; its event key ids are -1 until first used."""
+    """The one record of a stored qubit: its memory, the lane and legs of
+    its cell, when its last write ended (None while the qubit is out),
+    and its event key ids, -1 until first used."""
 
-    __slots__ = ("lane", "qs", "dist", "leg_dur", "leg_err", "write_id",
-                 "legs_in_id", "stored_id", "legs_out_id", "read_id")
+    __slots__ = ("mem", "lane", "qs", "dist", "leg_dur", "leg_err", "stored",
+                 "write_id", "legs_in_id", "stored_id", "legs_out_id",
+                 "read_id")
 
-    def __init__(self, lane: str, qs: tuple[int], dist: int, leg_dur: float,
-                 leg_err: float):
-        self.lane, self.qs = lane, qs
+    def __init__(self, mem: _Memory, lane: str, qs: tuple[int], dist: int,
+                 leg_dur: float, leg_err: float):
+        self.mem, self.lane, self.qs = mem, lane, qs
         self.dist, self.leg_dur, self.leg_err = dist, leg_dur, leg_err
+        self.stored: float | None = None
         self.write_id = self.legs_in_id = self.stored_id = -1
         self.legs_out_id = self.read_id = -1
 
@@ -992,14 +997,10 @@ class _Memory:
     eps_cycle: float | None                # None when storage is passive
     log_keep: float | None                 # log1p(-eps_cycle), or None
     swap_dist: list[int]                   # per cell, all zero if k_swap == 0
-    cells: dict[int, _Cell] = field(default_factory=dict)  # qubit -> cell
-    write_end: dict[int, float] = field(default_factory=dict)
+    n_claimed: int = 0                     # cells claimed, never released
     # linked compute module id -> its bare boundary hop, resolved up front
     hops: dict[str, TransferResult | _InfeasibleHop] = field(
         default_factory=dict)
-    # passive storage: linked compute module id -> (eps_qpu, d_qpu, eps_th,
-    # eps_tele, t2_s, bare hop error), the error None for a refused hop
-    passive: dict[str, tuple] = field(default_factory=dict)
 
     # transfer legs: physical transport inside the memory lattice before and
     # after the boundary hop, three memory CNOTs per swap step
@@ -1040,7 +1041,7 @@ class _Scheduler:
         self.plan = plan
         # the gates' keys first, so that a gate appends its plan's key id
         self.events = EventStore(plan.gate_keys)
-        self.q_mem: dict[int, _Memory] = {}
+        self.cells: dict[int, _Cell] = {}  # stored qubit -> its cell
 
     # -- construction ------------------------------------------------------
 
@@ -1064,15 +1065,9 @@ class _Scheduler:
                           None if eps_cycle is None else _log_keep(eps_cycle),
                           _swap_distances(m.n_logical, m.k_swap))
             for core in self.cores:
-                mid, c = core.module.id, core.module
+                mid = core.module.id
                 if mid in links and mid not in mem.hops:
-                    hop = mem.hops[mid] = self._bare_hop(mem, core)
-                    if eps_cycle is None:
-                        mem.passive[mid] = (
-                            core.eps_cycle, c.code.distance, c.modality.p_th,
-                            links[mid].eps_tele, m.modality.t2_s,
-                            None if isinstance(hop, _InfeasibleHop)
-                            else hop.error)
+                    mem.hops[mid] = self._bare_hop(mem, core)
             mems.append(mem)
         # short-term memory is the preferred eviction target
         mems.sort(key=lambda mm: (mm.module.kind != "STQM", mm.module.id))
@@ -1100,7 +1095,7 @@ class _Scheduler:
         """A reachable memory with a free cell."""
         for mm in self.memories:
             if core.module.id in mm.links \
-                    and len(mm.cells) < mm.module.n_logical:
+                    and mm.n_claimed < mm.module.n_logical:
                 return mm
         return None
 
@@ -1134,10 +1129,11 @@ class _Scheduler:
         # passive store, linked transversally: the dwell's physical error
         # rides through the hop and is corrected on arrival; charge only
         # the residue.  A refused hop raises here before its error is read.
-        eps_qpu, d, eps_th, eps_tele, t2_s, hop_err = \
-            mem.passive[core.module.id]
-        return max(transversal_error(eps_qpu, d, eps_th, eps_tele,
-                                     dwell_s / t2_s) - hop_err, 0.0)
+        m = core.module
+        return max(transversal_error(
+            core.eps_cycle, m.code.distance, m.modality.p_th,
+            mem.links[m.id].eps_tele, dwell_s / mem.module.modality.t2_s)
+            - mem.hops[m.id].error, 0.0)
 
     @staticmethod
     def _unlinked(mem: _Memory, core: _Core, q: int) -> NoReturn:
@@ -1174,9 +1170,11 @@ class _Scheduler:
         A gate runs once each operand's previous gate has.  Per gate the
         loop fetches the operands, charges their idle time, appends the
         gate, reads ahead those of the next gate's operands whose previous
-        gate has run, and keeps or moves each operand.  A core's fields and its router costs, cached per (memory,
-        gap, legs), are bound once per visit; ``pos`` is stored back before
-        any call that can evict, since ``force_slot`` reads it.
+        gate has run, and keeps or moves each operand.  A core's fields
+        and its router costs, cached per (memory, gap, legs), are bound
+        once per visit; ``pos`` is stored back before any call that can
+        evict, since ``force_slot`` reads it.  A stored qubit's one record
+        is its cell in ``cells``, claimed on its first write.
 
         Events and decisions go straight to the stores' columns, through
         ``append``s bound once here: a gate by its plan's key id, any other
@@ -1187,7 +1185,7 @@ class _Scheduler:
         ``store_dwell`` its stored dwell and ``clock_pad`` the pad of a
         transfer to a compute cycle boundary.
         """
-        lowered, q_mem, plan, cores = (self.lowered, self.q_mem, self.plan,
+        lowered, cells, plan, cores = (self.lowered, self.cells, self.plan,
                                        self.cores)
         first, prev, next_gate = plan.first_slot, plan.prev_gate, \
             plan.next_gate
@@ -1229,42 +1227,40 @@ class _Scheduler:
             add_dur(pad)
             add_err(-math.expm1(pad / core.t_cycle * core.log_keep))
 
-        def store_dwell(mem: _Memory, cell: _Cell, t0: float, dwell: float,
+        def store_dwell(cell: _Cell, t0: float, dwell: float,
                         err: float) -> None:
             """The dwell of ``cell``'s qubit from ``t0``, with its error."""
             if cell.stored_id < 0:
                 cell.stored_id = intern((
-                    "idle_buffer", mem.module.id, cell.lane, cell.qs,
+                    "idle_buffer", cell.mem.module.id, cell.lane, cell.qs,
                     "stored", "qm_idle"), len(ids))
             add_key(cell.stored_id)
             add_start(t0)
             add_dur(dwell)
             add_err(err)
 
+        def claim(core: _Core, q: int, mem: _Memory | None) -> _Cell:
+            """A cell for q's first write in ``mem``, a memory reachable
+            from ``core`` with a free cell, or None for none."""
+            if mem is None:
+                raise CompileError(
+                    f"no reachable memory cell for qubit {q} from "
+                    f"{core.lane}; compute capacity exhausted")
+            cell = cells[q] = _Cell(mem, f"{mem.module.id}:q{q}", (q,),
+                                    *mem.legs(mem.n_claimed))
+            mem.n_claimed += 1
+            return cell
+
         def write_out(core: _Core, q: int, t: float, reason: str,
                       gap_cycles: int = 0, cost_keep: float = math.inf,
-                      cost_move: float = 0.0, mem: _Memory | None = None,
+                      cost_move: float = 0.0,
                       cell: _Cell | None = None) -> None:
-            """Move resident q from ``core`` to memory at ``t``.
-
-            ``mem`` and ``cell`` are q's memory and cell where the caller
-            holds them; a memory without a cell for q yet is the one q
-            claims a cell in.
-            """
+            """Move resident q from ``core`` to memory at ``t``, into
+            ``cell`` where the caller holds q's cell."""
             nonlocal n_transfers, n_leg_swaps
-            if mem is None:
-                mem = q_mem.get(q) or probe_memory(core)
-                if mem is None:
-                    raise CompileError(
-                        f"no reachable memory cell for qubit {q} from "
-                        f"{core.lane}; compute capacity exhausted")
             if cell is None:
-                cell = mem.cells.get(q)
-                if cell is None:  # first write: claim a free cell
-                    q_mem[q] = mem
-                    cell = mem.cells[q] = _Cell(
-                        f"{mem.module.id}:q{q}", (q,),
-                        *mem.legs(len(mem.cells)))
+                cell = cells.get(q) or claim(core, q, probe_memory(core))
+            mem = cell.mem
             last = core.residents.pop(q)
             if t > last + 1e-15:
                 charge_idle(core, q, last, t)
@@ -1296,7 +1292,7 @@ class _Scheduler:
                 add_err(cell.leg_err)
                 n_leg_swaps += cell.dist
                 t_cell += cell.leg_dur
-            mem.write_end[q] = t_cell
+            cell.stored = t_cell
             kind_id = core.moved_ids.get(reason)
             if kind_id is None:
                 kind_id = core.moved_ids[reason] = audit_ids.setdefault(
@@ -1308,9 +1304,9 @@ class _Scheduler:
             add_keep(cost_keep)
             add_move(cost_move)
 
-        def read_in(core: _Core, q: int, mem: _Memory, t_issue: float,
+        def read_in(core: _Core, q: int, cell: _Cell, t_issue: float,
                     target_s: float | None) -> float:
-            """Read q, stored in ``mem``, into ``core``, issued no earlier
+            """Read q, stored in ``cell``, into ``core``, issued no earlier
             than ``t_issue``; returns its arrival.
 
             With a target the read is issued just in time for the patch to
@@ -1318,10 +1314,10 @@ class _Scheduler:
             into compute-side idle.
             """
             nonlocal n_transfers, n_leg_swaps
-            cell = mem.cells[q]
+            mem = cell.mem
             hop = mem.hops.get(core.module.id) or self._unlinked(mem, core, q)
             hop_dur = hop.duration_s
-            stored = mem.write_end.pop(q)
+            stored, cell.stored = cell.stored, None
             t0 = stored if stored > t_issue else t_issue
             if target_s is not None:
                 just_in_time = target_s - hop_dur - cell.leg_dur
@@ -1335,7 +1331,7 @@ class _Scheduler:
                     f"physical rate {core.module.modality.p_phys}")
             storage_err = storage_error(mem, core, dwell)
             if dwell > 0 or storage_err > 0:
-                store_dwell(mem, cell, stored, dwell, storage_err)
+                store_dwell(cell, stored, dwell, storage_err)
             t_read = t0
             if cell.dist:
                 if cell.legs_out_id < 0:
@@ -1394,9 +1390,9 @@ class _Scheduler:
             once its previous gate has run."""
             while len(core.residents) + len(core.incoming) >= core.capacity:
                 force_slot(core, t_issue, protected)
-            mem = q_mem.get(q)
-            if mem is not None and q in mem.write_end:
-                return read_in(core, q, mem, t_issue, None)
+            cell = cells.get(q)
+            if cell is not None and cell.stored is not None:
+                return read_in(core, q, cell, t_issue, None)
             # first touch: the patch is prepared directly in a compute slot
             core.residents[q] = t_issue
             return t_issue
@@ -1467,12 +1463,12 @@ class _Scheduler:
                     if pos + 1 < n_stream:
                         gn = stream[pos + 1]
                         for s, q in enumerate(lowered[gn].qubits, first[gn]):
-                            mem = q_mem.get(q)
-                            if (mem is not None and q in mem.write_end
+                            cell = cells.get(q)
+                            if (cell is not None and cell.stored is not None
                                     and scheduled[prev[s]]
                                     and len(residents) + len(incoming)
                                     < capacity):
-                                read_in(core, q, mem, start, end)
+                                read_in(core, q, cell, start, end)
                     # keep or move each operand
                     end_cycle = cycle_at[gi] + cycles
                     for s, q in enumerate(qubits, slot):
@@ -1490,11 +1486,13 @@ class _Scheduler:
                         gap = cycle_at[nxt] - end_cycle
                         if gap <= 0:
                             continue
-                        mem = q_mem.get(q) or probe_memory(core)
-                        if mem is None:
-                            continue
-                        cell = mem.cells.get(q)
-                        leg_err = cell.leg_err if cell is not None else 0.0
+                        cell = cells.get(q)
+                        if cell is not None:
+                            mem, leg_err = cell.mem, cell.leg_err
+                        else:
+                            mem, leg_err = probe_memory(core), 0.0
+                            if mem is None:
+                                continue
                         key = (mem.module.id, gap, leg_err)
                         route = routes.get(key)
                         if route is None:
@@ -1504,7 +1502,7 @@ class _Scheduler:
                         cost_keep, cost_move = route
                         if cost_move < cost_keep:
                             write_out(core, q, end, "router", gap, cost_keep,
-                                      cost_move, mem, cell)
+                                      cost_move, cell or claim(core, q, mem))
                             continue
                         if kept_id < 0:
                             kept_id = core.kept_id = audit_ids.setdefault(
@@ -1524,18 +1522,20 @@ class _Scheduler:
         # freed before the run's last events, where its heap peaks
         route_costs = routes = scheduled = None
         makespan, n_run = events.makespan(), len(events)
-        for core in cores:
-            residents = core.residents
-            for q in sorted(residents):
-                last = residents[q]
-                if makespan > last + 1e-15:
-                    charge_idle(core, q, last, makespan)
-        # what memory still holds at the end dwells there until then
+        # no core holds a qubit now: after its last gate each operand is
+        # measured out or written out terminal, and one whose next gate is
+        # on another core is written out cross_core; a read lands only for
+        # a gate of its own core, which takes it.  What memory holds at the
+        # end dwells there until then.
+        stored = sorted(cells.items())
         for mem in self.memories:
             readers = [c for c in cores if c.module.id in mem.links]
             consumer = next((c for c in readers if c.module.kind == "QPU"),
                             readers[0])
-            for q, t0 in sorted(mem.write_end.items()):
+            for q, cell in stored:
+                t0 = cell.stored
+                if cell.mem is not mem or t0 is None:
+                    continue
                 dwell = makespan - t0
                 if dwell <= 0:
                     continue
@@ -1546,7 +1546,7 @@ class _Scheduler:
                     warnings.append(
                         f"qubit {q}: terminal dwell {dwell:.3e} s "
                         "exceeds the recoverable storage window")
-                store_dwell(mem, mem.cells[q], t0, dwell, err)
+                store_dwell(cell, t0, dwell, err)
         # the scan of all the ends, resumed at the events appended since
         ends = (events.start[i] + events.dur[i]
                 for i in range(n_run, len(events)))

@@ -65,50 +65,43 @@ def space_cost(rc: ResourceCounts, w: CostWeights = CostWeights()) -> float:
             + w.w_inter * rc.interconnects)
 
 
+def _compute_tiers(n: int, d: int, c_anc: float, n_edges: int,
+                   distill: tuple[float, int] | None) -> dict[str, int]:
+    """Qubits of a compute tier: logical patches n*(1+c_anc)*d^2,
+    lattice-surgery routing 2*n_edges*d, state injection 2*d*n and, given
+    ``distill`` = (n_mf_per_qpu, n_dist), distillation
+    n_mf_per_qpu*n_dist*n*d^2."""
+    tiers = {"qubits_logical": round(n * (1 + c_anc) * d * d),
+             "qubits_surgery": 2 * n_edges * d,
+             "qubits_injection": 2 * d * n}
+    if distill is not None:
+        n_mf_per_qpu, n_dist = distill
+        tiers["qubits_distillation"] = round(n_mf_per_qpu * n_dist * n * d * d)
+    return tiers
+
+
 def count_homogeneous(n: int, d: int, c_anc: float = 1.0,
                       n_edges: int | None = None,
                       n_mf_per_qpu: float = 3.0, n_dist: int = 72) -> ResourceCounts:
     """Single-tier surface-code device with on-chip factories.
 
-    Tiers: logical patches n*(1+c_anc)*d^2, lattice-surgery routing
-    2*n_edges*d, state injection 2*d*n, distillation
-    n_mf_per_qpu*n_dist*n*d^2.  All tiers actively corrected.
+    Its tiers are those of :func:`_compute_tiers`, ``n_edges`` 2n by
+    default, all actively corrected with two local couplers per qubit.
     """
-    if n_edges is None:
-        n_edges = 2 * n
-    logical = round(n * (1 + c_anc) * d * d)
-    surgery = 2 * n_edges * d
-    inject = 2 * d * n
-    distill = round(n_mf_per_qpu * n_dist * n * d * d)
-    active = logical + surgery + inject + distill
-    return ResourceCounts(
-        qubits_active=active,
-        couplers_local=2 * active,
-        breakdown={
-            "qubits_logical": logical,
-            "qubits_surgery": surgery,
-            "qubits_injection": inject,
-            "qubits_distillation": distill,
-            "couplers_logical": 2 * logical,
-            "couplers_surgery": 2 * surgery,
-            "couplers_injection": 2 * inject,
-            "couplers_distillation": 2 * distill,
-        })
+    tiers = _compute_tiers(n, d, c_anc, 2 * n if n_edges is None else n_edges,
+                           (n_mf_per_qpu, n_dist))
+    active = sum(tiers.values())
+    breakdown = dict(tiers)
+    breakdown.update(("couplers" + k[6:], 2 * v) for k, v in tiers.items())
+    return ResourceCounts(qubits_active=active, couplers_local=2 * active,
+                          breakdown=breakdown)
 
 
 def _qpu_tiers(qpu: ModuleSpec, qsf: ModuleSpec | None) -> dict[str, int]:
-    d = qpu.code.distance
     n = qpu.n_logical
-    n_edges = qpu.n_edges if qpu.n_edges is not None else n
-    tiers = {
-        "qubits_logical": round(n * (1 + qpu.code.c_anc) * d * d),
-        "qubits_surgery": 2 * n_edges * d,
-        "qubits_injection": 2 * d * n,
-    }
-    if qsf is not None:
-        tiers["qubits_distillation"] = round(
-            qsf.n_mf_per_qpu * qsf.n_dist * n * d * d)
-    return tiers
+    return _compute_tiers(n, qpu.code.distance, qpu.code.c_anc,
+                          n if qpu.n_edges is None else qpu.n_edges,
+                          qsf and (qsf.n_mf_per_qpu, qsf.n_dist))
 
 
 def count_heterogeneous_stqm(spec: ArchitectureSpec) -> ResourceCounts:

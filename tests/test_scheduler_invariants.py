@@ -14,7 +14,8 @@ random circuit and an 8x8 Fermi-Hubbard, whose operands pass between
 cores, read no qubit back unused.
 
 On every builtin, a random circuit and a small AQFT use every key they
-intern, and their transfer counter counts their transfer events.
+intern, and their transfer counter counts their transfer events; the
+golden random circuit and an 8x8 Fermi-Hubbard leave no qubit on a core.
 
 A property test then draws physical parameters on every builtin: every
 config that ``validate`` accepts compiles to finite numbers or is refused
@@ -29,6 +30,7 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from hetqc import compiler
 from hetqc.arch import BUILTIN_NAMES, builtin_architecture, validate
 from hetqc.cli import build_workload
 from hetqc.compiler import CompileError, EVENT_KINDS, error_budget, schedule
@@ -98,6 +100,26 @@ def test_keys_interned_on_use_and_transfers_counted(arch_name):
         kinds = Counter(store.keys[key_id][0] for key_id in store.key)
         assert prog.counters["st_count"] == \
             kinds["transfer_write"] + kinds["transfer_read"]
+
+
+@pytest.mark.parametrize("arch_name", BUILTIN_NAMES)
+def test_no_core_holds_a_qubit_at_the_end(arch_name):
+    # after its last gate an operand is measured out or written out
+    # terminal, and one whose next gate is on another core is written out
+    # cross_core; a read lands only for a gate of its own core, which takes
+    # it.  So a run ends with no resident idle to charge.
+    for circuit in (random_circuit(random.Random(7001), 40, 120),
+                    build_workload("hubbard:lx=8,ly=8,steps=2")):
+        front = compiler._FrontEnd(circuit,
+                                   [builtin_architecture(arch_name)])
+        job = front.jobs[0]
+        if job.cores is None:  # the grid model has no cores
+            assert arch_name in ("baseline1000", "Mono")
+            continue
+        compiler._Scheduler(front, job).run()
+        assert [(core.lane, core.residents, core.incoming)
+                for core in job.cores
+                if core.residents or core.incoming] == []
 
 
 def _check_invariants(circuit, arch_name):
