@@ -574,11 +574,14 @@ class UnitaryBlock:
 
 
 def consolidate_blocks(lowered: list[LoweredGate],
-                       max_qubits: int) -> list[UnitaryBlock]:
+                       max_qubits: int | dict[str | None, int]
+                       ) -> list[UnitaryBlock]:
     """Group gates into tag-uniform blocks of bounded support.
 
     Earliest-fit: a gate joins the first block at or after its dependency
     frontier whose tag matches and whose support stays within the bound.
+    The bound is ``max_qubits``, or ``max_qubits[tag]`` for a block of that
+    tag given a dict, and never less than the largest gate arity.
 
     ``last_touch`` never decreases, so no block past the frontier holds any
     of the gate's qubits and there a fit is a matter of free room alone.
@@ -588,12 +591,12 @@ def consolidate_blocks(lowered: list[LoweredGate],
     the same whatever the core capacity.
     """
     max_arity = max((len(g.qubits) for g in lowered), default=1)
-    max_qubits = max(max_qubits, max_arity)
     blocks: list[UnitaryBlock] = []
     last_touch: dict[int, int] = {}
     touched = last_touch.get
-    # tag -> [need] -> ascending indices of blocks with room >= need
-    open_blocks: dict[str | None, list[list[int]]] = {}
+    # tag -> (its bound, [need] -> ascending indices of blocks with
+    # room >= need)
+    open_blocks: dict[str | None, tuple[int, list[list[int]]]] = {}
     for gi, g in enumerate(lowered):
         qubits, tag = g.qubits, g.tag
         frontier = 0
@@ -601,20 +604,26 @@ def consolidate_blocks(lowered: list[LoweredGate],
             b = touched(q, 0)
             if b > frontier:
                 frontier = b
+        entry = open_blocks.get(tag)
+        if entry is None:
+            bound = max_qubits if isinstance(max_qubits, int) \
+                else max_qubits[tag]
+            entry = open_blocks[tag] = (max(bound, max_arity), [
+                [] for _ in range(max_arity + 1)])
+        bound, by_room = entry
         chosen = None
         if frontier < len(blocks):
             b = blocks[frontier]
             if b.tag == tag:
                 # the union test: room for the qubits b does not hold yet
                 held = b.qubits
-                room = max_qubits - len(held)
+                room = bound - len(held)
                 for q in qubits:
                     if q not in held:
                         room -= 1
                 if room >= 0:
                     chosen = b
-        by_room = open_blocks.get(tag)
-        if chosen is None and by_room is not None:
+        if chosen is None:
             # operands are distinct, so the gate needs one slot for each
             fits = by_room[len(qubits)]
             i = bisect_right(fits, frontier)
@@ -623,20 +632,16 @@ def consolidate_blocks(lowered: list[LoweredGate],
         if chosen is None:
             chosen = UnitaryBlock(len(blocks), [], set(), tag)
             blocks.append(chosen)
-            if by_room is None:
-                by_room = open_blocks[tag] = [[] for _ in
-                                              range(max_arity + 1)]
             for fits in by_room:
                 fits.append(chosen.index)
         index, held = chosen.index, chosen.qubits
         before = len(held)
         chosen.gates.append(gi)
         held.update(qubits)
-        free = max_qubits - len(held)
+        free = bound - len(held)
         if free < max_arity and len(held) > before:
             # drop the block from the lists of needs it no longer meets
-            for need in range(free + 1,
-                              min(max_qubits - before, max_arity) + 1):
+            for need in range(free + 1, min(bound - before, max_arity) + 1):
                 fits = by_room[need]
                 del fits[bisect_left(fits, index)]
         for q in qubits:
@@ -801,6 +806,12 @@ def _plan_key(cores: list[_Core], lowering_key: tuple) -> tuple:
          c.module.t_cycle_s, tuple(c.costs.items())) for c in cores)
 
 
+def _runs_tag(core: _Core, tag: str | None) -> bool:
+    """Whether ``core`` may run a block tagged ``tag``: an ASQPU core runs
+    only blocks tagged with its specialty, the QPU's cores any block."""
+    return core.module.kind != "ASQPU" or tag == core.module.specialty
+
+
 def _assign_blocks(cores: list[_Core], lowered: list[LoweredGate],
                    blocks: list[UnitaryBlock]) -> tuple[list[array], int]:
     """(each core's stream, the block count): every block's gates go to
@@ -811,8 +822,7 @@ def _assign_blocks(cores: list[_Core], lowered: list[LoweredGate],
     for b in blocks:
         best = None
         for core in cores:
-            if core.module.kind == "ASQPU" \
-                    and b.tag != core.module.specialty:
+            if not _runs_tag(core, b.tag):
                 continue
             cyc = sum(core.costs[lowered[gi].cost_key][0] for gi in b.gates)
             start = max([free[core.index]] + [finish[d] for d in b.deps])
@@ -829,9 +839,12 @@ def _assign_blocks(cores: list[_Core], lowered: list[LoweredGate],
 
 def _build_plan(cores: list[_Core], lowered: list[LoweredGate]) -> _Plan:
     """The plan of ``lowered`` on ``cores``, read through :func:`_plan_key`."""
-    # the blocks are read only here, and freed once assigned
-    streams, n_blocks = _assign_blocks(cores, lowered, consolidate_blocks(
-        lowered, max(c.capacity for c in cores)))
+    # each tag's blocks are bounded by the cores that may run them; the
+    # blocks are read only here, and freed once assigned
+    bounds = {tag: max(c.capacity for c in cores if _runs_tag(c, tag))
+              for tag in {g.tag for g in lowered}}
+    streams, n_blocks = _assign_blocks(cores, lowered,
+                                       consolidate_blocks(lowered, bounds))
     # the touch tables first: their lists peak above the arrays they leave
     tables = _touch_tables(lowered)
     n = len(lowered)

@@ -203,22 +203,27 @@ def lower_op_reference(op, factory_state, t_per_rz: int) -> list[tuple]:
 
 # ------------------------------------------------------ block consolidation
 
-def consolidate_blocks_linear(lowered, max_qubits: int) -> list[tuple]:
+def consolidate_blocks_linear(lowered, max_qubits) -> list[tuple]:
     """Earliest-fit grouping by a plain scan from the dependency frontier.
 
     Each gate tries every block from the frontier on with the exact union
-    test, quadratic in the block count.  Returns one ``(index, gates,
-    qubits, tag, deps)`` tuple per block.
+    test, quadratic in the block count.  The bound is ``max_qubits``, an
+    int for every tag or a dict by tag, raised to the largest gate arity.
+    Returns one ``(index, gates, qubits, tag, deps)`` tuple per block.
     """
-    max_qubits = max(max_qubits,
-                     max((len(g.qubits) for g in lowered), default=1))
+    max_arity = max((len(g.qubits) for g in lowered), default=1)
+
+    def bound(tag):
+        return max(max_qubits if isinstance(max_qubits, int)
+                   else max_qubits[tag], max_arity)
+
     blocks: list[tuple] = []
     last_touch: dict[int, int] = {}
     for gi, g in enumerate(lowered):
         frontier = max((last_touch.get(q, 0) for q in g.qubits), default=0)
         chosen = None
         for b in blocks[frontier:]:
-            if b[3] == g.tag and len(b[2] | set(g.qubits)) <= max_qubits:
+            if b[3] == g.tag and len(b[2] | set(g.qubits)) <= bound(g.tag):
                 chosen = b
                 break
         if chosen is None:

@@ -170,9 +170,15 @@ def _random_lowered(rng, n_qubits, n_gates):
     return gates
 
 
-@pytest.mark.parametrize("capacity", [1, 2, 3, 4, 5, 6, 7, 8, 1000])
+@pytest.mark.parametrize("capacity", [
+    1, 2, 3, 4, 5, 6, 7, 8, 1000,
+    # a bound per tag, as the plan gives when a specialty core is smaller
+    # or larger than the QPU's
+    {None: 2, "adder": 5, "lookup": 1}, {None: 7, "adder": 3, "lookup": 4},
+    {None: 1000, "adder": 1, "lookup": 1000}])
 def test_consolidation_matches_linear_scan(capacity):
-    rng = random.Random(capacity)
+    rng = random.Random(capacity if isinstance(capacity, int)
+                        else repr(capacity))
     for _ in range(150):
         lowered = _random_lowered(rng, rng.randint(1, 12), rng.randint(0, 80))
         blocks = consolidate_blocks(lowered, capacity)
@@ -195,6 +201,18 @@ def test_consolidation_matches_linear_scan_on_workloads(spec):
             assert [(b.index, b.gates, b.qubits, b.tag, b.deps)
                     for b in blocks] \
                 == consolidate_blocks_linear(lowered, capacity)
+
+
+@pytest.mark.parametrize("kind", ["lookup6", "phaseup6"])
+def test_untagged_work_ignores_the_adder_core(kind):
+    # an ASQPU core runs only blocks tagged with its specialty, so it does
+    # not bound the blocks of the QPU's cores: B4-B6 schedule the lookup
+    # and the phase update as B1 does, which has no adder core
+    circuit = build_workload(f"rsa:kind={kind}")
+    want = schedule(circuit, builtin_architecture("B1")).to_text()
+    for name in ("B4", "B5", "B6"):
+        got = schedule(circuit, builtin_architecture(name)).to_text()
+        assert got.split("\n", 1)[1] == want.split("\n", 1)[1], name
 
 
 def test_synchronize_clocks_cases():
