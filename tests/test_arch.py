@@ -267,6 +267,92 @@ def test_validate_flags_distance_below_one(module_id):
         f"module {module_id}: code distance must be >= 1"]
 
 
+def _set_module(module_id, **fields):
+    """An edit of a spec that sets ``fields`` on one module; a ``code_``
+    name sets that field of its code."""
+    def edit(spec):
+        m = spec.module(module_id)
+        for name, value in fields.items():
+            if name.startswith("code_"):
+                m.code = dataclasses.replace(m.code, **{name[5:]: value})
+            else:
+                setattr(m, name, value)
+    return edit
+
+
+def _set_link(**fields):
+    """An edit of a spec that sets ``fields`` on its first link."""
+    def edit(spec):
+        for name, value in fields.items():
+            setattr(spec.links[0], name, value)
+    return edit
+
+
+@pytest.mark.parametrize(("name", "edit", "problems"), [
+    pytest.param("baseline1000", _set_module("qsf0", id="qpu0"),
+                 ["module qpu0: duplicate id"], id="duplicate-id"),
+    pytest.param("A1", _set_module("qpu0", code_family="toric"),
+                 ["module qpu0: unknown code family 'toric'"],
+                 id="code-family"),
+    pytest.param("A1", _set_module("qpu0", code_c_anc=-0.5),
+                 ["module qpu0: negative ancilla fraction"], id="c-anc"),
+    pytest.param("A2", _set_module("raqm0", t_cycle_min_s=1e-3,
+                                   t_cycle_max_s=5e-5),
+                 ["module raqm0: cycle-time range inverted"],
+                 id="cycle-range-inverted"),
+    pytest.param("A2", _set_module("raqm0", t_cycle_min_s=1e-4),
+                 ["module raqm0: nominal cycle outside range"],
+                 id="nominal-cycle-outside"),
+    pytest.param("A1", _set_module("qpu0", cores=0),
+                 ["module qpu0: needs at least one core"], id="zero-cores"),
+    pytest.param("A1", _set_module("qsf0", n_dist=0),
+                 ["module qsf0: n_dist must be >= 1"], id="n-dist"),
+    pytest.param("A1", _set_module("qsf0", injection_cycles=0),
+                 ["module qsf0: injection/production cycles must be >= 1"],
+                 id="injection-cycles"),
+    pytest.param("A1", _set_module("qsf0", production_cycles=0),
+                 ["module qsf0: injection/production cycles must be >= 1"],
+                 id="production-cycles"),
+    pytest.param("A1", _set_module("qsf0", eps_magic=0.0),
+                 ["module qsf0: eps_magic outside (0, 1)"], id="eps-magic-0"),
+    pytest.param("A1", _set_module("qsf0", eps_magic=1.0),
+                 ["module qsf0: eps_magic outside (0, 1)"], id="eps-magic-1"),
+    pytest.param("A2", _set_module("raqm0", k_swap=-1),
+                 ["module raqm0: negative swap distance"], id="k-swap"),
+    pytest.param("A1", _set_link(b="nowhere"),
+                 ["module stqm0: has no link",
+                  "link qpu0-nowhere: unknown module 'nowhere'"],
+                 id="unknown-link-end"),
+    pytest.param("A1", _set_link(n_anc_pump=3),
+                 ["link qpu0-stqm0: n_anc_pump must be 1 or 2"],
+                 id="n-anc-pump"),
+    pytest.param("A2", _set_link(n_buf=-1),
+                 ["link qpu0-raqm0: negative buffer depth"], id="n-buf"),
+    pytest.param("baseline1000",
+                 lambda spec: spec.modules.remove(spec.module("qpu0")),
+                 ["architecture has no QPU module"], id="no-qpu"),
+])
+def test_validate_names_each_problem(name, edit, problems):
+    spec = builtin_architecture(name)
+    edit(spec)
+    assert validate(spec) == problems
+
+
+@pytest.mark.parametrize(("old", "new", "message"), [
+    ("logical_qubits = 3\n", "logical_qubits = three\n",
+     "module qpu0: bad value for logical_qubits: 'three'"),
+    ("n_buf = 2", "n_buf = many", "link qpu0-stqm0: bad value for n_buf: "
+     "'many'"),
+    ("protocol = transversal\n", "", "link qpu0-stqm0: missing protocol"),
+])
+def test_parse_names_each_config_error(old, new, message):
+    good = to_config_text(builtin_architecture("A1"))
+    assert good.count(old) == 1
+    with pytest.raises(ConfigError) as info:
+        parse_config_text(good.replace(old, new))
+    assert str(info.value) == message
+
+
 def test_derive_boundary():
     a1 = builtin_architecture("A1")
     b = derive_boundary(a1, a1.links[0])

@@ -206,6 +206,45 @@ def test_sweep_writes_comparison(tmp_path, capsys):
     assert "no architectures given" in capsys.readouterr().err
 
 
+def test_sweep_prints_a_failed_row(tmp_path, capsys):
+    # 1001 qubits exceed the grid device but not A1, where one is touched
+    path = tmp_path / "wide.txt"
+    path.write_text("name wide\nqubits 1001\nH q0\n", encoding="utf-8")
+    assert main(["sweep", "--workload", f"file:{path}",
+                 "--archs", "baseline1000,A1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split() == ["baseline1000", "failed", "-", "-", "-", "-"]
+    assert lines[2] == "    failed: 1001 qubits exceed the device's 1000"
+    assert lines[3].split()[:2] == ["A1", "ok"]
+
+
+def test_run_prints_warnings_to_stderr(tmp_path, capsys):
+    # qubit 0 is written out after its one gate and dwells in a memory
+    # whose T2 is cut to 1 us until the T gates on qubit 1 end
+    path = tmp_path / "lonely.txt"
+    path.write_text("name lonely\nqubits 2\nH q0\n" + "T q1\n" * 4,
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--workload", f"file:{path}", "--arch", "A1",
+                 "--override", "stqm.t2_s=1e-6", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    warning = "qubit 0: terminal dwell 1.257e-04 s exceeds the recoverable " \
+        "storage window"
+    assert captured.err == f"warning: {warning}\n"
+    assert not any(line.startswith("warning")
+                   for line in captured.out.splitlines())
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert summary["warnings"] == [warning]
+
+
+def test_run_rejects_a_malformed_circuit_file(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("name bad\nqubits two\n", encoding="utf-8")
+    assert main(["run", "--workload", f"file:{path}", "--arch", "A1"]) == 2
+    assert "bad circuit file: line 2: bad qubit count 'two'" in \
+        capsys.readouterr().err
+
+
 def _a1_unlinked():
     spec = builtin_architecture("A1")
     spec.links = []
