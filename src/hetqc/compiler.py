@@ -829,7 +829,6 @@ def _assign_blocks(cores: list[_Core], lowered: list[LoweredGate],
             est = start + cyc * core.module.t_cycle_s
             if best is None or est < best[0]:
                 best = (est, core)
-        # the QPU's cores take any block
         est, core = best
         finish[b.index] = est
         free[core.index] = est
@@ -1186,8 +1185,7 @@ class _Scheduler:
         gate has run, and keeps or moves each operand.  A core's fields
         and its router costs, cached per (memory, gap, legs), are bound
         once per visit; ``pos`` is stored back before any call that can
-        evict, since ``force_slot`` reads it.  A stored qubit's one record
-        is its cell in ``cells``, claimed on its first write.
+        evict, since ``force_slot`` reads it.
 
         Events and decisions go straight to the stores' columns, through
         ``append``s bound once here: a gate by its plan's key id, any other
@@ -1252,27 +1250,25 @@ class _Scheduler:
             add_dur(dwell)
             add_err(err)
 
-        def claim(core: _Core, q: int, mem: _Memory | None) -> _Cell:
-            """A cell for q's first write in ``mem``, a memory reachable
-            from ``core`` with a free cell, or None for none."""
-            if mem is None:
-                raise CompileError(
-                    f"no reachable memory cell for qubit {q} from "
-                    f"{core.lane}; compute capacity exhausted")
-            cell = cells[q] = _Cell(mem, f"{mem.module.id}:q{q}", (q,),
-                                    *mem.legs(mem.n_claimed))
-            mem.n_claimed += 1
-            return cell
-
         def write_out(core: _Core, q: int, t: float, reason: str,
                       gap_cycles: int = 0, cost_keep: float = math.inf,
-                      cost_move: float = 0.0,
+                      cost_move: float = 0.0, mem: _Memory | None = None,
                       cell: _Cell | None = None) -> None:
-            """Move resident q from ``core`` to memory at ``t``, into
-            ``cell`` where the caller holds q's cell."""
+            """Move resident q from ``core`` to memory at ``t``, into its
+            cell: ``cell`` where the caller holds it, else the one q claims
+            on its first write in ``mem`` or a reachable memory with room."""
             nonlocal n_transfers, n_leg_swaps
             if cell is None:
-                cell = cells.get(q) or claim(core, q, probe_memory(core))
+                cell = cells.get(q)
+            if cell is None:
+                mem = mem or probe_memory(core)
+                if mem is None:
+                    raise CompileError(
+                        f"no reachable memory cell for qubit {q} from "
+                        f"{core.lane}; compute capacity exhausted")
+                cell = cells[q] = _Cell(mem, f"{mem.module.id}:q{q}", (q,),
+                                        *mem.legs(mem.n_claimed))
+                mem.n_claimed += 1
             mem = cell.mem
             last = core.residents.pop(q)
             if t > last + 1e-15:
@@ -1500,12 +1496,10 @@ class _Scheduler:
                         if gap <= 0:
                             continue
                         cell = cells.get(q)
-                        if cell is not None:
-                            mem, leg_err = cell.mem, cell.leg_err
-                        else:
-                            mem, leg_err = probe_memory(core), 0.0
-                            if mem is None:
-                                continue
+                        mem = cell.mem if cell else probe_memory(core)
+                        if mem is None:
+                            continue
+                        leg_err = cell.leg_err if cell else 0.0
                         key = (mem.module.id, gap, leg_err)
                         route = routes.get(key)
                         if route is None:
@@ -1515,7 +1509,7 @@ class _Scheduler:
                         cost_keep, cost_move = route
                         if cost_move < cost_keep:
                             write_out(core, q, end, "router", gap, cost_keep,
-                                      cost_move, cell or claim(core, q, mem))
+                                      cost_move, mem, cell)
                             continue
                         if kept_id < 0:
                             kept_id = core.kept_id = audit_ids.setdefault(
@@ -1535,11 +1529,8 @@ class _Scheduler:
         # freed before the run's last events, where its heap peaks
         route_costs = routes = scheduled = None
         makespan, n_run = events.makespan(), len(events)
-        # no core holds a qubit now: after its last gate each operand is
-        # measured out or written out terminal, and one whose next gate is
-        # on another core is written out cross_core; a read lands only for
-        # a gate of its own core, which takes it.  What memory holds at the
-        # end dwells there until then.
+        # no core holds a qubit now (each is measured or written out after
+        # its last gate on a core); what memory holds dwells until the end
         stored = sorted(cells.items())
         for mem in self.memories:
             readers = [c for c in cores if c.module.id in mem.links]
