@@ -157,8 +157,9 @@ def validate(spec: ArchitectureSpec) -> list[str]:
 
     It also fixes the one shape later stages rely on: one QPU, at most one
     factory and at most one memory of each kind, each link from a compute
-    module (``a``) to a memory (``b``), each memory and ASQPU linked, and
-    the QPU too when there is memory.  So whether there is a memory module
+    module (``a``) to a memory (``b``), each memory and ASQPU linked, the
+    QPU too when there is memory, and each ASQPU given a specialty, the
+    only block tag it runs.  So whether there is a memory module
     alone picks the model, and the resource count, which prices one STQM
     and one RAQM, sees every memory the scheduler uses.
     """
@@ -205,6 +206,8 @@ def validate(spec: ArchitectureSpec) -> list[str]:
                 out.append(f"{where}: cycle-time range inverted")
             elif not m.t_cycle_min_s <= m.t_cycle_s <= m.t_cycle_max_s:
                 out.append(f"{where}: nominal cycle outside range")
+        if m.kind == "ASQPU" and not m.specialty:
+            out.append(f"{where}: an ASQPU needs a specialty")
         if m.kind in _COMPUTE_KINDS:
             if m.cores < 1:
                 out.append(f"{where}: needs at least one core")

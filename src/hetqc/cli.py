@@ -21,8 +21,9 @@ from .arch import (BUILTIN_NAMES, ConfigError, apply_override,
                    load_architecture, to_config_text, validate)
 from .circuits import LogicalCircuit
 from .compiler import CompileError, InvalidCircuit, error_budget, schedule
-from .estimator import (COMPARISON_FIELDS, compare_architectures,
-                        rsa_estimate, rsa_estimate_compiled)
+from .estimator import (COMPARISON_FIELDS, RSA_SHOT_FIDELITY,
+                        compare_architectures, rsa_estimate,
+                        rsa_estimate_compiled)
 from .generators import (generate_aqft, generate_cuccaro_adder,
                          generate_fermi_hubbard_step, generate_rsa_subroutine)
 from .qec import TransferInfeasible
@@ -310,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("rsa", help="factoring-run cost estimates")
     sp.add_argument("--archs", default="B2",
                     help="comma-separated names or paths")
-    sp.add_argument("--fidelity", type=float, default=0.954,
+    sp.add_argument("--fidelity", type=float, default=RSA_SHOT_FIDELITY,
                     help="pinned per-shot success probability")
     sp.add_argument("--compiled", action="store_true",
                     help="measure per-call durations by compiling the "

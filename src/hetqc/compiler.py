@@ -39,7 +39,10 @@ end (:class:`_FrontEnd`): the circuit is validated once and lowered once
 per factory, and the modular model's read-only plan (its core streams,
 per-gate tables and the gates' interned event keys) is built once per
 compute side.  A lone ``schedule`` call takes the same path with nothing
-to share.
+to share.  Each model is a function of the front end and one of its
+jobs, ``model(front, job) -> ScheduledProgram``: :func:`_schedule_grid`
+for an architecture without memory modules, :func:`_schedule_modular`
+for every other, and ``_FrontEnd.schedule`` picks one.
 """
 
 from __future__ import annotations
@@ -925,16 +928,16 @@ class _FrontEnd:
     def schedule(self, i: int) -> ScheduledProgram:
         """The schedule of the ``i``-th architecture.
 
-        Without memory modules it runs on the grid model, otherwise on the
-        modular scheduler.
+        Without memory modules it runs on the grid model,
+        :func:`_schedule_grid`, otherwise on :func:`_schedule_modular`.
         """
         job = self.jobs[i]
         try:
             if job.error is not None:
                 raise job.error
-            if job.cores is None:
-                return _schedule_grid(self, job)
-            return _Scheduler(self, job).run()
+            model = _schedule_grid if job.cores is None \
+                else _schedule_modular
+            return model(self, job)
         finally:
             for key in job.keys:
                 self._uses[key] -= 1
@@ -1027,539 +1030,514 @@ class _Memory:
         return dist, 3 * dist * d_qm * self.t_qm_eff, err
 
 
-class _Scheduler:
-    """The modular model; ``validate`` links each core to some memory.
+def _build_memories(arch: ArchitectureSpec, cores: list[_Core],
+                    t_qpu: float) -> list[_Memory]:
+    """The memories of ``arch``, short-term ones first, with their bare
+    hops to the modules of ``cores`` that they link to."""
+    mems = []
+    for m in arch.memory_modules():
+        links = {link.a: link for link in arch.links_of(m.id)}
+        if m.kind == "STQM":
+            t_eff, stretched = m.t_cycle_s, False
+            eps_cycle = None
+        else:
+            t_eff, stretched = synchronize_clocks(
+                m.t_cycle_s, t_qpu,
+                m.t_cycle_min_s if m.t_cycle_min_s is not None
+                else m.t_cycle_s,
+                m.t_cycle_max_s if m.t_cycle_max_s is not None
+                else m.t_cycle_s)
+            eps_cycle = logical_error_per_cycle(
+                m.modality.p_phys, m.modality.p_th, m.code.distance)
+        mem = _Memory(m, links, t_eff, stretched, eps_cycle,
+                      None if eps_cycle is None else _log_keep(eps_cycle),
+                      _swap_distances(m.n_logical, m.k_swap))
+        for core in cores:
+            mid = core.module.id
+            if mid in links and mid not in mem.hops:
+                mem.hops[mid] = _bare_hop(mem, core)
+        mems.append(mem)
+    # short-term memory is the preferred eviction target
+    mems.sort(key=lambda mm: (mm.module.kind != "STQM", mm.module.id))
+    return mems
 
-    It is built on a job of a :class:`_FrontEnd`, whose cores it runs, and
-    reads the front end's shared lowering and plan.
+
+def _check_capacity(cores: list[_Core], memories: list[_Memory],
+                    live: int) -> None:
+    """Refuse a circuit whose ``live`` qubits cannot all find a home.
+
+    Every touched qubit that is not measured last ends the run in a core
+    slot or in a memory cell, and cells are never released, so this is
+    necessary for success; it spares a doomed compile its lowering and its
+    full run.
     """
+    slots = sum(c.capacity for c in cores)
+    cells = sum(mm.module.n_logical for mm in memories)
+    if live > slots + cells:
+        raise CompileError(
+            f"{live} qubits stay live to the end but the architecture "
+            f"holds {slots} compute slots and {cells} reachable memory "
+            "cells; compute capacity exhausted")
 
-    def __init__(self, front: _FrontEnd, job: _Job):
-        self.circuit = front.circuit
-        self.arch = job.arch
-        self.t_qpu = job.qpu.t_cycle_s
-        self.audit = AuditStore()
-        self.warnings: list[str] = []
-        self.cores = job.cores
-        self.memories = self._build_memories()
-        self._check_capacity(front.live_qubits())
-        lowering = front.lowering(job)
-        self.lowered = lowering.gates
-        self.counters = dict(lowering.counters)
-        plan = front.plan(job, self.lowered)
-        self.n_blocks = plan.n_blocks
-        for core, stream in zip(self.cores, plan.streams):
-            core.stream = stream
-        self.plan = plan
-        # the gates' keys first, so that a gate appends its plan's key id
-        self.events = EventStore(plan.gate_keys)
-        self.cells: dict[int, _Cell] = {}  # stored qubit -> its cell
 
-    # -- construction ------------------------------------------------------
+def _bare_hop(mem: _Memory, core: _Core) -> TransferResult | _InfeasibleHop:
+    """The boundary hop between a memory and a linked core's module.
 
-    def _build_memories(self) -> list[_Memory]:
-        mems = []
-        for m in self.arch.memory_modules():
-            links = {link.a: link for link in self.arch.links_of(m.id)}
-            if m.kind == "STQM":
-                t_eff, stretched = m.t_cycle_s, False
-                eps_cycle = None
-            else:
-                t_eff, stretched = synchronize_clocks(
-                    m.t_cycle_s, self.t_qpu,
-                    m.t_cycle_min_s if m.t_cycle_min_s is not None
-                    else m.t_cycle_s,
-                    m.t_cycle_max_s if m.t_cycle_max_s is not None
-                    else m.t_cycle_s)
-                eps_cycle = logical_error_per_cycle(
-                    m.modality.p_phys, m.modality.p_th, m.code.distance)
-            mem = _Memory(m, links, t_eff, stretched, eps_cycle,
-                          None if eps_cycle is None else _log_keep(eps_cycle),
-                          _swap_distances(m.n_logical, m.k_swap))
-            for core in self.cores:
-                mid = core.module.id
-                if mid in links and mid not in mem.hops:
-                    mem.hops[mid] = self._bare_hop(mem, core)
-            mems.append(mem)
-        # short-term memory is the preferred eviction target
-        mems.sort(key=lambda mm: (mm.module.kind != "STQM", mm.module.id))
-        return mems
+    An infeasible hop raises at every use, not when the memories are
+    built, so a circuit that never transfers still compiles.
+    """
+    link, m = mem.links[core.module.id], core.module
+    try:
+        if link.protocol == "transversal":
+            return transfer_transversal(TransferParams(
+                eps_qpu=core.eps_cycle, d_qpu=m.code.distance,
+                t_qpu_s=m.t_cycle_s, eps_th=m.modality.p_th,
+                eps_tele=link.eps_tele))
+        return transfer_lattice_surgery(TransferParams(
+            eps_qpu=core.eps_cycle, d_qpu=m.code.distance,
+            t_qpu_s=m.t_cycle_s, eps_qm=mem.eps_cycle,
+            d_qm=mem.module.code.distance, t_qm_s=mem.t_qm_eff))
+    except TransferInfeasible as exc:
+        return _InfeasibleHop(*exc.args)
 
-    def _check_capacity(self, live: int) -> None:
-        """Refuse a circuit whose ``live`` qubits cannot all find a home.
 
-        Every touched qubit that is not measured last ends the run in a core
-        slot or in a memory cell, and cells are never released, so this is
-        necessary for success; it spares a doomed compile its lowering and
-        its full run.
-        """
-        slots = sum(c.capacity for c in self.cores)
-        cells = sum(mm.module.n_logical for mm in self.memories)
-        if live > slots + cells:
-            raise CompileError(
-                f"{live} qubits stay live to the end but the architecture "
-                f"holds {slots} compute slots and {cells} reachable memory "
-                "cells; compute capacity exhausted")
+def _storage_error(mem: _Memory, core: _Core, dwell_s: float) -> float:
+    """Error a read adds to its bare hop after ``dwell_s`` in the cell."""
+    # the arithmetic of idle_error
+    if mem.log_keep is not None:
+        return -math.expm1(dwell_s / mem.t_qm_eff * mem.log_keep)
+    # passive store, linked transversally: the dwell's physical error
+    # rides through the hop and is corrected on arrival; charge only the
+    # residue.  A refused hop raises here before its error is read.
+    m = core.module
+    return max(transversal_error(
+        core.eps_cycle, m.code.distance, m.modality.p_th,
+        mem.links[m.id].eps_tele, dwell_s / mem.module.modality.t2_s)
+        - mem.hops[m.id].error, 0.0)
 
-    # -- helpers -----------------------------------------------------------
 
-    def _probe_memory(self, core: _Core) -> _Memory | None:
+def _unlinked(mem: _Memory, core: _Core, q: int) -> NoReturn:
+    """Refuse to move qubit ``q`` between ``mem`` and an unlinked core."""
+    raise CompileError(f"qubit {q} is stored in {mem.module.id}, "
+                       f"which {core.lane} has no link to")
+
+
+def _route_costs(core: _Core, mem: _Memory, gap: int,
+                 leg_err: float) -> tuple[float, float]:
+    """(cost_keep, cost_move) of a ``gap``-cycle gap on ``core`` for a
+    qubit in ``mem`` with legs of error ``leg_err``; a move, a write and a
+    read over the bare hop, costs inf if refused or unlinked."""
+    cost_keep = -math.expm1(gap * core.log_keep)
+    hop = mem.hops.get(core.module.id)
+    if hop is not None:
+        try:
+            hop_err = hop.error
+            return cost_keep, hop_err + hop_err + _storage_error(
+                mem, core, gap * core.t_cycle) + 2 * leg_err
+        except TransferInfeasible:
+            pass
+    return cost_keep, math.inf
+
+
+def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
+    """The modular model: run the job's cores on their streams, visiting
+    the cores in turn.  ``validate`` links each core to some memory; the
+    lowering and the plan are the front end's, shared.
+
+    A gate runs once each operand's previous gate has.  Per gate the loop
+    fetches the operands, charges their idle time, appends the gate, reads
+    ahead those of the next gate's operands whose previous gate has run,
+    and keeps or moves each operand.  A core's fields and its router
+    costs, cached per (memory, gap, legs), are bound once per visit;
+    ``pos`` is stored back before any call that can evict, since
+    ``force_slot`` reads it.
+
+    Events and decisions go straight to the stores' columns, through
+    ``append``s bound once here: a gate by its plan's key id, any other
+    event by an id interned right before its first use.  Each event of a
+    resident or a memory cell is appended in one place, a closure of this
+    run: ``charge_idle`` a resident's idle, ``write_out`` a cell's write
+    and legs in, ``read_in`` its legs out and read, ``store_dwell`` its
+    stored dwell and ``clock_pad`` the pad of a transfer to a compute
+    cycle boundary.
+    """
+    cores, t_qpu = job.cores, job.qpu.t_cycle_s
+    audit, warnings = AuditStore(), []
+    memories = _build_memories(job.arch, cores, t_qpu)
+    _check_capacity(cores, memories, front.live_qubits())
+    lowering = front.lowering(job)
+    lowered, counters = lowering.gates, dict(lowering.counters)
+    plan = front.plan(job, lowered)
+    for core, stream in zip(cores, plan.streams):
+        core.stream = stream
+    # the gates' keys first, so that a gate appends its plan's key id
+    events = EventStore(plan.gate_keys)
+    cells: dict[int, _Cell] = {}  # stored qubit -> its cell
+    first, prev, next_gate = plan.first_slot, plan.prev_gate, plan.next_gate
+    core_of_gate, cycle_at, gate_key = plan.core_of_gate, plan.cycle_at, \
+        plan.gate_key
+    add_key, add_start, add_dur, add_err = events.appends()
+    ids = events.ids
+    intern = ids.setdefault  # intern(key, len(ids)) is the key's id
+    add_kind, add_t, add_qubit, add_gap, add_keep, add_move = audit.appends()
+    audit_ids = audit.ids
+    n_transfers = n_leg_swaps = 0  # added to the counters at the end
+
+    def probe_memory(core: _Core) -> _Memory | None:
         """A reachable memory with a free cell."""
-        for mm in self.memories:
+        for mm in memories:
             if core.module.id in mm.links \
                     and mm.n_claimed < mm.module.n_logical:
                 return mm
         return None
 
-    def _bare_hop(self, mem: _Memory,
-                  core: _Core) -> TransferResult | _InfeasibleHop:
-        """The boundary hop between a memory and a linked core's module.
+    def align(t: float) -> tuple[float, float]:
+        """(t rounded up to a compute boundary, pad) on a stretched
+        memory."""
+        n = math.ceil(t / t_qpu - 1e-9)
+        return n * t_qpu, max(n * t_qpu - t, 0.0)
 
-        An infeasible hop raises at every use, not when the scheduler is
-        built, so a circuit that never transfers still compiles.
-        """
-        link, m = mem.links[core.module.id], core.module
-        try:
-            if link.protocol == "transversal":
-                return transfer_transversal(TransferParams(
-                    eps_qpu=core.eps_cycle, d_qpu=m.code.distance,
-                    t_qpu_s=m.t_cycle_s, eps_th=m.modality.p_th,
-                    eps_tele=link.eps_tele))
-            return transfer_lattice_surgery(TransferParams(
-                eps_qpu=core.eps_cycle, d_qpu=m.code.distance,
-                t_qpu_s=m.t_cycle_s, eps_qm=mem.eps_cycle,
-                d_qm=mem.module.code.distance, t_qm_s=mem.t_qm_eff))
-        except TransferInfeasible as exc:
-            return _InfeasibleHop(*exc.args)
+    def charge_idle(core: _Core, q: int, last: float, until: float) -> None:
+        """Charge resident q's idle on ``core`` from ``last`` to
+        ``until``; the caller checks that the gap is not nil."""
+        key_id = core.idle_ids.get(q)
+        if key_id is None:
+            mid = core.module.id
+            key_id = core.idle_ids[q] = intern((
+                "idle_buffer", mid, f"{mid}:q{q}", (q,), "resident_idle",
+                "qpu_idle"), len(ids))
+        dur = until - last
+        add_key(key_id)
+        add_start(last)
+        add_dur(dur)
+        add_err(-math.expm1(dur / core.t_cycle * core.log_keep))
 
-    def _storage_error(self, mem: _Memory, core: _Core,
-                       dwell_s: float) -> float:
-        """Error a read adds to its bare hop after ``dwell_s`` in the cell."""
-        # the arithmetic of idle_error
-        if mem.log_keep is not None:
-            return -math.expm1(dwell_s / mem.t_qm_eff * mem.log_keep)
-        # passive store, linked transversally: the dwell's physical error
-        # rides through the hop and is corrected on arrival; charge only
-        # the residue.  A refused hop raises here before its error is read.
-        m = core.module
-        return max(transversal_error(
-            core.eps_cycle, m.code.distance, m.modality.p_th,
-            mem.links[m.id].eps_tele, dwell_s / mem.module.modality.t2_s)
-            - mem.hops[m.id].error, 0.0)
+    def clock_pad(core: _Core, cell: _Cell, t: float, pad: float) -> None:
+        """The ``pad`` from ``t`` that aligns a transfer of ``cell``'s
+        qubit to a compute cycle boundary, charged to ``core``."""
+        add_key(intern(("qec_cycle_stretch", core.module.id, cell.lane,
+                        cell.qs, "clock_pad", "qpu_idle"), len(ids)))
+        add_start(t)
+        add_dur(pad)
+        add_err(-math.expm1(pad / core.t_cycle * core.log_keep))
 
-    @staticmethod
-    def _unlinked(mem: _Memory, core: _Core, q: int) -> NoReturn:
-        """Refuse to move qubit ``q`` between ``mem`` and an unlinked core."""
-        raise CompileError(f"qubit {q} is stored in {mem.module.id}, "
-                           f"which {core.lane} has no link to")
+    def store_dwell(cell: _Cell, t0: float, dwell: float, err: float) -> None:
+        """The dwell of ``cell``'s qubit from ``t0``, with its error."""
+        if cell.stored_id < 0:
+            cell.stored_id = intern((
+                "idle_buffer", cell.mem.module.id, cell.lane, cell.qs,
+                "stored", "qm_idle"), len(ids))
+        add_key(cell.stored_id)
+        add_start(t0)
+        add_dur(dwell)
+        add_err(err)
 
-    def _route_costs(self, core: _Core, mem: _Memory, gap: int,
-                     leg_err: float) -> tuple[float, float]:
-        """(cost_keep, cost_move) of a ``gap``-cycle gap on ``core`` for a
-        qubit in ``mem`` with legs of error ``leg_err``; a move, a write and
-        a read over the bare hop, costs inf if refused or unlinked."""
-        cost_keep = -math.expm1(gap * core.log_keep)
-        hop = mem.hops.get(core.module.id)
-        if hop is not None:
-            try:
-                hop_err = hop.error
-                return cost_keep, hop_err + hop_err + self._storage_error(
-                    mem, core, gap * core.t_cycle) + 2 * leg_err
-            except TransferInfeasible:
-                pass
-        return cost_keep, math.inf
-
-    def _align(self, t: float) -> tuple[float, float]:
-        """(t rounded up to a compute boundary, pad) on a stretched memory."""
-        n = math.ceil(t / self.t_qpu - 1e-9)
-        return n * self.t_qpu, max(n * self.t_qpu - t, 0.0)
-
-    # -- main loop ---------------------------------------------------------
-
-    def run(self) -> ScheduledProgram:
-        """Run the cores' streams, visiting the cores in turn.
-
-        A gate runs once each operand's previous gate has.  Per gate the
-        loop fetches the operands, charges their idle time, appends the
-        gate, reads ahead those of the next gate's operands whose previous
-        gate has run, and keeps or moves each operand.  A core's fields
-        and its router costs, cached per (memory, gap, legs), are bound
-        once per visit; ``pos`` is stored back before any call that can
-        evict, since ``force_slot`` reads it.
-
-        Events and decisions go straight to the stores' columns, through
-        ``append``s bound once here: a gate by its plan's key id, any other
-        event by an id interned right before its first use.  Each event of
-        a resident or a memory cell is appended in one place, a closure of
-        this run: ``charge_idle`` a resident's idle, ``write_out`` a cell's
-        write and legs in, ``read_in`` its legs out and read,
-        ``store_dwell`` its stored dwell and ``clock_pad`` the pad of a
-        transfer to a compute cycle boundary.
-        """
-        lowered, cells, plan, cores = (self.lowered, self.cells, self.plan,
-                                       self.cores)
-        first, prev, next_gate = plan.first_slot, plan.prev_gate, \
-            plan.next_gate
-        core_of_gate, cycle_at, gate_key = plan.core_of_gate, \
-            plan.cycle_at, plan.gate_key
-        events, audit, warnings = self.events, self.audit, self.warnings
-        add_key, add_start, add_dur, add_err = events.appends()
-        ids = events.ids
-        intern = ids.setdefault  # intern(key, len(ids)) is the key's id
-        add_kind, add_t, add_qubit, add_gap, add_keep, add_move = \
-            audit.appends()
-        audit_ids = audit.ids
-        probe_memory, storage_error, align = (
-            self._probe_memory, self._storage_error, self._align)
-        n_transfers = n_leg_swaps = 0  # added to the counters at the end
-
-        def charge_idle(core: _Core, q: int, last: float,
-                        until: float) -> None:
-            """Charge resident q's idle on ``core`` from ``last`` to
-            ``until``; the caller checks that the gap is not nil."""
-            key_id = core.idle_ids.get(q)
-            if key_id is None:
-                mid = core.module.id
-                key_id = core.idle_ids[q] = intern((
-                    "idle_buffer", mid, f"{mid}:q{q}", (q,), "resident_idle",
-                    "qpu_idle"), len(ids))
-            dur = until - last
-            add_key(key_id)
-            add_start(last)
-            add_dur(dur)
-            add_err(-math.expm1(dur / core.t_cycle * core.log_keep))
-
-        def clock_pad(core: _Core, cell: _Cell, t: float, pad: float) -> None:
-            """The ``pad`` from ``t`` that aligns a transfer of ``cell``'s
-            qubit to a compute cycle boundary, charged to ``core``."""
-            add_key(intern(("qec_cycle_stretch", core.module.id, cell.lane,
-                            cell.qs, "clock_pad", "qpu_idle"), len(ids)))
-            add_start(t)
-            add_dur(pad)
-            add_err(-math.expm1(pad / core.t_cycle * core.log_keep))
-
-        def store_dwell(cell: _Cell, t0: float, dwell: float,
-                        err: float) -> None:
-            """The dwell of ``cell``'s qubit from ``t0``, with its error."""
-            if cell.stored_id < 0:
-                cell.stored_id = intern((
-                    "idle_buffer", cell.mem.module.id, cell.lane, cell.qs,
-                    "stored", "qm_idle"), len(ids))
-            add_key(cell.stored_id)
-            add_start(t0)
-            add_dur(dwell)
-            add_err(err)
-
-        def write_out(core: _Core, q: int, t: float, reason: str,
-                      gap_cycles: int = 0, cost_keep: float = math.inf,
-                      cost_move: float = 0.0, mem: _Memory | None = None,
-                      cell: _Cell | None = None) -> None:
-            """Move resident q from ``core`` to memory at ``t``, into its
-            cell: ``cell`` where the caller holds it, else the one q claims
-            on its first write in ``mem`` or a reachable memory with room."""
-            nonlocal n_transfers, n_leg_swaps
-            if cell is None:
-                cell = cells.get(q)
-            if cell is None:
-                mem = mem or probe_memory(core)
-                if mem is None:
-                    raise CompileError(
-                        f"no reachable memory cell for qubit {q} from "
-                        f"{core.lane}; compute capacity exhausted")
-                cell = cells[q] = _Cell(mem, f"{mem.module.id}:q{q}", (q,),
-                                        *mem.legs(mem.n_claimed))
-                mem.n_claimed += 1
-            mem = cell.mem
-            last = core.residents.pop(q)
-            if t > last + 1e-15:
-                charge_idle(core, q, last, t)
-            t0 = t
-            if mem.stretched:
-                t0, pad = align(t)
-                if pad > 0:
-                    clock_pad(core, cell, t0 - pad, pad)
-            hop = mem.hops.get(core.module.id) or self._unlinked(mem, core, q)
-            hop_dur = hop.duration_s
-            if cell.write_id < 0:
-                cell.write_id = intern((
-                    "transfer_write", mem.module.id, cell.lane, cell.qs,
-                    "write", "transfer"), len(ids))
-            add_key(cell.write_id)
-            add_start(t0)
-            add_dur(hop_dur)
-            add_err(hop.error)
-            n_transfers += 1
-            t_cell = t0 + hop_dur
-            if cell.dist:
-                if cell.legs_in_id < 0:
-                    cell.legs_in_id = intern((
-                        "swap_route", mem.module.id, cell.lane, cell.qs,
-                        f"legs_in:{cell.dist}", "qm_idle"), len(ids))
-                add_key(cell.legs_in_id)
-                add_start(t_cell)
-                add_dur(cell.leg_dur)
-                add_err(cell.leg_err)
-                n_leg_swaps += cell.dist
-                t_cell += cell.leg_dur
-            cell.stored = t_cell
-            kind_id = core.moved_ids.get(reason)
-            if kind_id is None:
-                kind_id = core.moved_ids[reason] = audit_ids.setdefault(
-                    (core.lane, True, reason), len(audit_ids))
-            add_kind(kind_id)
-            add_t(t)
-            add_qubit(q)
-            add_gap(gap_cycles)
-            add_keep(cost_keep)
-            add_move(cost_move)
-
-        def read_in(core: _Core, q: int, cell: _Cell, t_issue: float,
-                    target_s: float | None) -> float:
-            """Read q, stored in ``cell``, into ``core``, issued no earlier
-            than ``t_issue``; returns its arrival.
-
-            With a target the read is issued just in time for the patch to
-            arrive then, so the dwell stays in the cell instead of turning
-            into compute-side idle.
-            """
-            nonlocal n_transfers, n_leg_swaps
-            mem = cell.mem
-            hop = mem.hops.get(core.module.id) or self._unlinked(mem, core, q)
-            hop_dur = hop.duration_s
-            stored, cell.stored = cell.stored, None
-            t0 = stored if stored > t_issue else t_issue
-            if target_s is not None:
-                just_in_time = target_s - hop_dur - cell.leg_dur
-                if just_in_time > t0:
-                    t0 = just_in_time
-            dwell = t0 - stored
-            if mem.eps_cycle is None and not stqm_storage_valid(
-                    mem.module.modality, dwell, core.module.modality.p_phys):
-                warnings.append(
-                    f"qubit {q}: stored {dwell:.3e} s, beyond the consumer's "
-                    f"physical rate {core.module.modality.p_phys}")
-            storage_err = storage_error(mem, core, dwell)
-            if dwell > 0 or storage_err > 0:
-                store_dwell(cell, stored, dwell, storage_err)
-            t_read = t0
-            if cell.dist:
-                if cell.legs_out_id < 0:
-                    cell.legs_out_id = intern((
-                        "swap_route", mem.module.id, cell.lane, cell.qs,
-                        f"legs_out:{cell.dist}", "qm_idle"), len(ids))
-                add_key(cell.legs_out_id)
-                add_start(t_read)
-                add_dur(cell.leg_dur)
-                add_err(cell.leg_err)
-                n_leg_swaps += cell.dist
-                t_read += cell.leg_dur
-            if mem.stretched:
-                t_legs = t_read
-                t_read, pad = align(t_legs)
-                if pad > 0:
-                    clock_pad(core, cell, t_legs, pad)
-            if cell.read_id < 0:
-                cell.read_id = intern((
-                    "transfer_read", mem.module.id, cell.lane, cell.qs,
-                    "read", "transfer"), len(ids))
-            add_key(cell.read_id)
-            add_start(t_read)
-            add_dur(hop_dur)
-            add_err(hop.error)
-            n_transfers += 1
-            t_arrive = core.incoming[q] = t_read + hop_dur
-            return t_arrive
-
-        def force_slot(core: _Core, t: float,
-                       protected: tuple[int, ...]) -> None:
-            """Write out the resident of ``core``, none of ``protected``,
-            whose next touch is latest."""
-            victims = [q for q in core.residents if q not in protected]
-            if not victims:
-                raise CompileError(f"core {core.lane} has no evictable slot "
-                                   f"(capacity {core.capacity})")
-            gate_now = core.stream[core.pos]
-
-            def farness(q: int):
-                # the latest next touch first, and none latest of all
-                touches = plan.touches[q]
-                i = bisect_right(touches, gate_now)
-                return (-(touches[i] if i < len(touches) else _FAR), q)
-
-            victim = min(victims, key=farness)
-            write_out(core, victim, max(t, core.residents[victim]),
-                      "capacity")
-
-        def ensure_operand(core: _Core, q: int, t_issue: float,
-                           protected: tuple[int, ...]) -> float:
-            """Make q, not yet on this core, available there for a gate on
-            the ``protected`` qubits, none of which may be evicted; returns
-            q's ready time.  No other core holds q: a core writes out an
-            operand whose next gate is elsewhere, and reads one ahead only
-            once its previous gate has run."""
-            while len(core.residents) + len(core.incoming) >= core.capacity:
-                force_slot(core, t_issue, protected)
+    def write_out(core: _Core, q: int, t: float, reason: str,
+                  gap_cycles: int = 0, cost_keep: float = math.inf,
+                  cost_move: float = 0.0, mem: _Memory | None = None,
+                  cell: _Cell | None = None) -> None:
+        """Move resident q from ``core`` to memory at ``t``, into its
+        cell: ``cell`` where the caller holds it, else the one q claims
+        on its first write in ``mem`` or a reachable memory with room."""
+        nonlocal n_transfers, n_leg_swaps
+        if cell is None:
             cell = cells.get(q)
-            if cell is not None and cell.stored is not None:
-                return read_in(core, q, cell, t_issue, None)
-            # first touch: the patch is prepared directly in a compute slot
-            core.residents[q] = t_issue
-            return t_issue
+        if cell is None:
+            mem = mem or probe_memory(core)
+            if mem is None:
+                raise CompileError(
+                    f"no reachable memory cell for qubit {q} from "
+                    f"{core.lane}; compute capacity exhausted")
+            cell = cells[q] = _Cell(mem, f"{mem.module.id}:q{q}", (q,),
+                                    *mem.legs(mem.n_claimed))
+            mem.n_claimed += 1
+        mem = cell.mem
+        last = core.residents.pop(q)
+        if t > last + 1e-15:
+            charge_idle(core, q, last, t)
+        t0 = t
+        if mem.stretched:
+            t0, pad = align(t)
+            if pad > 0:
+                clock_pad(core, cell, t0 - pad, pad)
+        hop = mem.hops.get(core.module.id) or _unlinked(mem, core, q)
+        hop_dur = hop.duration_s
+        if cell.write_id < 0:
+            cell.write_id = intern((
+                "transfer_write", mem.module.id, cell.lane, cell.qs,
+                "write", "transfer"), len(ids))
+        add_key(cell.write_id)
+        add_start(t0)
+        add_dur(hop_dur)
+        add_err(hop.error)
+        n_transfers += 1
+        t_cell = t0 + hop_dur
+        if cell.dist:
+            if cell.legs_in_id < 0:
+                cell.legs_in_id = intern((
+                    "swap_route", mem.module.id, cell.lane, cell.qs,
+                    f"legs_in:{cell.dist}", "qm_idle"), len(ids))
+            add_key(cell.legs_in_id)
+            add_start(t_cell)
+            add_dur(cell.leg_dur)
+            add_err(cell.leg_err)
+            n_leg_swaps += cell.dist
+            t_cell += cell.leg_dur
+        cell.stored = t_cell
+        kind_id = core.moved_ids.get(reason)
+        if kind_id is None:
+            kind_id = core.moved_ids[reason] = audit_ids.setdefault(
+                (core.lane, True, reason), len(audit_ids))
+        add_kind(kind_id)
+        add_t(t)
+        add_qubit(q)
+        add_gap(gap_cycles)
+        add_keep(cost_keep)
+        add_move(cost_move)
 
-        route_costs = [{} for _ in cores]
-        done, total = 0, len(lowered)
-        # one flag per gate plus a set one at the end, which a previous
-        # gate of -1 (none) reads
-        scheduled = bytearray(total + 1)
-        scheduled[total] = 1
-        while done < total:
-            done_before = done
-            for core in cores:
-                stream, pos, n_stream = core.stream, core.pos, len(core.stream)
-                residents, incoming = core.residents, core.incoming
-                costs, capacity, pool = core.costs, core.capacity, core.pool
-                lane, index, kept_id = core.lane, core.index, core.kept_id
-                t_cyc, t_free, routes = core.t_cycle, core.t_free, \
-                    route_costs[index]
-                while pos < n_stream:
-                    gi = stream[pos]
-                    slot = first[gi]
-                    blocked = False
-                    for s in range(slot, first[gi + 1]):
-                        if not scheduled[prev[s]]:
-                            blocked = True
-                            break
-                    if blocked:
+    def read_in(core: _Core, q: int, cell: _Cell, t_issue: float,
+                target_s: float | None) -> float:
+        """Read q, stored in ``cell``, into ``core``, issued no earlier
+        than ``t_issue``; returns its arrival.
+
+        With a target the read is issued just in time for the patch to
+        arrive then, so the dwell stays in the cell instead of turning
+        into compute-side idle.
+        """
+        nonlocal n_transfers, n_leg_swaps
+        mem = cell.mem
+        hop = mem.hops.get(core.module.id) or _unlinked(mem, core, q)
+        hop_dur = hop.duration_s
+        stored, cell.stored = cell.stored, None
+        t0 = stored if stored > t_issue else t_issue
+        if target_s is not None:
+            just_in_time = target_s - hop_dur - cell.leg_dur
+            if just_in_time > t0:
+                t0 = just_in_time
+        dwell = t0 - stored
+        if mem.eps_cycle is None and not stqm_storage_valid(
+                mem.module.modality, dwell, core.module.modality.p_phys):
+            warnings.append(
+                f"qubit {q}: stored {dwell:.3e} s, beyond the consumer's "
+                f"physical rate {core.module.modality.p_phys}")
+        storage_err = _storage_error(mem, core, dwell)
+        if dwell > 0 or storage_err > 0:
+            store_dwell(cell, stored, dwell, storage_err)
+        t_read = t0
+        if cell.dist:
+            if cell.legs_out_id < 0:
+                cell.legs_out_id = intern((
+                    "swap_route", mem.module.id, cell.lane, cell.qs,
+                    f"legs_out:{cell.dist}", "qm_idle"), len(ids))
+            add_key(cell.legs_out_id)
+            add_start(t_read)
+            add_dur(cell.leg_dur)
+            add_err(cell.leg_err)
+            n_leg_swaps += cell.dist
+            t_read += cell.leg_dur
+        if mem.stretched:
+            t_legs = t_read
+            t_read, pad = align(t_legs)
+            if pad > 0:
+                clock_pad(core, cell, t_legs, pad)
+        if cell.read_id < 0:
+            cell.read_id = intern((
+                "transfer_read", mem.module.id, cell.lane, cell.qs,
+                "read", "transfer"), len(ids))
+        add_key(cell.read_id)
+        add_start(t_read)
+        add_dur(hop_dur)
+        add_err(hop.error)
+        n_transfers += 1
+        t_arrive = core.incoming[q] = t_read + hop_dur
+        return t_arrive
+
+    def force_slot(core: _Core, t: float, protected: tuple[int, ...]) -> None:
+        """Write out the resident of ``core``, none of ``protected``,
+        whose next touch is latest."""
+        victims = [q for q in core.residents if q not in protected]
+        if not victims:
+            raise CompileError(f"core {core.lane} has no evictable slot "
+                               f"(capacity {core.capacity})")
+        gate_now = core.stream[core.pos]
+
+        def farness(q: int):
+            # the latest next touch first, and none latest of all
+            touches = plan.touches[q]
+            i = bisect_right(touches, gate_now)
+            return (-(touches[i] if i < len(touches) else _FAR), q)
+
+        victim = min(victims, key=farness)
+        write_out(core, victim, max(t, core.residents[victim]), "capacity")
+
+    def ensure_operand(core: _Core, q: int, t_issue: float,
+                       protected: tuple[int, ...]) -> float:
+        """Make q, not yet on this core, available there for a gate on
+        the ``protected`` qubits, none of which may be evicted; returns
+        q's ready time.  No other core holds q: a core writes out an
+        operand whose next gate is elsewhere, and reads one ahead only
+        once its previous gate has run."""
+        while len(core.residents) + len(core.incoming) >= core.capacity:
+            force_slot(core, t_issue, protected)
+        cell = cells.get(q)
+        if cell is not None and cell.stored is not None:
+            return read_in(core, q, cell, t_issue, None)
+        # first touch: the patch is prepared directly in a compute slot
+        core.residents[q] = t_issue
+        return t_issue
+
+    route_costs = [{} for _ in cores]
+    done, total = 0, len(lowered)
+    # one flag per gate plus a set one at the end, which a previous
+    # gate of -1 (none) reads
+    scheduled = bytearray(total + 1)
+    scheduled[total] = 1
+    while done < total:
+        done_before = done
+        for core in cores:
+            stream, pos, n_stream = core.stream, core.pos, len(core.stream)
+            residents, incoming = core.residents, core.incoming
+            costs, capacity, pool = core.costs, core.capacity, core.pool
+            lane, index, kept_id = core.lane, core.index, core.kept_id
+            t_cyc, t_free, routes = core.t_cycle, core.t_free, \
+                route_costs[index]
+            while pos < n_stream:
+                gi = stream[pos]
+                slot = first[gi]
+                blocked = False
+                for s in range(slot, first[gi + 1]):
+                    if not scheduled[prev[s]]:
+                        blocked = True
                         break
-                    g = lowered[gi]
-                    qubits = g.qubits
-                    if len(qubits) > capacity:
-                        raise CompileError(
-                            f"gate {g.label} needs {len(qubits)} slots, "
-                            f"core {lane} holds {capacity}")
-                    start = t_free
-                    for q in qubits:
-                        ready = residents.get(q, incoming.get(q))
-                        if ready is None:
-                            core.pos = pos
-                            ready = ensure_operand(core, q, t_free, qubits)
-                        if ready > start:
-                            start = ready
-                    cost_key = g.cost_key
-                    cycles, err = costs[cost_key]
-                    if g.magic and pool is not None:
-                        pool.consumed += g.magic
-                        ready = pool.consumed * pool.prod * pool.t_cycle \
-                            / pool.units
-                        if ready > start:
-                            start = ready
-                    for q in qubits:
-                        last = incoming.pop(q, None)
-                        if last is None:
-                            last = residents[q]
-                        if start > last + 1e-15:
-                            charge_idle(core, q, last, start)
-                    dur = cycles * t_cyc
-                    add_key(gate_key[gi])
-                    add_start(start)
-                    add_dur(dur)
-                    add_err(err)
-                    end = t_free = start + dur
-                    for q in qubits:
-                        residents[q] = end
-                    # read the next gate's stored operands ahead, each once
-                    # its previous gate has run
-                    if pos + 1 < n_stream:
-                        gn = stream[pos + 1]
-                        for s, q in enumerate(lowered[gn].qubits, first[gn]):
-                            cell = cells.get(q)
-                            if (cell is not None and cell.stored is not None
-                                    and scheduled[prev[s]]
-                                    and len(residents) + len(incoming)
-                                    < capacity):
-                                read_in(core, q, cell, start, end)
-                    # keep or move each operand
-                    end_cycle = cycle_at[gi] + cycles
-                    for s, q in enumerate(qubits, slot):
-                        nxt = next_gate[s]
-                        if nxt < 0:
-                            if cost_key == "measure":
-                                # measured out: the slot is simply released
-                                del residents[q]
-                            else:
-                                write_out(core, q, end, "terminal")
-                            continue
-                        if core_of_gate[nxt] != index:
-                            write_out(core, q, end, "cross_core")
-                            continue
-                        gap = cycle_at[nxt] - end_cycle
-                        if gap <= 0:
-                            continue
+                if blocked:
+                    break
+                g = lowered[gi]
+                qubits = g.qubits
+                if len(qubits) > capacity:
+                    raise CompileError(
+                        f"gate {g.label} needs {len(qubits)} slots, "
+                        f"core {lane} holds {capacity}")
+                start = t_free
+                for q in qubits:
+                    ready = residents.get(q, incoming.get(q))
+                    if ready is None:
+                        core.pos = pos
+                        ready = ensure_operand(core, q, t_free, qubits)
+                    if ready > start:
+                        start = ready
+                cost_key = g.cost_key
+                cycles, err = costs[cost_key]
+                if g.magic and pool is not None:
+                    pool.consumed += g.magic
+                    ready = pool.consumed * pool.prod * pool.t_cycle \
+                        / pool.units
+                    if ready > start:
+                        start = ready
+                for q in qubits:
+                    last = incoming.pop(q, None)
+                    if last is None:
+                        last = residents[q]
+                    if start > last + 1e-15:
+                        charge_idle(core, q, last, start)
+                dur = cycles * t_cyc
+                add_key(gate_key[gi])
+                add_start(start)
+                add_dur(dur)
+                add_err(err)
+                end = t_free = start + dur
+                for q in qubits:
+                    residents[q] = end
+                # read the next gate's stored operands ahead, each once
+                # its previous gate has run
+                if pos + 1 < n_stream:
+                    gn = stream[pos + 1]
+                    for s, q in enumerate(lowered[gn].qubits, first[gn]):
                         cell = cells.get(q)
-                        mem = cell.mem if cell else probe_memory(core)
-                        if mem is None:
-                            continue
-                        leg_err = cell.leg_err if cell else 0.0
-                        key = (mem.module.id, gap, leg_err)
-                        route = routes.get(key)
-                        if route is None:
-                            route = self._route_costs(core, mem, gap, leg_err)
-                            if len(routes) < _ROUTE_KEYS:
-                                routes[key] = route
-                        cost_keep, cost_move = route
-                        if cost_move < cost_keep:
-                            write_out(core, q, end, "router", gap, cost_keep,
-                                      cost_move, mem, cell)
-                            continue
-                        if kept_id < 0:
-                            kept_id = core.kept_id = audit_ids.setdefault(
-                                (lane, False, "router"), len(audit_ids))
-                        add_kind(kept_id)
-                        add_t(end)
-                        add_qubit(q)
-                        add_gap(gap)
-                        add_keep(cost_keep)
-                        add_move(cost_move)
-                    scheduled[gi] = 1
-                    pos += 1
-                    done += 1
-                core.pos, core.t_free = pos, t_free
-            if done == done_before:
-                raise CompileError("scheduler stalled on a dependency cycle")
-        # freed before the run's last events, where its heap peaks
-        route_costs = routes = scheduled = None
-        makespan, n_run = events.makespan(), len(events)
-        # no core holds a qubit now (each is measured or written out after
-        # its last gate on a core); what memory holds dwells until the end
-        stored = sorted(cells.items())
-        for mem in self.memories:
-            readers = [c for c in cores if c.module.id in mem.links]
-            consumer = next((c for c in readers if c.module.kind == "QPU"),
-                            readers[0])
-            for q, cell in stored:
-                t0 = cell.stored
-                if cell.mem is not mem or t0 is None:
-                    continue
-                dwell = makespan - t0
-                if dwell <= 0:
-                    continue
-                try:
-                    err = storage_error(mem, consumer, dwell)
-                except TransferInfeasible:
-                    err = 1.0 - 1e-16
-                    warnings.append(
-                        f"qubit {q}: terminal dwell {dwell:.3e} s "
-                        "exceeds the recoverable storage window")
-                store_dwell(cell, t0, dwell, err)
-        # the scan of all the ends, resumed at the events appended since
-        ends = (events.start[i] + events.dur[i]
-                for i in range(n_run, len(events)))
-        makespan = max(chain((makespan,), ends))
-        self.counters["st_count"] += n_transfers
-        self.counters["swap_count"] += n_leg_swaps
-        return ScheduledProgram(self.circuit.name, self.arch.name,
-                                events, makespan, self.counters,
-                                audit, self.n_blocks, warnings)
+                        if (cell is not None and cell.stored is not None
+                                and scheduled[prev[s]]
+                                and len(residents) + len(incoming) < capacity):
+                            read_in(core, q, cell, start, end)
+                # keep or move each operand
+                end_cycle = cycle_at[gi] + cycles
+                for s, q in enumerate(qubits, slot):
+                    nxt = next_gate[s]
+                    if nxt < 0:
+                        if cost_key == "measure":
+                            # measured out: the slot is simply released
+                            del residents[q]
+                        else:
+                            write_out(core, q, end, "terminal")
+                        continue
+                    if core_of_gate[nxt] != index:
+                        write_out(core, q, end, "cross_core")
+                        continue
+                    gap = cycle_at[nxt] - end_cycle
+                    if gap <= 0:
+                        continue
+                    cell = cells.get(q)
+                    mem = cell.mem if cell else probe_memory(core)
+                    if mem is None:
+                        continue
+                    leg_err = cell.leg_err if cell else 0.0
+                    key = (mem.module.id, gap, leg_err)
+                    route = routes.get(key)
+                    if route is None:
+                        route = _route_costs(core, mem, gap, leg_err)
+                        if len(routes) < _ROUTE_KEYS:
+                            routes[key] = route
+                    cost_keep, cost_move = route
+                    if cost_move < cost_keep:
+                        write_out(core, q, end, "router", gap, cost_keep,
+                                  cost_move, mem, cell)
+                        continue
+                    if kept_id < 0:
+                        kept_id = core.kept_id = audit_ids.setdefault(
+                            (lane, False, "router"), len(audit_ids))
+                    add_kind(kept_id)
+                    add_t(end)
+                    add_qubit(q)
+                    add_gap(gap)
+                    add_keep(cost_keep)
+                    add_move(cost_move)
+                scheduled[gi] = 1
+                pos += 1
+                done += 1
+            core.pos, core.t_free = pos, t_free
+        if done == done_before:
+            raise CompileError("scheduler stalled on a dependency cycle")
+    # freed before the run's last events, where its heap peaks
+    route_costs = routes = scheduled = None
+    makespan, n_run = events.makespan(), len(events)
+    # no core holds a qubit now (each is measured or written out after
+    # its last gate on a core); what memory holds dwells until the end
+    stored = sorted(cells.items())
+    for mem in memories:
+        readers = [c for c in cores if c.module.id in mem.links]
+        consumer = next((c for c in readers if c.module.kind == "QPU"),
+                        readers[0])
+        for q, cell in stored:
+            t0 = cell.stored
+            if cell.mem is not mem or t0 is None:
+                continue
+            dwell = makespan - t0
+            if dwell <= 0:
+                continue
+            try:
+                err = _storage_error(mem, consumer, dwell)
+            except TransferInfeasible:
+                err = 1.0 - 1e-16
+                warnings.append(
+                    f"qubit {q}: terminal dwell {dwell:.3e} s "
+                    "exceeds the recoverable storage window")
+            store_dwell(cell, t0, dwell, err)
+    # the scan of all the ends, resumed at the events appended since
+    ends = (events.start[i] + events.dur[i] for i in range(n_run, len(events)))
+    makespan = max(chain((makespan,), ends))
+    counters["st_count"] += n_transfers
+    counters["swap_count"] += n_leg_swaps
+    return ScheduledProgram(front.circuit.name, job.arch.name, events,
+                            makespan, counters, audit, plan.n_blocks,
+                            warnings)
 
 
 def schedule(circuit: LogicalCircuit,

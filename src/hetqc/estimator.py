@@ -83,8 +83,9 @@ def rsa_estimate(arch: str | ArchitectureSpec,
                  fidelity: float = RSA_SHOT_FIDELITY) -> RsaEstimate:
     """Closed-form run estimate for one architecture.
 
-    Durations default to the reference row (with the 2 ms adder whenever the
-    architecture carries an arithmetic-specialty core), or the monolithic row
+    Durations default to the reference row (with the 2 ms adder whenever an
+    ASQPU's specialty is ``adder``, the tag of the adder generator's gates,
+    so that it runs them), or the monolithic row
     for an architecture without memory modules, the same test by which
     ``schedule`` picks its model; ``tau_s`` overrides individual entries.
     An architecture that ``validate`` rejects raises ``ValueError`` from
@@ -93,7 +94,7 @@ def rsa_estimate(arch: str | ArchitectureSpec,
     spec = load_architecture(arch) if isinstance(arch, str) else arch
     monolithic = not spec.memory_modules()
     taus = dict(RSA_TAU_MONOLITHIC) if monolithic else dict(RSA_TAU_REFERENCE)
-    if spec.by_kind("ASQPU"):
+    if any(m.specialty == "adder" for m in spec.by_kind("ASQPU")):
         taus["adder"] = RSA_TAU_ASQPU_ADDER
     if tau_s:
         taus.update(tau_s)

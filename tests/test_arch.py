@@ -305,6 +305,9 @@ def _set_link(**fields):
                  id="nominal-cycle-outside"),
     pytest.param("A1", _set_module("qpu0", cores=0),
                  ["module qpu0: needs at least one core"], id="zero-cores"),
+    pytest.param("B4", _set_module("asqpu0", specialty=None),
+                 ["module asqpu0: an ASQPU needs a specialty"],
+                 id="asqpu-specialty"),
     pytest.param("A1", _set_module("qsf0", n_dist=0),
                  ["module qsf0: n_dist must be >= 1"], id="n-dist"),
     pytest.param("A1", _set_module("qsf0", injection_cycles=0),

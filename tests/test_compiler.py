@@ -396,11 +396,12 @@ def test_unlinked_memory_refuses_the_move_and_the_read():
                            "raqm0, which asqpu0:core0 has no link to"):
             schedule(c, builtin_architecture(name))
         front = compiler._FrontEnd(c, [builtin_architecture(name)])
-        sched = compiler._Scheduler(front, front.jobs[0])
-        adder, = [core for core in sched.cores
-                  if core.module.id == "asqpu0"]
-        raqm, = [mm for mm in sched.memories if mm.module.id == "raqm0"]
-        cost_keep, cost_move = sched._route_costs(adder, raqm, 7, 0.0)
+        job = front.jobs[0]
+        adder, = [core for core in job.cores if core.module.id == "asqpu0"]
+        memories = compiler._build_memories(job.arch, job.cores,
+                                            job.qpu.t_cycle_s)
+        raqm, = [mm for mm in memories if mm.module.id == "raqm0"]
+        cost_keep, cost_move = compiler._route_costs(adder, raqm, 7, 0.0)
         assert cost_keep == -math.expm1(7 * adder.log_keep)
         assert cost_move == math.inf
 
@@ -534,11 +535,11 @@ def test_swap_distances_match_patch_layout(k):
 def test_scheduler_swap_distances_match_patch_layout(arch_name):
     arch = builtin_architecture(arch_name)
     circuit = generate_aqft(4)
-    front = compiler._FrontEnd(circuit, [arch])
-    sched = compiler._Scheduler(front, front.jobs[0])
-    mems = [mm for mm in sched.memories if mm.module.k_swap > 0]
+    job = compiler._FrontEnd(circuit, [arch]).jobs[0]
+    memories = compiler._build_memories(arch, job.cores, job.qpu.t_cycle_s)
+    mems = [mm for mm in memories if mm.module.k_swap > 0]
     assert mems
-    for mm in sched.memories:
+    for mm in memories:
         m = mm.module
         assert mm.swap_dist == transfer_patch_layout(
             m.n_logical, m.k_swap).storage_distances

@@ -5,16 +5,17 @@ import math
 
 import pytest
 
-from hetqc.arch import builtin_architecture
+from hetqc.arch import apply_override, builtin_architecture
 from hetqc.circuits import LogicalCircuit
-from hetqc.cli import main
+from hetqc.cli import build_parser, main
+from hetqc.compiler import schedule
 from hetqc.estimator import (COMPARISON_FIELDS, RSA_ATTEMPTS, RSA_CALLS,
                              RSA_RETRY_OVERHEAD, RSA_SHOT_FIDELITY,
                              RSA_TAU_ASQPU_ADDER, RSA_TAU_MONOLITHIC,
-                             compare_architectures,
+                             RSA_TAU_REFERENCE, compare_architectures,
                              rsa_estimate, rsa_estimate_compiled,
                              rsa_runtime_days, rsa_shot_time)
-from hetqc.generators import generate_aqft
+from hetqc.generators import generate_aqft, generate_rsa_subroutine
 
 
 def test_shot_time_reference_row():
@@ -61,6 +62,22 @@ def test_estimate_picks_duration_row_by_architecture():
     mono = rsa_estimate("Mono")
     assert mono.shot_s == pytest.approx(38_115.762, rel=1e-6)
     assert mono.runtime_days == pytest.approx(4.8499, rel=1e-4)
+
+
+def test_estimate_takes_the_fast_adder_only_from_an_adder_core():
+    b4 = builtin_architecture("B4")
+    assert rsa_estimate(b4).tau_s["adder"] == RSA_TAU_ASQPU_ADDER
+    apply_override(b4, "asqpu0.specialty=lookup")
+    est = rsa_estimate(b4)
+    assert est.tau_s == RSA_TAU_REFERENCE
+    assert est.shot_s == rsa_shot_time()
+    # nor does the compiled adder run on that core
+    prog = schedule(generate_rsa_subroutine("adder33"), b4)
+    assert prog.events and all(ev.module != "asqpu0" for ev in prog.events)
+
+
+def test_rsa_fidelity_default_is_the_estimators():
+    assert build_parser().parse_args(["rsa"]).fidelity == RSA_SHOT_FIDELITY
 
 
 def test_estimate_hardware_costs():

@@ -50,6 +50,7 @@ def test_scheduler_keeps_no_blocks():
     before = _live_blocks()
     circuit, arch = generate_aqft(30, k_th=5), builtin_architecture("A1")
     front = compiler._FrontEnd(circuit, [arch])
-    sched = compiler._Scheduler(front, front.jobs[0])
-    assert sched.n_blocks > 0
+    job = front.jobs[0]
+    plan = front.plan(job, front.lowering(job).gates)
+    assert plan.n_blocks > 0
     assert _live_blocks() == before

@@ -116,7 +116,7 @@ def test_no_core_holds_a_qubit_at_the_end(arch_name):
         if job.cores is None:  # the grid model has no cores
             assert arch_name in ("baseline1000", "Mono")
             continue
-        compiler._Scheduler(front, job).run()
+        compiler._schedule_modular(front, job)
         assert [(core.lane, core.residents, core.incoming)
                 for core in job.cores
                 if core.residents or core.incoming] == []

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from hetqc.arch import builtin_architecture
 from hetqc.compiler import schedule
 from hetqc.generators import generate_aqft
@@ -31,3 +33,17 @@ def test_repeats_line_counts_the_schedule_text():
         f"({same / len(starts):.1%}) start as the line before; "
         f"{len(decisions)} router decisions on {len(pairs)} distinct "
         "(core, gap) pairs")
+
+
+@pytest.mark.parametrize("archs, simulated", [
+    (["A1"], ["simulate"]),
+    (["baseline1000"], ["simulate"]),
+    (["baseline1000", "A1"], ["simulate baseline1000", "simulate A1"]),
+])
+def test_heap_profile_marks_the_simulate_stage_of_each_model(archs,
+                                                             simulated):
+    # both models are patched by name: a renamed one would drop its row
+    log = _heap_profile().profile("aqft:n=20,k_th=5", archs, traced=False)
+    stages = [row[0] for row in log.rows]
+    assert [s for s in stages if s.startswith("simulate")] == simulated
+    assert log.events > 0

@@ -133,17 +133,14 @@ def profile(workload: str, arch_names: list[str],
     patches = [(compiler, "lower_circuit", "lower"),
                (compiler, "consolidate_blocks", "consolidate"),
                (compiler, "_build_plan", "assign/tables")]
+    # both models take (front, job), so one stage name serves either
+    simulate = (lambda front, job: f"simulate {job.arch.name}") if sweep \
+        else "simulate"
+    patches += [(compiler, "_schedule_grid", simulate),
+                (compiler, "_schedule_modular", simulate)]
     if sweep:
-        patches += [
-            (compiler._Scheduler, "run",
-             lambda sched: f"simulate {sched.arch.name}"),
-            (compiler, "_schedule_grid",
-             lambda front, job: f"simulate {job.arch.name}"),
-            (estimator, "error_budget", "budget"),
-            (estimator, "count_architecture", "count")]
-    else:
-        patches += [(compiler._Scheduler, "run", "simulate"),
-                    (compiler, "_schedule_grid", "simulate")]
+        patches += [(estimator, "error_budget", "budget"),
+                    (estimator, "count_architecture", "count")]
     saved = [(owner, name, getattr(owner, name))
              for owner, name, _ in patches]
     for owner, name, stage in patches:
