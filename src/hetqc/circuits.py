@@ -95,7 +95,10 @@ class LogicalCircuit:
         self.ops.append(op)
 
     def validate(self) -> list[str]:
-        """Return a list of diagnostics; empty means well formed."""
+        """Return a list of diagnostics; empty means well formed.  Every
+        op is checked again although :meth:`add` checks each one: ``ops``
+        is a public mutable list, and ``LogicalCircuit(name, n, ops)``
+        skips :meth:`add`."""
         out = []
         if self.n_qubits < 0:
             out.append("negative qubit count")

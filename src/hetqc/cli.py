@@ -225,6 +225,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_rsa(args) -> int:
+    if not 0 < args.fidelity <= 1:  # NaN fails this too
+        raise _CliError("--fidelity must be in (0, 1]", EXIT_CONFIG)
     estimate = rsa_estimate_compiled if args.compiled else rsa_estimate
     results = []
     for spec in _load_archs(args.archs, args.override):

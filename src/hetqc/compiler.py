@@ -735,8 +735,8 @@ class _Core:
     t_cycle: float
     log_keep: float  # log1p(-eps_cycle), see _log_keep
     t_free: float = 0.0
-    residents: dict[int, float] = field(default_factory=dict)  # q -> busy end
-    incoming: dict[int, float] = field(default_factory=dict)   # q -> arrival
+    # q -> when it is ready here: its last gate's end, or its read's arrival
+    residents: dict[int, float] = field(default_factory=dict)
     stream: array | None = None  # its gates in order, the plan's
     pos: int = 0
     pool: _Pool | None = None  # magic-state supply
@@ -1145,12 +1145,12 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
     lowering and the plan are the front end's, shared.
 
     A gate runs once each operand's previous gate has.  Per gate the loop
-    fetches the operands, charges their idle time, appends the gate, reads
-    ahead those of the next gate's operands whose previous gate has run,
-    and keeps or moves each operand.  A core's fields and its router
-    costs, cached per (memory, gap, legs), are bound once per visit;
-    ``pos`` is stored back before any call that can evict, since
-    ``force_slot`` reads it.
+    fetches the operands, appends the gate, charges their idle time and
+    marks them ready at its end, reads ahead those of the next gate's
+    operands whose previous gate has run, and keeps or moves each operand.
+    A core's fields and its router costs, cached per (memory, gap, legs),
+    are bound once per visit; ``pos`` is stored back before any call that
+    can evict, since ``force_slot`` reads it.
 
     Events and decisions go straight to the stores' columns, through
     ``append``s bound once here: a gate by its plan's key id, any other
@@ -1246,8 +1246,8 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
             mem = mem or probe_memory(core)
             if mem is None:
                 raise CompileError(
-                    f"no reachable memory cell for qubit {q} from "
-                    f"{core.lane}; compute capacity exhausted")
+                    f"every memory linked to {core.lane} is full: no cell "
+                    f"for qubit {q}")
             cell = cells[q] = _Cell(mem, f"{mem.module.id}:q{q}", (q,),
                                     *mem.legs(mem.n_claimed))
             mem.n_claimed += 1
@@ -1349,7 +1349,7 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
         add_dur(hop_dur)
         add_err(hop.error)
         n_transfers += 1
-        t_arrive = core.incoming[q] = t_read + hop_dur
+        t_arrive = core.residents[q] = t_read + hop_dur
         return t_arrive
 
     def force_slot(core: _Core, t: float, protected: tuple[int, ...]) -> None:
@@ -1376,8 +1376,9 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
         the ``protected`` qubits, none of which may be evicted; returns
         q's ready time.  No other core holds q: a core writes out an
         operand whose next gate is elsewhere, and reads one ahead only
-        once its previous gate has run."""
-        while len(core.residents) + len(core.incoming) >= core.capacity:
+        once its previous gate has run.  A read ahead counts against
+        capacity, and as an operand of the gate at ``pos`` it is protected."""
+        while len(core.residents) >= core.capacity:
             force_slot(core, t_issue, protected)
         cell = cells.get(q)
         if cell is not None and cell.stored is not None:
@@ -1396,7 +1397,7 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
         done_before = done
         for core in cores:
             stream, pos, n_stream = core.stream, core.pos, len(core.stream)
-            residents, incoming = core.residents, core.incoming
+            residents = core.residents
             costs, capacity, pool = core.costs, core.capacity, core.pool
             lane, index, kept_id = core.lane, core.index, core.kept_id
             t_cyc, t_free, routes = core.t_cycle, core.t_free, \
@@ -1419,7 +1420,7 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
                         f"core {lane} holds {capacity}")
                 start = t_free
                 for q in qubits:
-                    ready = residents.get(q, incoming.get(q))
+                    ready = residents.get(q)
                     if ready is None:
                         core.pos = pos
                         ready = ensure_operand(core, q, t_free, qubits)
@@ -1433,12 +1434,6 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
                         / pool.units
                     if ready > start:
                         start = ready
-                for q in qubits:
-                    last = incoming.pop(q, None)
-                    if last is None:
-                        last = residents[q]
-                    if start > last + 1e-15:
-                        charge_idle(core, q, last, start)
                 dur = cycles * t_cyc
                 add_key(gate_key[gi])
                 add_start(start)
@@ -1446,6 +1441,9 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
                 add_err(err)
                 end = t_free = start + dur
                 for q in qubits:
+                    last = residents[q]
+                    if start > last + 1e-15:
+                        charge_idle(core, q, last, start)
                     residents[q] = end
                 # read the next gate's stored operands ahead, each once
                 # its previous gate has run
@@ -1455,7 +1453,7 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
                         cell = cells.get(q)
                         if (cell is not None and cell.stored is not None
                                 and scheduled[prev[s]]
-                                and len(residents) + len(incoming) < capacity):
+                                and len(residents) < capacity):
                             read_in(core, q, cell, start, end)
                 # keep or move each operand
                 end_cycle = cycle_at[gi] + cycles
@@ -1509,27 +1507,22 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
     route_costs = routes = scheduled = None
     makespan, n_run = events.makespan(), len(events)
     # no core holds a qubit now (each is measured or written out after
-    # its last gate on a core); what memory holds dwells until the end
-    stored = sorted(cells.items())
-    for mem in memories:
-        readers = [c for c in cores if c.module.id in mem.links]
-        consumer = next((c for c in readers if c.module.kind == "QPU"),
-                        readers[0])
-        for q, cell in stored:
-            t0 = cell.stored
-            if cell.mem is not mem or t0 is None:
-                continue
-            dwell = makespan - t0
-            if dwell <= 0:
-                continue
-            try:
-                err = _storage_error(mem, consumer, dwell)
-            except TransferInfeasible:
-                err = 1.0 - 1e-16
-                warnings.append(
-                    f"qubit {q}: terminal dwell {dwell:.3e} s "
-                    "exceeds the recoverable storage window")
-            store_dwell(cell, t0, dwell, err)
+    # its last gate on a core); what memory holds dwells until the end,
+    # priced for its consumer: its first linked QPU core, else first core
+    consumer = {mm.module.id: min(
+        (c for c in cores if c.module.id in mm.links),
+        key=lambda c: c.module.kind != "QPU") for mm in memories}
+    for q, cell in sorted(cells.items()):
+        t0, mem = cell.stored, cell.mem
+        if t0 is None or (dwell := makespan - t0) <= 0:
+            continue
+        try:
+            err = _storage_error(mem, consumer[mem.module.id], dwell)
+        except TransferInfeasible:
+            err = 1.0 - 1e-16
+            warnings.append(f"qubit {q}: terminal dwell {dwell:.3e} s "
+                            "exceeds the recoverable storage window")
+        store_dwell(cell, t0, dwell, err)
     # the scan of all the ends, resumed at the events appended since
     ends = (events.start[i] + events.dur[i] for i in range(n_run, len(events)))
     makespan = max(chain((makespan,), ends))

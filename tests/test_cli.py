@@ -156,6 +156,28 @@ def test_run_refuses_a_read_from_an_unlinked_memory(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("arch", ["B5", "B6"])
+def test_run_refuses_when_every_linked_memory_is_full(capsys, arch):
+    # the adder core links only to the 145-cell cache; raqm0's cells stay
+    # free, so the refusal names the full memories, not compute capacity
+    assert main(["run", "--workload", "cuccaro:bits=128",
+                 "--arch", arch]) == 4
+    err = capsys.readouterr().err
+    assert ("every memory linked to asqpu0:core0 is full: no cell for "
+            "qubit 201") in err
+    assert "Traceback" not in err
+
+
+def test_run_refuses_a_gate_wider_than_its_core(tmp_path, capsys):
+    # three cores share A1's three slots, one each
+    spec = _circuit_file(tmp_path, 2, ["CNOT q0 q1"])
+    assert main(["run", "--workload", spec, "--arch", "A1",
+                 "--override", "qpu.cores=3"]) == 4
+    err = capsys.readouterr().err
+    assert "gate CNOT needs 2 slots, core qpu0:core0 holds 1" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("override", [
     "qpu0.t_cycle_s=nan",
     "qpu0.t_cycle_s=inf",
@@ -327,8 +349,13 @@ def test_rsa_outputs(tmp_path, capsys):
     assert payload[2]["runtime_days"] == pytest.approx(4.8499, rel=1e-4)
 
 
-def test_rsa_rejects_bad_fidelity():
-    assert main(["rsa", "--archs", "B2", "--fidelity", "0"]) == 4
+@pytest.mark.parametrize("fidelity", ["0", "1.5", "nan"])
+def test_rsa_rejects_bad_fidelity(capsys, fidelity):
+    # an unusable argument, refused before any estimate
+    assert main(["rsa", "--archs", "B2", "--fidelity", fidelity]) == 2
+    err = capsys.readouterr().err
+    assert "--fidelity must be in (0, 1]" in err
+    assert "Traceback" not in err
 
 
 def test_arch_dump_round_trips(tmp_path, capsys):

@@ -107,7 +107,8 @@ def test_no_core_holds_a_qubit_at_the_end(arch_name):
     # after its last gate an operand is measured out or written out
     # terminal, and one whose next gate is on another core is written out
     # cross_core; a read lands only for a gate of its own core, which takes
-    # it.  So a run ends with no resident idle to charge.
+    # it.  So a run ends with no resident idle to charge, and ``residents``
+    # also holds each read in flight.
     for circuit in (random_circuit(random.Random(7001), 40, 120),
                     build_workload("hubbard:lx=8,ly=8,steps=2")):
         front = compiler._FrontEnd(circuit,
@@ -117,9 +118,8 @@ def test_no_core_holds_a_qubit_at_the_end(arch_name):
             assert arch_name in ("baseline1000", "Mono")
             continue
         compiler._schedule_modular(front, job)
-        assert [(core.lane, core.residents, core.incoming)
-                for core in job.cores
-                if core.residents or core.incoming] == []
+        assert [(core.lane, core.residents) for core in job.cores
+                if core.residents] == []
 
 
 def _check_invariants(circuit, arch_name):
