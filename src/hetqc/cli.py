@@ -143,6 +143,13 @@ def _compile(circ: LogicalCircuit, spec):
         raise _CliError(f"compilation failed: {exc}", EXIT_COMPILE)
 
 
+def _out_dir(out: str | None) -> Path | None:
+    """The ``--out`` directory, made before any compile, or None."""
+    if out:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    return Path(out) if out else None
+
+
 def _write_json(path: Path, payload) -> None:
     # streamed: no whole-document string, which after a big compile would
     # be one more sub-kilobyte block freed high in the heap (see
@@ -155,6 +162,7 @@ def _write_json(path: Path, payload) -> None:
 def cmd_run(args) -> int:
     circ = build_workload(args.workload)
     spec = _load_arch(args.arch, args.override)
+    out = _out_dir(args.out)
     prog = _compile(circ, spec)
     budget = error_budget(prog)
     summary = {
@@ -171,9 +179,7 @@ def cmd_run(args) -> int:
         "counters_count": dict(sorted(prog.counters.items())),
         "warnings": prog.warnings,
     }
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         _write_json(out / "summary.json", summary)
         with (out / "schedule.txt").open("w", encoding="utf-8") as fh:
             # line by line: joining batches would grow a list through the
@@ -197,10 +203,9 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     circ = build_workload(args.workload)
+    out = _out_dir(args.out)
     rows = compare_architectures(circ, _load_archs(args.archs, args.override))
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         with (out / "comparison.csv").open("w", newline="",
                                            encoding="utf-8") as fh:
             w = csv.DictWriter(fh, fieldnames=COMPARISON_FIELDS)
@@ -228,6 +233,7 @@ def cmd_rsa(args) -> int:
     if not 0 < args.fidelity <= 1:  # NaN fails this too
         raise _CliError("--fidelity must be in (0, 1]", EXIT_CONFIG)
     estimate = rsa_estimate_compiled if args.compiled else rsa_estimate
+    out = _out_dir(args.out)
     results = []
     for spec in _load_archs(args.archs, args.override):
         try:
@@ -246,9 +252,7 @@ def cmd_rsa(args) -> int:
                              for k, v in sorted(est.tau_compiled_s.items()))
             print(f"    compiled fidelity {est.fidelity_compiled:.4g} "
                   f"(log10 {est.fidelity_compiled_log10:.6g}), tau: {taus}")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         payload = [{
             "arch": e.arch, "shot_s": e.shot_s,
             "runtime_days": e.runtime_days, "fidelity_prob": e.fidelity,
@@ -336,6 +340,9 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except OSError as exc:  # input reads raise _CliError: an --out write
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -39,10 +39,11 @@ end (:class:`_FrontEnd`): the circuit is validated once and lowered once
 per factory, and the modular model's read-only plan (its core streams,
 per-gate tables and the gates' interned event keys) is built once per
 compute side.  A lone ``schedule`` call takes the same path with nothing
-to share.  Each model is a function of the front end and one of its
-jobs, ``model(front, job) -> ScheduledProgram``: :func:`_schedule_grid`
-for an architecture without memory modules, :func:`_schedule_modular`
-for every other, and ``_FrontEnd.schedule`` picks one.
+to share, and it refuses a circuit that does not fit before lowering it.
+Each model is a function of the front end and one of its jobs,
+``model(front, job) -> ScheduledProgram``: :func:`_schedule_grid` for an
+architecture without memory modules, :func:`_schedule_modular` for every
+other, and ``_FrontEnd.schedule`` picks one.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, count, repeat
-from operator import add, itemgetter
+from operator import add, attrgetter, itemgetter
 from typing import NamedTuple, NoReturn
 
 from .arch import (ASQPU_FACTORY_UNITS, ArchitectureSpec, LinkSpec,
@@ -522,11 +523,6 @@ def lower_circuit(circuit: LogicalCircuit, factory_state: str | None,
     return out
 
 
-def _lowering_key(qsf: ModuleSpec | None) -> tuple[str | None, float]:
-    """The (factory state, eps_magic) that lowering reads of a factory."""
-    return (qsf.state, qsf.eps_magic) if qsf else (None, 2.1e-9)
-
-
 class _Lowering(NamedTuple):
     """A circuit's lowered gates, and the counters of a schedule of them
     before its transfers and routing swaps, as (name, count) pairs."""
@@ -818,14 +814,16 @@ def _runs_tag(core: _Core, tag: str | None) -> bool:
 def _assign_blocks(cores: list[_Core], lowered: list[LoweredGate],
                    blocks: list[UnitaryBlock]) -> tuple[list[array], int]:
     """(each core's stream, the block count): every block's gates go to
-    the stream of the eligible core estimated to finish it first."""
+    the stream of the core estimated to finish it first, of those that may
+    run its tag and hold its widest gate; the front end checks there is one."""
     streams = [array("i") for _ in cores]
     finish: dict[int, float] = {}
     free = [0.0] * len(cores)
     for b in blocks:
+        width = max(len(lowered[gi].qubits) for gi in b.gates)
         best = None
         for core in cores:
-            if not _runs_tag(core, b.tag):
+            if core.capacity < width or not _runs_tag(core, b.tag):
                 continue
             cyc = sum(core.costs[lowered[gi].cost_key][0] for gi in b.gates)
             start = max([free[core.index]] + [finish[d] for d in b.deps])
@@ -876,8 +874,9 @@ def _build_plan(cores: list[_Core], lowered: list[LoweredGate]) -> _Plan:
 
 class _Job(NamedTuple):
     """One compile of a :class:`_FrontEnd`: its architecture and either the
-    error that refuses it or its QPU, factory and cores (None on the grid
-    model), and the keys of the lowering and plan it reads."""
+    error that refuses it, for an invalid input or a circuit that does not
+    fit, or its QPU, factory and cores (None on the grid model), and the
+    keys of the lowering and plan it reads."""
 
     arch: ArchitectureSpec
     error: CompileError | None
@@ -895,7 +894,8 @@ class _FrontEnd:
     architecture's once.  An invalid circuit raises
     :class:`InvalidCircuit` at every compile, with the circuit's problems
     and then the architecture's; an invalid architecture raises
-    :class:`CompileError`.  The circuit is lowered once per (factory
+    :class:`CompileError`, and so does a circuit that does not fit
+    (:meth:`_job`).  The circuit is lowered once per (factory
     state, eps_magic) and a :class:`_Plan` is built once per compute side
     and lowering.  Each is kept only until the last compile that reads it
     has run; the two kinds of key never compare equal.
@@ -905,23 +905,54 @@ class _FrontEnd:
                  archs: Sequence[ArchitectureSpec]):
         self.circuit = circuit
         circuit_problems = circuit.validate()
+        # for the fit checks: each qubit's last op, each tag's first widest op
+        last_kind: dict[int, str] = {}
+        widest = self._widest = {}
+        for op in () if circuit_problems else circuit.ops:
+            qubits, kind = op.qubits, op.kind
+            for q in qubits:
+                last_kind[q] = kind
+            if len(qubits) > widest.get(op.tag, (0,))[0]:
+                widest[op.tag] = (len(qubits), kind)
+        self._live = sum(kind != "Measure" for kind in last_kind.values())
         self.jobs = [self._job(arch, circuit_problems) for arch in archs]
         # how many compiles still to run read each lowering and plan
         self._uses = Counter(key for job in self.jobs for key in job.keys)
         self._kept: dict[tuple, _Lowering | _Plan] = {}
-        self._live: int | None = None
 
-    @staticmethod
-    def _job(arch: ArchitectureSpec, circuit_problems: list[str]) -> _Job:
+    def _job(self, arch: ArchitectureSpec,
+             circuit_problems: list[str]) -> _Job:
+        """The job of ``arch``, refused if an input is invalid or the
+        circuit does not fit.  On the modular model each qubit not measured
+        last ends in a slot or a never-released cell, and the gates of a
+        tag's widest op need a core that may run the tag and holds them."""
         problems = circuit_problems + validate(arch)
         if problems:
             error = InvalidCircuit if circuit_problems else CompileError
             return _Job(arch, error("; ".join(problems)))
         qpu, qsf = arch.by_kind("QPU")[0], (arch.by_kind("QSF") or [None])[0]
-        lowering_key = _lowering_key(qsf)
+        # the (factory state, eps_magic) that lowering reads
+        lowering_key = (qsf.state, qsf.eps_magic) if qsf else (None, 2.1e-9)
         if not arch.memory_modules():
+            if (n := self.circuit.n_qubits) > qpu.n_logical:
+                return _Job(arch, CompileError(
+                    f"{n} qubits exceed the device's {qpu.n_logical}"))
             return _Job(arch, None, qpu, qsf, None, (lowering_key,))
         cores = _build_cores(arch, qsf)
+        slots = sum(c.capacity for c in cores)
+        cells = sum(m.n_logical for m in arch.memory_modules())
+        if self._live > slots + cells:
+            return _Job(arch, CompileError(
+                f"{self._live} qubits stay live to the end but the "
+                f"architecture holds {slots} compute slots and {cells} "
+                "reachable memory cells; compute capacity exhausted"))
+        for tag, (width, kind) in self._widest.items():
+            core = max((c for c in cores if _runs_tag(c, tag)),
+                       key=attrgetter("capacity"))
+            if width > core.capacity:
+                return _Job(arch, CompileError(
+                    f"gate {kind} needs {width} slots, core {core.lane} "
+                    f"holds {core.capacity}"))
         return _Job(arch, None, qpu, qsf, cores,
                     (lowering_key, _plan_key(cores, lowering_key)))
 
@@ -943,22 +974,6 @@ class _FrontEnd:
                 self._uses[key] -= 1
                 if not self._uses[key]:
                     self._kept.pop(key, None)
-
-    def live_qubits(self) -> int:
-        """Qubits that some op touches and that are not measured last.
-
-        Read from the ops, before lowering: every op touches all of its
-        qubits in some lowered gate, and ``Measure`` is the only op that
-        lowers to a ``measure`` gate, so the count is the same.
-        """
-        if self._live is None:
-            last_kind: dict[int, str] = {}
-            for op in self.circuit.ops:
-                for q in op.qubits:
-                    last_kind[q] = op.kind
-            self._live = sum(kind != "Measure"
-                             for kind in last_kind.values())
-        return self._live
 
     def lowering(self, job: _Job) -> _Lowering:
         return self._shared(job.keys[0], _lowering, self.circuit,
@@ -1062,24 +1077,6 @@ def _build_memories(arch: ArchitectureSpec, cores: list[_Core],
     return mems
 
 
-def _check_capacity(cores: list[_Core], memories: list[_Memory],
-                    live: int) -> None:
-    """Refuse a circuit whose ``live`` qubits cannot all find a home.
-
-    Every touched qubit that is not measured last ends the run in a core
-    slot or in a memory cell, and cells are never released, so this is
-    necessary for success; it spares a doomed compile its lowering and its
-    full run.
-    """
-    slots = sum(c.capacity for c in cores)
-    cells = sum(mm.module.n_logical for mm in memories)
-    if live > slots + cells:
-        raise CompileError(
-            f"{live} qubits stay live to the end but the architecture "
-            f"holds {slots} compute slots and {cells} reachable memory "
-            "cells; compute capacity exhausted")
-
-
 def _bare_hop(mem: _Memory, core: _Core) -> TransferResult | _InfeasibleHop:
     """The boundary hop between a memory and a linked core's module.
 
@@ -1142,6 +1139,8 @@ def _route_costs(core: _Core, mem: _Memory, gap: int,
 def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
     """The modular model: run the job's cores on their streams, visiting
     the cores in turn.  ``validate`` links each core to some memory; the
+    front end's checks and block assignment leave no core a gate wider
+    than itself, so ``force_slot``'s refusal is only a backstop; the
     lowering and the plan are the front end's, shared.
 
     A gate runs once each operand's previous gate has.  Per gate the loop
@@ -1164,7 +1163,6 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
     cores, t_qpu = job.cores, job.qpu.t_cycle_s
     audit, warnings = AuditStore(), []
     memories = _build_memories(job.arch, cores, t_qpu)
-    _check_capacity(cores, memories, front.live_qubits())
     lowering = front.lowering(job)
     lowered, counters = lowering.gates, dict(lowering.counters)
     plan = front.plan(job, lowered)
@@ -1414,10 +1412,6 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
                     break
                 g = lowered[gi]
                 qubits = g.qubits
-                if len(qubits) > capacity:
-                    raise CompileError(
-                        f"gate {g.label} needs {len(qubits)} slots, "
-                        f"core {lane} holds {capacity}")
                 start = t_free
                 for q in qubits:
                     ready = residents.get(q)
@@ -1552,7 +1546,8 @@ def _schedule_grid(front: _FrontEnd, job: _Job) -> ScheduledProgram:
     Gates run as one serial stream on the job's QPU, fed by its factory if
     any; every mapped qubit is charged idle error over the whole makespan
     outside its own gate time.  ``schedule`` runs this model on a validated
-    architecture without memory modules: one QPU and at most one factory.
+    architecture without memory modules, one QPU that holds every qubit
+    and at most one factory.
 
     A gate's second and third operands are swapped, a step at a time, to
     within distance 1 and 2 of its first: along the column while the rows
@@ -1561,9 +1556,6 @@ def _schedule_grid(front: _FrontEnd, job: _Job) -> ScheduledProgram:
     and needs no detour.  Positions are flat ``row * side + col`` ints.
     """
     circuit, arch, qpu, qsf = front.circuit, job.arch, job.qpu, job.qsf
-    if circuit.n_qubits > qpu.n_logical:
-        raise CompileError(f"{circuit.n_qubits} qubits exceed the device's "
-                           f"{qpu.n_logical}")
     lowering = front.lowering(job)
     costs = _module_costs(qpu, qsf)
     t_cyc = qpu.t_cycle_s

@@ -168,13 +168,26 @@ def test_run_refuses_when_every_linked_memory_is_full(capsys, arch):
     assert "Traceback" not in err
 
 
-def test_run_refuses_a_gate_wider_than_its_core(tmp_path, capsys):
+@pytest.mark.parametrize(("workload", "arch", "override", "refusal"), [
+    # B4's QPU cores hold two slots each: the adder's three-qubit gates
+    # fit only the ASQPU, which runs them, and the lookup's fit no core
+    ("rsa:kind=adder33", "B4", "qpu.n=4", None),
+    ("rsa:kind=lookup6", "B4", "qpu.n=4",
+     "gate Toffoli needs 3 slots, core qpu0:core0 holds 2"),
     # three cores share A1's three slots, one each
-    spec = _circuit_file(tmp_path, 2, ["CNOT q0 q1"])
-    assert main(["run", "--workload", spec, "--arch", "A1",
-                 "--override", "qpu.cores=3"]) == 4
+    ("<cnot>", "A1", "qpu.cores=3",
+     "gate CNOT needs 2 slots, core qpu0:core0 holds 1"),
+], ids=["adder-fits-asqpu", "lookup-fits-no-core", "cnot-on-one-slot"])
+def test_run_refuses_a_gate_wider_than_every_core_of_its_tag(
+        tmp_path, capsys, workload, arch, override, refusal):
+    if workload == "<cnot>":
+        workload = _circuit_file(tmp_path, 2, ["CNOT q0 q1"])
+    code = main(["run", "--workload", workload, "--arch", arch,
+                 "--override", override])
     err = capsys.readouterr().err
-    assert "gate CNOT needs 2 slots, core qpu0:core0 holds 1" in err
+    assert code == (0 if refusal is None else 4)
+    if refusal is not None:
+        assert refusal in err
     assert "Traceback" not in err
 
 
@@ -355,6 +368,27 @@ def test_rsa_rejects_bad_fidelity(capsys, fidelity):
     assert main(["rsa", "--archs", "B2", "--fidelity", fidelity]) == 2
     err = capsys.readouterr().err
     assert "--fidelity must be in (0, 1]" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(("argv", "out"), [
+    (["run", "--workload", "aqft:n=8,k_th=3", "--arch", "A1"], "file"),
+    (["sweep", "--workload", "aqft:n=8,k_th=3", "--archs", "A1"], "file"),
+    (["rsa", "--archs", "B2"], "file"),
+    (["arch", "--name", "A1"], "missing/x.cfg"),
+], ids=["run", "sweep", "rsa", "arch"])
+def test_unusable_out_exits_2_before_any_compile(tmp_path, monkeypatch,
+                                                 capsys, argv, out):
+    def never(*args, **kwargs):
+        raise AssertionError("compiled for an --out that cannot be written")
+
+    for name in ("schedule", "compare_architectures", "rsa_estimate"):
+        monkeypatch.setattr(cli, name, never)
+    (tmp_path / "file").write_text("in the way\n")
+    path = tmp_path / out
+    assert main(argv + ["--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err
     assert "Traceback" not in err
 
 

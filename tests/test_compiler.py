@@ -346,6 +346,35 @@ def test_capacity_refusal_wins_over_missing_factory():
         schedule(generate_aqft(8), arch)
 
 
+def test_width_refusal_wins_over_missing_factory():
+    # both checks would refuse; the width check runs before lowering
+    arch = builtin_architecture("A1")
+    arch.modules = [m for m in arch.modules if m.kind != "QSF"]
+    apply_override(arch, "qpu.cores=3")
+    assert validate(arch) == []
+    c = LogicalCircuit("narrow_t", 2)
+    c.add("T", 0)
+    c.add("CNOT", 0, 1)
+    with pytest.raises(CompileError,
+                       match="gate CNOT needs 2 slots, core qpu0:core0 "
+                             "holds 1"):
+        schedule(c, arch)
+
+
+def test_block_goes_to_a_core_that_holds_its_widest_gate():
+    # a two-slot ASQPU may run the adder's blocks, but not those with a
+    # three-qubit gate: they go to B4's three-slot QPU cores
+    arch = builtin_architecture("B4")
+    apply_override(arch, "asqpu.n=2")
+    prog = schedule(generate_cuccaro_adder(8), arch)
+    gates = [ev for ev in prog.events
+             if ev.kind in ("gate", "t_inject", "ccz_inject")]
+    on_asqpu = [len(ev.qubits) for ev in gates if ev.lane == "asqpu0:core0"]
+    assert on_asqpu and max(on_asqpu) <= 2
+    assert any(len(ev.qubits) == 3 for ev in gates
+               if ev.lane.startswith("qpu0:"))
+
+
 def test_infeasible_hop_raises_only_when_used():
     arch = builtin_architecture("A1")
     arch.links[0].eps_tele = 0.05  # teleportation above the code threshold

@@ -245,13 +245,19 @@ def test_too_wide_circuit_in_sweep_is_never_lowered(monkeypatch):
     circuit = LogicalCircuit("wide", 1100)
     for q in range(1100):
         circuit.add("H", q)
-    rows = compare_architectures(circuit, ["A1", "baseline1000", "A2", "A1"])
+    circuit.add("CNOT", 0, 1)
+    # room for every qubit, but three cores share A1's three slots
+    narrow = builtin_architecture("A1")
+    for override in ("qpu.cores=3", "stqm.n=1200"):
+        apply_override(narrow, override)
+    rows = compare_architectures(circuit, ["A1", "baseline1000", "A2", "A1",
+                                           narrow])
     no_home = ("failed: 1100 qubits stay live to the end but the "
                "architecture holds 3 compute slots and 1000 reachable "
                "memory cells; compute capacity exhausted")
     assert [r["status"] for r in rows] == [
         no_home, "failed: 1100 qubits exceed the device's 1000", no_home,
-        no_home]
+        no_home, "failed: gate CNOT needs 2 slots, core qpu0:core0 holds 1"]
 
 
 def test_sweep_frees_each_row_schedule_before_the_next(monkeypatch):

@@ -6,25 +6,28 @@ Usage, from the root of a checkout:
     python3 tools/identity_matrix.py > identity.txt
 
 Each ``run`` and ``sweep`` case prints its exit code, the sha256 of every
-artifact it wrote and its standard output; the ``arch`` case prints its
-standard output.  A sweep's standard output rounds its numbers, so only
-the hashes of its ``comparison.csv`` and ``summary.json`` show a changed
-last bit.  Run it on two commits and diff the two files: no
-difference means the change left every byte of output as it was.  The hetqc
-imported is the one under this checkout's ``src``.
+artifact it wrote, its standard output and its standard error; the
+``arch`` case prints its standard output and error.  A sweep's standard
+output rounds its numbers, so only the hashes of its ``comparison.csv``
+and ``summary.json`` show a changed last bit.  Run it on two commits and
+diff the two files: no difference means the change left every byte of
+output as it was.  The hetqc imported is the one under this checkout's
+``src``.
 
 The cases are the 1000-qubit AQFT on A1, A2 and A3, the 16x16 Fermi-Hubbard
 on A2, A3 and baseline1000, every RSA subroutine on every builtin, the
-8x8 Fermi-Hubbard on B1, whose operands pass between its cores, the
-Fermi-Hubbard sweep over baseline1000, A1, A2 and A3, and an 8-bit Cuccaro
-adder swept over B1-B6, A1, A2 and Mono.  Together they reach both
-schedulers, every memory kind, the multi-core and the specialty-core
-builtins, and in a sweep the architectures that share one lowering or one
-modular plan: B1-B3 and B4-B6 with their multi-core and ASQPU plans, the
-CCZ and the T factory, and the grid model.  Two more cases, printed last, reach the config path: a ``run``
-with ``--override`` options, and one on an architecture read back from the
-config file that ``hetqc arch --out`` wrote.  Stdlib only; about ten
-seconds on one core.
+8x8 Fermi-Hubbard on B1, whose operands pass between its cores, five runs
+at the edge of what fits (:data:`FIT_CASES`), the Fermi-Hubbard sweep over
+baseline1000, A1, A2 and A3, and an 8-bit Cuccaro adder swept over B1-B6,
+A1, A2 and Mono.  Together they reach both schedulers, every memory kind,
+the multi-core and the specialty-core builtins, each of the front end's
+three refusals of a circuit that does not fit, and in a sweep the
+architectures that share one lowering or one modular plan: B1-B3 and
+B4-B6 with their multi-core and ASQPU plans, the CCZ and the T factory,
+and the grid model.  Two more cases, printed last, reach the config path:
+a ``run`` with ``--override`` options, and one on an architecture read
+back from the config file that ``hetqc arch --out`` wrote.  Stdlib only;
+about ten seconds on one core.
 """
 
 from __future__ import annotations
@@ -46,6 +49,17 @@ AQFT = "aqft:n=1000,k_th=9"
 HUBBARD = "hubbard:lx=16,ly=16,steps=2"
 #: a multi-core run: its operands are handed from core to core
 HANDBACK = ("hubbard:lx=8,ly=8,steps=2", "B1")
+#: (workload, arch, overrides) of runs at the edge of what fits: a gate
+#: wider than every core, too many live qubits for the modular and the
+#: grid model, full memories, and an adder whose three-qubit gates leave
+#: a two-slot ASQPU for the QPU's cores
+FIT_CASES = (
+    (AQFT, "A1", ("qpu.cores=3",)),
+    ("aqft:n=1100,k_th=9", "A1", ()),
+    ("aqft:n=1100,k_th=9", "baseline1000", ()),
+    ("cuccaro:bits=128", "B5", ()),
+    ("cuccaro:bits=8", "B4", ("asqpu.n=2",)),
+)
 RSA_KINDS = ("adder33", "lookup6", "phaseup6")
 ARTIFACTS = ("schedule.txt", "summary.json", "budget.csv")
 SWEEP_ARTIFACTS = ("comparison.csv", "summary.json")
@@ -65,24 +79,27 @@ CONFIG_CASES = (
 )
 
 
-def run_cases() -> list[tuple[str, str]]:
-    """(workload, arch) of every ``run`` case, in printing order."""
+def run_cases() -> list[tuple[str, str, tuple[str, ...]]]:
+    """(workload, arch, overrides) of every ``run`` case, in printing
+    order."""
     cases = [(AQFT, arch) for arch in ("A1", "A2", "A3")]
     cases += [(HUBBARD, arch) for arch in ("A2", "A3", "baseline1000")]
     cases += [(f"rsa:kind={kind}", arch)
               for kind in RSA_KINDS for arch in BUILTIN_NAMES]
     cases.append(HANDBACK)
-    return cases
+    return [(w, a, ()) for w, a in cases] + list(FIT_CASES)
 
 
-def _call(argv: list[str], out: Path | None) -> tuple[int, str]:
-    """(exit code, stdout) of one CLI call, its out dir shown as <out>."""
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf), \
-            contextlib.redirect_stderr(io.StringIO()):
+def _call(argv: list[str], out: Path | None) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one CLI call, its out dir shown as
+    <out>."""
+    buf, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
         code = main(argv + (["--out", str(out)] if out else []))
-    text = buf.getvalue()
-    return code, text.replace(str(out), "<out>") if out else text
+    texts = buf.getvalue(), err.getvalue()
+    if out:
+        texts = tuple(text.replace(str(out), "<out>") for text in texts)
+    return (code, *texts)
 
 
 def _sha256(path: Path) -> str:
@@ -91,18 +108,20 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _print_stdout(stdout: str) -> None:
+def _print_output(stdout: str, stderr: str) -> None:
     for line in stdout.splitlines():
         print(f"  | {line}")
+    for line in stderr.splitlines():
+        print(f"  ! {line}")
 
 
 def _print_call(command: str, args: list[str], out: Path, shown: str,
                 artifacts: tuple[str, ...]) -> None:
-    code, stdout = _call([command] + args, out)
+    code, stdout, stderr = _call([command] + args, out)
     print(f"{command} {shown} exit={code}")
     for name in artifacts:
         print(f"  {name} {_sha256(out / name)}")
-    _print_stdout(stdout)
+    _print_output(stdout, stderr)
 
 
 def _print_run(args: list[str], out: Path, shown: str) -> None:
@@ -111,18 +130,21 @@ def _print_run(args: list[str], out: Path, shown: str) -> None:
 
 def main_matrix() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        for i, (workload, arch) in enumerate(run_cases()):
-            _print_run(["--workload", workload, "--arch", arch],
-                       Path(tmp) / str(i), f"{workload} {arch}")
+        for i, (workload, arch, overrides) in enumerate(run_cases()):
+            options = [x for ov in overrides for x in ("--override", ov)]
+            _print_run(["--workload", workload, "--arch", arch, *options],
+                       Path(tmp) / str(i),
+                       " ".join([workload, arch, *options]))
         for i, (workload, archs) in enumerate(SWEEP_CASES):
             _print_call("sweep", ["--workload", workload, "--archs", archs],
                         Path(tmp) / f"sweep{i}", f"{workload} {archs}",
                         SWEEP_ARTIFACTS)
         cfg = Path(tmp) / "arch.cfg"
-        code, stdout = _call(ARCH_EXPORT, cfg)
+        code, stdout, stderr = _call(ARCH_EXPORT, cfg)
         print(f"{' '.join(ARCH_EXPORT)} --out <cfg> exit={code} "
               f"sha256={_sha256(cfg)}")
-        _print_stdout(stdout.replace("<out>", "<cfg>"))
+        _print_output(stdout.replace("<out>", "<cfg>"),
+                      stderr.replace("<out>", "<cfg>"))
         for i, args in enumerate(CONFIG_CASES):
             _print_run([str(cfg) if a == "<cfg>" else a for a in args],
                        Path(tmp) / f"config{i}", " ".join(args))
