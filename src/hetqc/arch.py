@@ -142,6 +142,9 @@ def derive_boundary(spec: ArchitectureSpec, link: LinkSpec) -> Boundary:
 #: accepted QEC cycle times, seconds: wider than any hardware's, and narrow
 #: enough that cycle ratios, cycle counts and makespans stay finite
 CYCLE_TIME_RANGE_S = (1e-12, 1e3)
+#: largest distillation tier n_mf_per_qpu*n_dist*n*d^2 that ``validate``
+#: accepts: a count and an estimate that scale a larger one may overflow
+DISTILLATION_QUBITS_MAX = 1e30
 
 
 def _non_finite(where: str, *parts) -> list[str]:
@@ -223,6 +226,15 @@ def validate(spec: ArchitectureSpec) -> list[str]:
                 out.append(f"{where}: injection/production cycles must be >= 1")
             if not 0 < m.eps_magic < 1:
                 out.append(f"{where}: eps_magic outside (0, 1)")
+            if m.n_mf_per_qpu < 0:
+                out.append(f"{where}: negative n_mf_per_qpu")
+            for qpu in spec.by_kind("QPU"):
+                tally = (m.n_mf_per_qpu * m.n_dist * qpu.n_logical
+                         * qpu.code.distance ** 2)
+                if not tally <= DISTILLATION_QUBITS_MAX:
+                    out.append(f"{where}: distillation tier of {tally:.3g} "
+                               f"qubits on {qpu.id} exceeds "
+                               f"{DISTILLATION_QUBITS_MAX:g}")
         if m.kind == "RAQM" and m.k_swap < 0:
             out.append(f"{where}: negative swap distance")
     kinds = {m.id: m.kind for m in spec.modules}
@@ -550,5 +562,5 @@ __all__ = [
     "ModalitySpec", "ModuleSpec", "LinkSpec", "ArchitectureSpec", "Boundary",
     "derive_boundary", "validate", "builtin_architecture", "BUILTIN_NAMES",
     "to_config_text", "parse_config_text", "apply_override",
-    "load_architecture", "CYCLE_TIME_RANGE_S",
+    "load_architecture", "CYCLE_TIME_RANGE_S", "DISTILLATION_QUBITS_MAX",
 ]

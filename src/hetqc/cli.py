@@ -26,7 +26,6 @@ from .estimator import (COMPARISON_FIELDS, RSA_SHOT_FIDELITY,
                         rsa_estimate_compiled)
 from .generators import (generate_aqft, generate_cuccaro_adder,
                          generate_fermi_hubbard_step, generate_rsa_subroutine)
-from .qec import TransferInfeasible
 
 EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
@@ -139,7 +138,7 @@ def _compile(circ: LogicalCircuit, spec):
         return schedule(circ, spec)
     except InvalidCircuit as exc:
         raise _CliError(f"invalid circuit: {exc}", EXIT_VALIDATION)
-    except (CompileError, TransferInfeasible) as exc:
+    except CompileError as exc:
         raise _CliError(f"compilation failed: {exc}", EXIT_COMPILE)
 
 
@@ -238,7 +237,7 @@ def cmd_rsa(args) -> int:
     for spec in _load_archs(args.archs, args.override):
         try:
             results.append(estimate(spec, fidelity=args.fidelity))
-        except (CompileError, TransferInfeasible, ValueError) as exc:
+        except (CompileError, ValueError) as exc:
             raise _CliError(f"estimate failed for {spec.name}: {exc}",
                             EXIT_COMPILE)
     print("%-14s %12s %10s %12s %14s" % ("arch", "shot_s", "days",

@@ -8,8 +8,9 @@ resident or moves to memory.  Writes do not block the core, reads do.
 A core reads a stored operand ahead only once its previous gate has run.
 
 The per-lane rule: events that share a lane string never overlap in time.
-Core lanes carry gates; a memory cell lane carries the write, the stored
-dwell, any swap legs, and the read for one qubit, in that order.
+Core lanes carry gates; a memory cell lane carries the write, any swap
+legs in, the stored dwell, any swap legs out, and the read for one qubit,
+in that order (:data:`_CELL_EVENTS`).
 
 Both schedulers append their events to one :class:`EventStore`: columns
 of start, duration and error plus an interned key per event.  Stores are
@@ -85,7 +86,7 @@ _ROUTE_KEYS = 64
 
 
 class CompileError(RuntimeError):
-    """Raised when a circuit cannot be scheduled on an architecture."""
+    """The one error by which a compile refuses a circuit on an arch."""
 
 
 class InvalidCircuit(CompileError):
@@ -697,6 +698,8 @@ def _swap_distances(n: int, k: int) -> list[int]:
     """
     patch = [0]
     for d in range(1, k + 1):
+        if len(patch) >= n:
+            break
         patch += [d] * (4 * d + 4)
     return (patch * (n // len(patch) + 1))[:n]
 
@@ -961,6 +964,7 @@ class _FrontEnd:
 
         Without memory modules it runs on the grid model,
         :func:`_schedule_grid`, otherwise on :func:`_schedule_modular`.
+        A refused transfer is raised as a :class:`CompileError`.
         """
         job = self.jobs[i]
         try:
@@ -969,6 +973,8 @@ class _FrontEnd:
             model = _schedule_grid if job.cores is None \
                 else _schedule_modular
             return model(self, job)
+        except TransferInfeasible as exc:
+            raise CompileError(str(exc)) from exc
         finally:
             for key in job.keys:
                 self._uses[key] -= 1
@@ -1000,22 +1006,30 @@ class _InfeasibleHop(TransferInfeasible):
     duration_s = error
 
 
+#: (kind, label, category) of each event of a memory cell's lane, in the
+#: order the events take it; a {} in a label takes the cell's swap distance
+_CELL_EVENTS = (("transfer_write", "write", "transfer"),
+                ("swap_route", "legs_in:{}", "qm_idle"),
+                ("idle_buffer", "stored", "qm_idle"),
+                ("swap_route", "legs_out:{}", "qm_idle"),
+                ("transfer_read", "read", "transfer"))
+_WRITE, _LEGS_IN, _STORED, _LEGS_OUT, _READ = range(len(_CELL_EVENTS))
+
+
 class _Cell:
     """The one record of a stored qubit: its memory, the lane and legs of
     its cell, when its last write ended (None while the qubit is out),
-    and its event key ids, -1 until first used."""
+    and its :data:`_CELL_EVENTS` key ids, -1 until first used."""
 
     __slots__ = ("mem", "lane", "qs", "dist", "leg_dur", "leg_err", "stored",
-                 "write_id", "legs_in_id", "stored_id", "legs_out_id",
-                 "read_id")
+                 "ids")
 
     def __init__(self, mem: _Memory, lane: str, qs: tuple[int], dist: int,
                  leg_dur: float, leg_err: float):
         self.mem, self.lane, self.qs = mem, lane, qs
         self.dist, self.leg_dur, self.leg_err = dist, leg_dur, leg_err
         self.stored: float | None = None
-        self.write_id = self.legs_in_id = self.stored_id = -1
-        self.legs_out_id = self.read_id = -1
+        self.ids = [-1] * len(_CELL_EVENTS)
 
 
 @dataclass
@@ -1155,10 +1169,9 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
     ``append``s bound once here: a gate by its plan's key id, any other
     event by an id interned right before its first use.  Each event of a
     resident or a memory cell is appended in one place, a closure of this
-    run: ``charge_idle`` a resident's idle, ``write_out`` a cell's write
-    and legs in, ``read_in`` its legs out and read, ``store_dwell`` its
-    stored dwell and ``clock_pad`` the pad of a transfer to a compute
-    cycle boundary.
+    run: ``charge_idle`` a resident's idle, ``cell_event`` each of a
+    cell's :data:`_CELL_EVENTS`, and ``clock_pad`` the pad of a transfer
+    to a compute cycle boundary.
     """
     cores, t_qpu = job.cores, job.qpu.t_cycle_s
     audit, warnings = AuditStore(), []
@@ -1219,15 +1232,18 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
         add_dur(pad)
         add_err(-math.expm1(pad / core.t_cycle * core.log_keep))
 
-    def store_dwell(cell: _Cell, t0: float, dwell: float, err: float) -> None:
-        """The dwell of ``cell``'s qubit from ``t0``, with its error."""
-        if cell.stored_id < 0:
-            cell.stored_id = intern((
-                "idle_buffer", cell.mem.module.id, cell.lane, cell.qs,
-                "stored", "qm_idle"), len(ids))
-        add_key(cell.stored_id)
+    def cell_event(cell: _Cell, which: int, t0: float, dur: float,
+                   err: float) -> None:
+        """Event ``which`` of ``cell``'s :data:`_CELL_EVENTS` from ``t0``."""
+        key_id = cell.ids[which]
+        if key_id < 0:
+            kind, label, category = _CELL_EVENTS[which]
+            key_id = cell.ids[which] = intern((
+                kind, cell.mem.module.id, cell.lane, cell.qs,
+                label.format(cell.dist), category), len(ids))
+        add_key(key_id)
         add_start(t0)
-        add_dur(dwell)
+        add_dur(dur)
         add_err(err)
 
     def write_out(core: _Core, q: int, t: float, reason: str,
@@ -1260,25 +1276,11 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
                 clock_pad(core, cell, t0 - pad, pad)
         hop = mem.hops.get(core.module.id) or _unlinked(mem, core, q)
         hop_dur = hop.duration_s
-        if cell.write_id < 0:
-            cell.write_id = intern((
-                "transfer_write", mem.module.id, cell.lane, cell.qs,
-                "write", "transfer"), len(ids))
-        add_key(cell.write_id)
-        add_start(t0)
-        add_dur(hop_dur)
-        add_err(hop.error)
+        cell_event(cell, _WRITE, t0, hop_dur, hop.error)
         n_transfers += 1
         t_cell = t0 + hop_dur
         if cell.dist:
-            if cell.legs_in_id < 0:
-                cell.legs_in_id = intern((
-                    "swap_route", mem.module.id, cell.lane, cell.qs,
-                    f"legs_in:{cell.dist}", "qm_idle"), len(ids))
-            add_key(cell.legs_in_id)
-            add_start(t_cell)
-            add_dur(cell.leg_dur)
-            add_err(cell.leg_err)
+            cell_event(cell, _LEGS_IN, t_cell, cell.leg_dur, cell.leg_err)
             n_leg_swaps += cell.dist
             t_cell += cell.leg_dur
         cell.stored = t_cell
@@ -1320,17 +1322,10 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
                 f"physical rate {core.module.modality.p_phys}")
         storage_err = _storage_error(mem, core, dwell)
         if dwell > 0 or storage_err > 0:
-            store_dwell(cell, stored, dwell, storage_err)
+            cell_event(cell, _STORED, stored, dwell, storage_err)
         t_read = t0
         if cell.dist:
-            if cell.legs_out_id < 0:
-                cell.legs_out_id = intern((
-                    "swap_route", mem.module.id, cell.lane, cell.qs,
-                    f"legs_out:{cell.dist}", "qm_idle"), len(ids))
-            add_key(cell.legs_out_id)
-            add_start(t_read)
-            add_dur(cell.leg_dur)
-            add_err(cell.leg_err)
+            cell_event(cell, _LEGS_OUT, t_read, cell.leg_dur, cell.leg_err)
             n_leg_swaps += cell.dist
             t_read += cell.leg_dur
         if mem.stretched:
@@ -1338,14 +1333,7 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
             t_read, pad = align(t_legs)
             if pad > 0:
                 clock_pad(core, cell, t_legs, pad)
-        if cell.read_id < 0:
-            cell.read_id = intern((
-                "transfer_read", mem.module.id, cell.lane, cell.qs,
-                "read", "transfer"), len(ids))
-        add_key(cell.read_id)
-        add_start(t_read)
-        add_dur(hop_dur)
-        add_err(hop.error)
+        cell_event(cell, _READ, t_read, hop_dur, hop.error)
         n_transfers += 1
         t_arrive = core.residents[q] = t_read + hop_dur
         return t_arrive
@@ -1516,7 +1504,7 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
             err = 1.0 - 1e-16
             warnings.append(f"qubit {q}: terminal dwell {dwell:.3e} s "
                             "exceeds the recoverable storage window")
-        store_dwell(cell, t0, dwell, err)
+        cell_event(cell, _STORED, t0, dwell, err)
     # the scan of all the ends, resumed at the events appended since
     ends = (events.start[i] + events.dur[i] for i in range(n_run, len(events)))
     makespan = max(chain((makespan,), ends))
@@ -1533,7 +1521,8 @@ def schedule(circuit: LogicalCircuit,
 
     The one entry point of a compile.  It validates the circuit and the
     architecture once; then an architecture without memory modules runs on
-    the grid model, every other one on the modular scheduler.
+    the grid model, every other one on the modular scheduler.  It refuses
+    only with :class:`CompileError`, a refused transfer included.
     """
     return _FrontEnd(circuit, [arch]).schedule(0)
 

@@ -14,7 +14,6 @@ from .arch import ArchitectureSpec, load_architecture
 from .circuits import LogicalCircuit
 from .compiler import CompileError, _FrontEnd, error_budget, schedule
 from .generators import generate_rsa_subroutine
-from .qec import TransferInfeasible
 from .resources import CostWeights, count_architecture, space_cost
 
 SECONDS_PER_DAY = 86400.0
@@ -179,7 +178,7 @@ def compare_architectures(circuit: LogicalCircuit,
             prog = front.schedule(i)
             budget = error_budget(prog)
             counts = count_architecture(spec)
-        except (CompileError, TransferInfeasible, ValueError) as exc:
+        except (CompileError, ValueError) as exc:
             row["status"] = f"failed: {exc}"
             rows.append(row)
             continue

@@ -320,6 +320,17 @@ def _set_link(**fields):
                  ["module qsf0: eps_magic outside (0, 1)"], id="eps-magic-0"),
     pytest.param("A1", _set_module("qsf0", eps_magic=1.0),
                  ["module qsf0: eps_magic outside (0, 1)"], id="eps-magic-1"),
+    pytest.param("A1", _set_module("qsf0", n_mf_per_qpu=-1.0),
+                 ["module qsf0: negative n_mf_per_qpu"], id="n-mf-negative"),
+    pytest.param("baseline1000", _set_module("qsf0", n_mf_per_qpu=1e303),
+                 ["module qsf0: distillation tier of inf qubits on qpu0 "
+                  "exceeds 1e+30"], id="n-mf-tally-inf"),
+    # finite, but its couplers overflowed the estimate's float arithmetic
+    pytest.param("baseline1000",
+                 lambda spec: (_set_module("qsf0", n_mf_per_qpu=1e300)(spec),
+                               _set_module("qpu0", code_distance=41)(spec)),
+                 ["module qsf0: distillation tier of 1.21e+308 qubits on "
+                  "qpu0 exceeds 1e+30"], id="n-mf-tally-huge"),
     pytest.param("A2", _set_module("raqm0", k_swap=-1),
                  ["module raqm0: negative swap distance"], id="k-swap"),
     pytest.param("A1", _set_link(b="nowhere"),

@@ -371,6 +371,22 @@ def test_rsa_rejects_bad_fidelity(capsys, fidelity):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("overrides", [
+    ["qsf.n_mf_per_qpu=-1"],
+    ["qsf.n_mf_per_qpu=1e303"],
+    ["qsf.n_mf_per_qpu=1e300", "qpu.d=61"],
+    ["qsf.n_mf_per_qpu=1e300", "qpu.d=41"],
+])
+def test_rsa_rejects_a_factory_count_it_cannot_tally(capsys, overrides):
+    # a negative count once printed negative qubits, and a huge one an
+    # OverflowError from the resource count or the estimate
+    options = [x for ov in overrides for x in ("--override", ov)]
+    assert main(["rsa", "--archs", "baseline1000,Mono", *options]) == 3
+    err = capsys.readouterr().err
+    assert "invalid architecture: module qsf0:" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(("argv", "out"), [
     (["run", "--workload", "aqft:n=8,k_th=3", "--arch", "A1"], "file"),
     (["sweep", "--workload", "aqft:n=8,k_th=3", "--archs", "A1"], "file"),

@@ -389,8 +389,10 @@ def test_infeasible_hop_raises_only_when_used():
     # hash of the schedule made without the hop cache
     assert hashlib.sha256(prog.to_text().encode()).hexdigest() == \
         "9dedac526fa6ebca1663571557cd8873433fb308684a30d2a346ba01af3bab9c"
-    with pytest.raises(TransferInfeasible):
+    with pytest.raises(CompileError, match="idle\\+teleportation error "
+                       "5.000e-02 reaches threshold") as got:
         schedule(generate_aqft(8), arch)
+    assert isinstance(got.value.__cause__, TransferInfeasible)
 
 
 def test_infeasible_hop_stays_with_its_module_pair():
@@ -402,8 +404,10 @@ def test_infeasible_hop_stays_with_its_module_pair():
                   if {link.a, link.b} == {"asqpu0", "cache0"} else link
                   for link in arch.links]
     assert arch.links != stock.links and validate(arch) == []
-    with pytest.raises(TransferInfeasible):
+    with pytest.raises(CompileError, match="idle\\+teleportation error "
+                       "5.000e-02 reaches threshold") as got:
         schedule(build_workload("rsa:kind=adder33"), arch)
+    assert isinstance(got.value.__cause__, TransferInfeasible)
     lookup = build_workload("rsa:kind=lookup6")
     assert hashlib.sha256(schedule(lookup, arch).to_text().encode()) \
         .hexdigest() == hashlib.sha256(

@@ -35,7 +35,6 @@ from hetqc.arch import BUILTIN_NAMES, builtin_architecture, validate
 from hetqc.cli import build_workload
 from hetqc.compiler import CompileError, EVENT_KINDS, error_budget, schedule
 from hetqc.estimator import rsa_estimate
-from hetqc.qec import TransferInfeasible
 from hetqc.resources import count_architecture
 
 from oracles import (check_lane_exclusive, check_no_read_back,
@@ -166,6 +165,10 @@ _MODULE_FIELDS = {
 _MEMORY_SIZE = st.one_of(st.sampled_from([0, 1]), st.integers(1, 4000))
 _EPS_TELE = st.one_of(st.sampled_from([0.0, 0.999999]),
                       st.floats(0.0, 1.0, exclude_max=True))
+#: a factory's count per QPU, from negative through none to an overflow
+_N_MF = st.one_of(st.sampled_from([-1.0, 0.0, 1e300]), st.floats(0.5, 10.0))
+#: a RAQM's swap reach, up to far beyond what its cells can use
+_K_SWAP = st.one_of(st.sampled_from([0, 10**6]), st.integers(0, 10**6))
 
 
 @st.composite
@@ -174,6 +177,10 @@ def _drawn_config(draw):
     keys = sorted(_MODULE_FIELDS)
     if spec.links:
         keys += ["eps_tele", "n_logical"]
+    if spec.by_kind("QSF"):
+        keys.append("n_mf_per_qpu")
+    if spec.by_kind("RAQM"):
+        keys.append("k_swap")
     for _ in range(draw(st.integers(0, 4))):
         key = draw(st.sampled_from(keys))
         if key == "eps_tele":
@@ -182,6 +189,12 @@ def _drawn_config(draw):
         if key == "n_logical":
             memory = draw(st.sampled_from(spec.memory_modules()))
             memory.n_logical = draw(_MEMORY_SIZE)
+            continue
+        if key == "n_mf_per_qpu":
+            spec.by_kind("QSF")[0].n_mf_per_qpu = draw(_N_MF)
+            continue
+        if key == "k_swap":
+            spec.by_kind("RAQM")[0].k_swap = draw(_K_SWAP)
             continue
         m = draw(st.sampled_from(spec.modules))
         value = draw(_MODULE_FIELDS[key])
@@ -217,7 +230,7 @@ def test_validated_config_schedules_finite(config):
         est.coupler_cost_mdays))
     try:
         prog = schedule(circuit, spec)
-    except (CompileError, TransferInfeasible):
+    except CompileError:
         return
     assert math.isfinite(prog.makespan_s) and prog.makespan_s >= 0.0
     assert 0.0 <= error_budget(prog).total <= 1.0

@@ -17,17 +17,19 @@ output as it was.  The hetqc imported is the one under this checkout's
 The cases are the 1000-qubit AQFT on A1, A2 and A3, the 16x16 Fermi-Hubbard
 on A2, A3 and baseline1000, every RSA subroutine on every builtin, the
 8x8 Fermi-Hubbard on B1, whose operands pass between its cores, five runs
-at the edge of what fits (:data:`FIT_CASES`), the Fermi-Hubbard sweep over
-baseline1000, A1, A2 and A3, and an 8-bit Cuccaro adder swept over B1-B6,
-A1, A2 and Mono.  Together they reach both schedulers, every memory kind,
-the multi-core and the specialty-core builtins, each of the front end's
-three refusals of a circuit that does not fit, and in a sweep the
-architectures that share one lowering or one modular plan: B1-B3 and
-B4-B6 with their multi-core and ASQPU plans, the CCZ and the T factory,
-and the grid model.  Two more cases, printed last, reach the config path:
-a ``run`` with ``--override`` options, and one on an architecture read
-back from the config file that ``hetqc arch --out`` wrote.  Stdlib only;
-about ten seconds on one core.
+at the edge of what fits (:data:`FIT_CASES`), three runs that reach a
+memory cell's swap legs or refuse a transfer (:data:`TRANSFER_CASES`),
+the Fermi-Hubbard sweep over baseline1000, A1, A2 and A3, and an
+8-bit Cuccaro adder swept over B1-B6, A1, A2 and Mono.  Together they reach
+both schedulers, every memory kind, the swap legs of a cell, the
+multi-core and the specialty-core builtins, each of the front end's three
+refusals of a circuit that does not fit, a refused transfer, and in a
+sweep the architectures that share one lowering or one modular plan:
+B1-B3 and B4-B6 with their multi-core and ASQPU plans, the CCZ and the T
+factory, and the grid model.  Two more cases, printed last, reach the
+config path: a ``run`` with ``--override`` options, and one on an
+architecture read back from the config file that ``hetqc arch --out``
+wrote.  Stdlib only; about ten seconds on one core.
 """
 
 from __future__ import annotations
@@ -60,6 +62,14 @@ FIT_CASES = (
     ("cuccaro:bits=128", "B5", ()),
     ("cuccaro:bits=8", "B4", ("asqpu.n=2",)),
 )
+#: (workload, arch, overrides) of runs through a memory cell's swap legs,
+#: on B2's surface-code and B3's gross-code RAQM, and of a run refused for
+#: a transfer over threshold
+TRANSFER_CASES = (
+    ("cuccaro:bits=128", "B2", ()),
+    ("cuccaro:bits=128", "B3", ()),
+    ("aqft:n=20,k_th=5", "A1", ("stqm0.t2_s=1e-3",)),
+)
 RSA_KINDS = ("adder33", "lookup6", "phaseup6")
 ARTIFACTS = ("schedule.txt", "summary.json", "budget.csv")
 SWEEP_ARTIFACTS = ("comparison.csv", "summary.json")
@@ -87,7 +97,8 @@ def run_cases() -> list[tuple[str, str, tuple[str, ...]]]:
     cases += [(f"rsa:kind={kind}", arch)
               for kind in RSA_KINDS for arch in BUILTIN_NAMES]
     cases.append(HANDBACK)
-    return [(w, a, ()) for w, a in cases] + list(FIT_CASES)
+    return [(w, a, ()) for w, a in cases] + list(FIT_CASES) \
+        + list(TRANSFER_CASES)
 
 
 def _call(argv: list[str], out: Path | None) -> tuple[int, str, str]:
