@@ -17,7 +17,7 @@ output as it was.  The hetqc imported is the one under this checkout's
 The cases are the 1000-qubit AQFT on A1, A2 and A3, the 16x16 Fermi-Hubbard
 on A2, A3 and baseline1000, every RSA subroutine on every builtin, the
 8x8 Fermi-Hubbard on B1, whose operands pass between its cores, five runs
-at the edge of what fits (:data:`FIT_CASES`), three runs that reach a
+at the edge of what fits (:data:`FIT_CASES`), five runs that reach a
 memory cell's swap legs or refuse a transfer (:data:`TRANSFER_CASES`),
 the Fermi-Hubbard sweep over baseline1000, A1, A2 and A3, and an
 8-bit Cuccaro adder swept over B1-B6, A1, A2 and Mono.  Together they reach
@@ -63,11 +63,13 @@ FIT_CASES = (
     ("cuccaro:bits=8", "B4", ("asqpu.n=2",)),
 )
 #: (workload, arch, overrides) of runs through a memory cell's swap legs,
-#: on B2's surface-code and B3's gross-code RAQM, and of a run refused for
-#: a transfer over threshold
+#: on B2's surface-code and B3's gross-code RAQM at two adder widths, and
+#: of a run refused for a transfer over threshold
 TRANSFER_CASES = (
     ("cuccaro:bits=128", "B2", ()),
     ("cuccaro:bits=128", "B3", ()),
+    ("cuccaro:bits=600", "B2", ()),
+    ("cuccaro:bits=600", "B3", ()),
     ("aqft:n=20,k_th=5", "A1", ("stqm0.t2_s=1e-3",)),
 )
 RSA_KINDS = ("adder33", "lookup6", "phaseup6")
