@@ -1458,7 +1458,9 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
                     mem = cell.mem if cell else probe_memory(core)
                     if mem is None:
                         continue
-                    leg_err = cell.leg_err if cell else 0.0
+                    # a first write claims the memory's next cell
+                    leg_err = cell.leg_err if cell \
+                        else mem.legs(mem.n_claimed)[2]
                     key = (mem.module.id, gap, leg_err)
                     route = routes.get(key)
                     if route is None:

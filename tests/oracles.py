@@ -479,6 +479,39 @@ def check_router_audit(program) -> list[str]:
     return problems
 
 
+def check_router_prices_legs(program) -> list[str]:
+    """A router move costs at least the swap legs of the cell its write
+    lands in: the legs in after the write and, as long, the legs out
+    before the read.  The legs in are the event that follows the write on
+    the cell's lane; a qubit's writes pair in time order with its moves in
+    the audit."""
+    lanes: dict[str, list] = {}
+    for ev in program.events:
+        if ev.kind in ("transfer_write", "swap_route"):
+            lanes.setdefault(ev.lane, []).append(ev)
+    writes: dict[int, list[float]] = {}  # qubit -> legs-in error per write
+    for evs in lanes.values():
+        evs.sort(key=lambda e: e.t_start_s)
+        for ev, nxt in zip(evs, evs[1:] + [None]):
+            if ev.kind != "transfer_write":
+                continue
+            legs = nxt is not None and nxt.label.startswith("legs_in")
+            writes.setdefault(ev.qubits[0], []).append(
+                nxt.error if legs else 0.0)
+    seen: dict[int, int] = {}
+    problems = []
+    for dec in program.audit:
+        if not dec.moved:
+            continue
+        i = seen[dec.qubit] = seen.get(dec.qubit, -1) + 1
+        leg_err = writes[dec.qubit][i]
+        if dec.reason == "router" and dec.cost_move < 2 * leg_err:
+            problems.append(f"moved q{dec.qubit} at {dec.t_s:.9f} for "
+                            f"{dec.cost_move} into a cell whose legs cost "
+                            f"{leg_err} each")
+    return problems
+
+
 def check_no_routing_swaps(program) -> list[str]:
     n = sum(1 for ev in program.events if ev.kind == "swap_route")
     return [f"{n} routing swaps in a heterogeneous schedule"] if n else []

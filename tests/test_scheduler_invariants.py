@@ -16,6 +16,8 @@ cores, read no qubit back unused.
 On every builtin, a random circuit and a small AQFT use every key they
 intern, and their transfer counter counts their transfer events; the
 golden random circuit and an 8x8 Fermi-Hubbard leave no qubit on a core.
+On B2 and B3 a 128-bit Cuccaro adder, which outgrows the cache, moves a
+qubit by the router only at a cost that covers its cell's swap legs.
 
 A property test then draws physical parameters on every builtin: every
 config that ``validate`` accepts compiles to finite numbers or is refused
@@ -39,8 +41,8 @@ from hetqc.resources import count_architecture
 
 from oracles import (check_lane_exclusive, check_no_read_back,
                      check_no_routing_swaps, check_qubit_locations,
-                     check_router_audit, check_transfer_pairing,
-                     random_circuit)
+                     check_router_audit, check_router_prices_legs,
+                     check_transfer_pairing, random_circuit)
 
 #: the memory-backed builtins of acceptance criterion 9, and the others
 HET_NAMES = ("A1", "A2", "A3")
@@ -119,6 +121,18 @@ def test_no_core_holds_a_qubit_at_the_end(arch_name):
         compiler._schedule_modular(front, job)
         assert [(core.lane, core.residents) for core in job.cores
                 if core.residents] == []
+
+
+@pytest.mark.parametrize("arch_name", ("B2", "B3"))
+def test_router_prices_the_legs_of_the_cell_it_writes(arch_name):
+    # a 128-bit adder outgrows the 145-cell cache, so the router sends
+    # qubits into RAQM cells with swap legs, and must price those legs
+    # before the write claims the cell
+    prog = schedule(build_workload("cuccaro:bits=128"),
+                    builtin_architecture(arch_name))
+    assert any(ev.label.startswith("legs_in") for ev in prog.events)
+    assert check_router_prices_legs(prog) == []
+    assert check_router_audit(prog) == []
 
 
 def _check_invariants(circuit, arch_name):
