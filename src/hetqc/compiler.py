@@ -57,7 +57,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, count, repeat
 from operator import add, attrgetter, itemgetter
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 from .arch import (ASQPU_FACTORY_UNITS, ArchitectureSpec, LinkSpec,
                    ModuleSpec, validate)
@@ -1127,10 +1127,15 @@ def _storage_error(mem: _Memory, core: _Core, dwell_s: float) -> float:
         - mem.hops[m.id].error, 0.0)
 
 
-def _unlinked(mem: _Memory, core: _Core, q: int) -> NoReturn:
-    """Refuse to move qubit ``q`` between ``mem`` and an unlinked core."""
-    raise CompileError(f"qubit {q} is stored in {mem.module.id}, "
-                       f"which {core.lane} has no link to")
+def _hop(mem: _Memory, core: _Core,
+         q: int) -> TransferResult | _InfeasibleHop:
+    """The bare hop that moves qubit ``q`` between ``mem`` and ``core``;
+    refuses a core that ``mem`` has no link to."""
+    hop = mem.hops.get(core.module.id)
+    if hop is None:
+        raise CompileError(f"qubit {q} is stored in {mem.module.id}, "
+                           f"which {core.lane} has no link to")
+    return hop
 
 
 def _route_costs(core: _Core, mem: _Memory, gap: int,
@@ -1170,8 +1175,10 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
     event by an id interned right before its first use.  Each event of a
     resident or a memory cell is appended in one place, a closure of this
     run: ``charge_idle`` a resident's idle, ``cell_event`` each of a
-    cell's :data:`_CELL_EVENTS`, and ``clock_pad`` the pad of a transfer
-    to a compute cycle boundary.
+    cell's :data:`_CELL_EVENTS`, and ``cross`` the pad of a transfer to a
+    compute cycle boundary.  ``cell_for`` alone decides where a stored
+    qubit goes, for the router that prices the move and the write that
+    claims the cell.
     """
     cores, t_qpu = job.cores, job.qpu.t_cycle_s
     audit, warnings = AuditStore(), []
@@ -1194,19 +1201,18 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
     audit_ids = audit.ids
     n_transfers = n_leg_swaps = 0  # added to the counters at the end
 
-    def probe_memory(core: _Core) -> _Memory | None:
-        """A reachable memory with a free cell."""
-        for mm in memories:
-            if core.module.id in mm.links \
-                    and mm.n_claimed < mm.module.n_logical:
-                return mm
-        return None
-
-    def align(t: float) -> tuple[float, float]:
-        """(t rounded up to a compute boundary, pad) on a stretched
-        memory."""
-        n = math.ceil(t / t_qpu - 1e-9)
-        return n * t_qpu, max(n * t_qpu - t, 0.0)
+    def cell_for(core: _Core, q: int) -> _Cell | None:
+        """q's cell, else the next free cell of the first memory linked
+        to ``core`` that has room, claimed only by the write that takes
+        it; None when every such memory is full."""
+        cell = cells.get(q)
+        if cell is None:
+            mid = core.module.id
+            for mm in memories:
+                if mid in mm.links and mm.n_claimed < mm.module.n_logical:
+                    return _Cell(mm, f"{mm.module.id}:q{q}", (q,),
+                                 *mm.legs(mm.n_claimed))
+        return cell
 
     def charge_idle(core: _Core, q: int, last: float, until: float) -> None:
         """Charge resident q's idle on ``core`` from ``last`` to
@@ -1223,15 +1229,6 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
         add_dur(dur)
         add_err(-math.expm1(dur / core.t_cycle * core.log_keep))
 
-    def clock_pad(core: _Core, cell: _Cell, t: float, pad: float) -> None:
-        """The ``pad`` from ``t`` that aligns a transfer of ``cell``'s
-        qubit to a compute cycle boundary, charged to ``core``."""
-        add_key(intern(("qec_cycle_stretch", core.module.id, cell.lane,
-                        cell.qs, "clock_pad", "qpu_idle"), len(ids)))
-        add_start(t)
-        add_dur(pad)
-        add_err(-math.expm1(pad / core.t_cycle * core.log_keep))
-
     def cell_event(cell: _Cell, which: int, t0: float, dur: float,
                    err: float) -> None:
         """Event ``which`` of ``cell``'s :data:`_CELL_EVENTS` from ``t0``."""
@@ -1246,39 +1243,47 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
         add_dur(dur)
         add_err(err)
 
+    def cross(core: _Core, cell: _Cell, q: int, t: float,
+              which: int) -> float:
+        """Event ``which``, the write or the read of q between ``core``
+        and ``cell``'s memory, from ``t``; returns the end of its hop.  On
+        a stretched memory the hop waits for a compute cycle boundary,
+        and ``core`` is charged the pad."""
+        nonlocal n_transfers
+        mem = cell.mem
+        if mem.stretched:
+            t0 = math.ceil(t / t_qpu - 1e-9) * t_qpu
+            if (pad := t0 - t) > 0:
+                add_key(intern(("qec_cycle_stretch", core.module.id,
+                                cell.lane, cell.qs, "clock_pad", "qpu_idle"),
+                               len(ids)))
+                add_start(t)
+                add_dur(pad)
+                add_err(-math.expm1(pad / core.t_cycle * core.log_keep))
+            t = t0
+        hop = _hop(mem, core, q)
+        hop_dur = hop.duration_s
+        cell_event(cell, which, t, hop_dur, hop.error)
+        n_transfers += 1
+        return t + hop_dur
+
     def write_out(core: _Core, q: int, t: float, reason: str,
                   gap_cycles: int = 0, cost_keep: float = math.inf,
-                  cost_move: float = 0.0, mem: _Memory | None = None,
-                  cell: _Cell | None = None) -> None:
-        """Move resident q from ``core`` to memory at ``t``, into its
-        cell: ``cell`` where the caller holds it, else the one q claims
-        on its first write in ``mem`` or a reachable memory with room."""
-        nonlocal n_transfers, n_leg_swaps
+                  cost_move: float = 0.0, cell: _Cell | None = None) -> None:
+        """Move resident q from ``core`` to memory at ``t``, into
+        ``cell`` where the router holds it, else :func:`cell_for`'s."""
+        nonlocal n_leg_swaps
+        cell = cell or cell_for(core, q)
         if cell is None:
-            cell = cells.get(q)
-        if cell is None:
-            mem = mem or probe_memory(core)
-            if mem is None:
-                raise CompileError(
-                    f"every memory linked to {core.lane} is full: no cell "
-                    f"for qubit {q}")
-            cell = cells[q] = _Cell(mem, f"{mem.module.id}:q{q}", (q,),
-                                    *mem.legs(mem.n_claimed))
-            mem.n_claimed += 1
-        mem = cell.mem
+            raise CompileError(f"every memory linked to {core.lane} is "
+                               f"full: no cell for qubit {q}")
+        if q not in cells:
+            cells[q] = cell
+            cell.mem.n_claimed += 1
         last = core.residents.pop(q)
         if t > last + 1e-15:
             charge_idle(core, q, last, t)
-        t0 = t
-        if mem.stretched:
-            t0, pad = align(t)
-            if pad > 0:
-                clock_pad(core, cell, t0 - pad, pad)
-        hop = mem.hops.get(core.module.id) or _unlinked(mem, core, q)
-        hop_dur = hop.duration_s
-        cell_event(cell, _WRITE, t0, hop_dur, hop.error)
-        n_transfers += 1
-        t_cell = t0 + hop_dur
+        t_cell = cross(core, cell, q, t, _WRITE)
         if cell.dist:
             cell_event(cell, _LEGS_IN, t_cell, cell.leg_dur, cell.leg_err)
             n_leg_swaps += cell.dist
@@ -1304,10 +1309,10 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
         arrive then, so the dwell stays in the cell instead of turning
         into compute-side idle.
         """
-        nonlocal n_transfers, n_leg_swaps
+        nonlocal n_leg_swaps
         mem = cell.mem
-        hop = mem.hops.get(core.module.id) or _unlinked(mem, core, q)
-        hop_dur = hop.duration_s
+        # refuses an unlinked core before the dwell is priced
+        hop_dur = _hop(mem, core, q).duration_s
         stored, cell.stored = cell.stored, None
         t0 = stored if stored > t_issue else t_issue
         if target_s is not None:
@@ -1328,14 +1333,7 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
             cell_event(cell, _LEGS_OUT, t_read, cell.leg_dur, cell.leg_err)
             n_leg_swaps += cell.dist
             t_read += cell.leg_dur
-        if mem.stretched:
-            t_legs = t_read
-            t_read, pad = align(t_legs)
-            if pad > 0:
-                clock_pad(core, cell, t_legs, pad)
-        cell_event(cell, _READ, t_read, hop_dur, hop.error)
-        n_transfers += 1
-        t_arrive = core.residents[q] = t_read + hop_dur
+        t_arrive = core.residents[q] = cross(core, cell, q, t_read, _READ)
         return t_arrive
 
     def force_slot(core: _Core, t: float, protected: tuple[int, ...]) -> None:
@@ -1454,13 +1452,10 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
                     gap = cycle_at[nxt] - end_cycle
                     if gap <= 0:
                         continue
-                    cell = cells.get(q)
-                    mem = cell.mem if cell else probe_memory(core)
-                    if mem is None:
+                    cell = cell_for(core, q)
+                    if cell is None:
                         continue
-                    # a first write claims the memory's next cell
-                    leg_err = cell.leg_err if cell \
-                        else mem.legs(mem.n_claimed)[2]
+                    mem, leg_err = cell.mem, cell.leg_err
                     key = (mem.module.id, gap, leg_err)
                     route = routes.get(key)
                     if route is None:
@@ -1470,7 +1465,7 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
                     cost_keep, cost_move = route
                     if cost_move < cost_keep:
                         write_out(core, q, end, "router", gap, cost_keep,
-                                  cost_move, mem, cell)
+                                  cost_move, cell)
                         continue
                     if kept_id < 0:
                         kept_id = core.kept_id = audit_ids.setdefault(
