@@ -167,6 +167,11 @@ def count_rsa_architecture(spec: ArchitectureSpec) -> ResourceCounts:
     coupler each; surface LTS 2N d_lts^2 + 2N_tr d^2 (double for couplers);
     gross LTS 24N + 2N_tr d^2 qubits, 48N local + 24N non-local couplers;
     ASQPU 2N d^2 with its own rails and one 12-unit factory block.
+
+    The CCZ factories are priced from the QPU alone: the plant reads no
+    field of the QSF.  So an override of ``qsf.n_mf_per_qpu`` or
+    ``qsf.n_dist`` leaves the counts of B1-B6 as they are, although
+    ``validate`` still checks those fields.
     """
     qpu = spec.by_kind("QPU")[0]
     d = qpu.code.distance

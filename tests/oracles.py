@@ -480,8 +480,8 @@ def check_router_audit(program) -> list[str]:
 
 
 def check_router_prices_legs(program) -> list[str]:
-    """A router move costs at least the swap legs of the cell its write
-    lands in: the legs in after the write and, as long, the legs out
+    """A router move costs at least the two swap legs of the cell its
+    write lands in: the legs in after the write and the equal legs out
     before the read.  The legs in are the event that follows the write on
     the cell's lane; a qubit's writes pair in time order with its moves in
     the audit."""

@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hetqc.arch import LinkSpec, builtin_architecture
+from hetqc.arch import LinkSpec, apply_override, builtin_architecture
 from hetqc.estimator import rsa_estimate
 from hetqc.resources import (CostWeights, ResourceCounts, count_architecture,
                              count_homogeneous, place_transfer_patches,
@@ -69,6 +69,16 @@ def test_raqm_builtin_counts():
 def test_factoring_architecture_totals(name, total):
     rc = count_architecture(builtin_architecture(name))
     assert rc.total_qubits == total
+
+
+@pytest.mark.parametrize("name", ["B1", "B2", "B3", "B4", "B5", "B6"])
+def test_factoring_plant_reads_no_factory_field(name):
+    # the plant prices its CCZ factories from the QPU alone
+    arch = builtin_architecture(name)
+    apply_override(arch, "qsf.n_mf_per_qpu=7")
+    apply_override(arch, "qsf.n_dist=200")
+    assert count_architecture(arch) == \
+        count_architecture(builtin_architecture(name))
 
 
 @pytest.mark.parametrize("links,problem", [
