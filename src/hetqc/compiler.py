@@ -17,9 +17,9 @@ of start, duration and error plus an interned key per event.  Stores are
 filled only through their columns' ``array.append``s, bound once per
 compile, with no method call per event; the modular one also fills an
 :class:`AuditStore` with its router decisions.  It appends a gate by the
-key id its plan holds, and each memory cell's and each resident's events
-by key ids it keeps; the grid model interns each key inline.  A
-:class:`ScheduledProgram` is built on that store; its ``events``
+key id its plan holds, and each memory cell's and each resident's events,
+and each decision, by ids it keeps; the grid model interns each key inline.
+A :class:`ScheduledProgram` is built on that store; its ``events``
 is the store itself, a lazy read-only sequence of :class:`ScheduledEvent`
 records in schedule order.  The makespan, the event count and the error
 budget read the columns and never sort; only the schedule text and reading
@@ -128,6 +128,12 @@ class RouterDecision(NamedTuple):
     cost_move: float
     moved: bool
     reason: str  # router | capacity | cross_core | terminal
+
+
+#: (moved, reason) of each kind of router decision: a keep, then the moves
+_DECISIONS = ((False, "router"), (True, "router"), (True, "capacity"),
+              (True, "cross_core"), (True, "terminal"))
+_KEPT, _MOVED, _CAPACITY, _CROSS_CORE, _TERMINAL = range(len(_DECISIONS))
 
 
 #: a key's sort fields after the start time: (module, lane, kind, qubits)
@@ -706,17 +712,18 @@ def _swap_distances(n: int, k: int) -> list[int]:
 
 @dataclass
 class _Pool:
-    """Magic-state supply of ``units`` factories, ``prod`` cycles per state.
-
-    A gate that takes ``n`` states adds them to ``consumed`` and waits
-    until ``consumed * prod * t_cycle / units``, when the last is ready;
-    each model's gate loop takes them so, in that order of operations.
-    """
+    """Magic-state supply of ``units`` factories, ``prod`` cycles per
+    state; both models' gate loops take their states by :meth:`take`."""
 
     units: int
     prod: int
     t_cycle: float
     consumed: int = 0
+
+    def take(self, n: int) -> float:
+        """Take ``n`` more states; returns when the last of them is ready."""
+        self.consumed += n
+        return self.consumed * self.prod * self.t_cycle / self.units
 
 
 def _factory_pool(qsf: ModuleSpec) -> _Pool:
@@ -740,10 +747,9 @@ class _Core:
     pos: int = 0
     pool: _Pool | None = None  # magic-state supply
     idle_ids: dict[int, int] = field(default_factory=dict)  # q -> idle key id
-    # audit kind ids of its decisions, interned on first use: a kept
-    # operand's, and a moved one's by reason
-    kept_id: int = -1
-    moved_ids: dict[str, int] = field(default_factory=dict)
+    # audit kind id of each of its _DECISIONS, -1 until first used
+    decision_ids: list[int] = field(
+        default_factory=lambda: [-1] * len(_DECISIONS))
 
 
 def _log_keep(eps_cycle: float) -> float:
@@ -1172,13 +1178,15 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
 
     Events and decisions go straight to the stores' columns, through
     ``append``s bound once here: a gate by its plan's key id, any other
-    event by an id interned right before its first use.  Each event of a
-    resident or a memory cell is appended in one place, a closure of this
-    run: ``charge_idle`` a resident's idle, ``cell_event`` each of a
-    cell's :data:`_CELL_EVENTS`, and ``cross`` the pad of a transfer to a
-    compute cycle boundary.  ``cell_for`` alone decides where a stored
-    qubit goes, for the router that prices the move and the write that
-    claims the cell.
+    event or decision by an id interned right before its first use.  Each
+    event of a resident or a memory cell, and each router decision, is
+    appended in one place, a closure of this run: ``charge_idle`` a
+    resident's idle, ``cell_event`` each of a cell's :data:`_CELL_EVENTS`,
+    ``cross`` the pad of a transfer to a compute cycle boundary, and
+    ``decide`` each keep or move of :data:`_DECISIONS`.  A write or a read
+    looks its hop up once and hands it to ``cross``.  ``cell_for`` alone
+    decides where a qubit with no cell goes, for the router that prices
+    the move and the write that claims the cell.
     """
     cores, t_qpu = job.cores, job.qpu.t_cycle_s
     audit, warnings = AuditStore(), []
@@ -1202,17 +1210,15 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
     n_transfers = n_leg_swaps = 0  # added to the counters at the end
 
     def cell_for(core: _Core, q: int) -> _Cell | None:
-        """q's cell, else the next free cell of the first memory linked
-        to ``core`` that has room, claimed only by the write that takes
-        it; None when every such memory is full."""
-        cell = cells.get(q)
-        if cell is None:
-            mid = core.module.id
-            for mm in memories:
-                if mid in mm.links and mm.n_claimed < mm.module.n_logical:
-                    return _Cell(mm, f"{mm.module.id}:q{q}", (q,),
-                                 *mm.legs(mm.n_claimed))
-        return cell
+        """A cell for q, which has none: the next free cell of the first
+        memory linked to ``core`` that has room, claimed only by the write
+        that takes it; None when every such memory is full."""
+        mid = core.module.id
+        for mm in memories:
+            if mid in mm.links and mm.n_claimed < mm.module.n_logical:
+                return _Cell(mm, f"{mm.module.id}:q{q}", (q,),
+                             *mm.legs(mm.n_claimed))
+        return None
 
     def charge_idle(core: _Core, q: int, last: float, until: float) -> None:
         """Charge resident q's idle on ``core`` from ``last`` to
@@ -1243,15 +1249,14 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
         add_dur(dur)
         add_err(err)
 
-    def cross(core: _Core, cell: _Cell, q: int, t: float,
-              which: int) -> float:
-        """Event ``which``, the write or the read of q between ``core``
-        and ``cell``'s memory, from ``t``; returns the end of its hop.  On
-        a stretched memory the hop waits for a compute cycle boundary,
-        and ``core`` is charged the pad."""
+    def cross(core: _Core, cell: _Cell, hop: TransferResult | _InfeasibleHop,
+              t: float, which: int) -> float:
+        """Event ``which``, the write or the read over ``hop`` between
+        ``core`` and ``cell``'s memory, from ``t``; returns the end of the
+        hop.  On a stretched memory the hop waits for a compute cycle
+        boundary, and ``core`` is charged the pad."""
         nonlocal n_transfers
-        mem = cell.mem
-        if mem.stretched:
+        if cell.mem.stretched:
             t0 = math.ceil(t / t_qpu - 1e-9) * t_qpu
             if (pad := t0 - t) > 0:
                 add_key(intern(("qec_cycle_stretch", core.module.id,
@@ -1261,19 +1266,33 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
                 add_dur(pad)
                 add_err(-math.expm1(pad / core.t_cycle * core.log_keep))
             t = t0
-        hop = _hop(mem, core, q)
         hop_dur = hop.duration_s
         cell_event(cell, which, t, hop_dur, hop.error)
         n_transfers += 1
         return t + hop_dur
 
-    def write_out(core: _Core, q: int, t: float, reason: str,
+    def decide(core: _Core, which: int, q: int, t: float, gap: int,
+               cost_keep: float, cost_move: float) -> None:
+        """Record ``core``'s decision ``which`` of :data:`_DECISIONS`."""
+        kind_id = core.decision_ids[which]
+        if kind_id < 0:
+            kind_id = core.decision_ids[which] = audit_ids.setdefault(
+                (core.lane, *_DECISIONS[which]), len(audit_ids))
+        add_kind(kind_id)
+        add_t(t)
+        add_qubit(q)
+        add_gap(gap)
+        add_keep(cost_keep)
+        add_move(cost_move)
+
+    def write_out(core: _Core, q: int, t: float, which: int,
                   gap_cycles: int = 0, cost_keep: float = math.inf,
                   cost_move: float = 0.0, cell: _Cell | None = None) -> None:
-        """Move resident q from ``core`` to memory at ``t``, into
-        ``cell`` where the router holds it, else :func:`cell_for`'s."""
+        """Move resident q from ``core`` to memory at ``t``, a move
+        ``which`` of :data:`_DECISIONS`, into ``cell`` where the router
+        holds it, else into q's cell or :func:`cell_for`'s."""
         nonlocal n_leg_swaps
-        cell = cell or cell_for(core, q)
+        cell = cell or cells.get(q) or cell_for(core, q)
         if cell is None:
             raise CompileError(f"every memory linked to {core.lane} is "
                                f"full: no cell for qubit {q}")
@@ -1283,22 +1302,13 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
         last = core.residents.pop(q)
         if t > last + 1e-15:
             charge_idle(core, q, last, t)
-        t_cell = cross(core, cell, q, t, _WRITE)
+        t_cell = cross(core, cell, _hop(cell.mem, core, q), t, _WRITE)
         if cell.dist:
             cell_event(cell, _LEGS_IN, t_cell, cell.leg_dur, cell.leg_err)
             n_leg_swaps += cell.dist
             t_cell += cell.leg_dur
         cell.stored = t_cell
-        kind_id = core.moved_ids.get(reason)
-        if kind_id is None:
-            kind_id = core.moved_ids[reason] = audit_ids.setdefault(
-                (core.lane, True, reason), len(audit_ids))
-        add_kind(kind_id)
-        add_t(t)
-        add_qubit(q)
-        add_gap(gap_cycles)
-        add_keep(cost_keep)
-        add_move(cost_move)
+        decide(core, which, q, t, gap_cycles, cost_keep, cost_move)
 
     def read_in(core: _Core, q: int, cell: _Cell, t_issue: float,
                 target_s: float | None) -> float:
@@ -1312,7 +1322,8 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
         nonlocal n_leg_swaps
         mem = cell.mem
         # refuses an unlinked core before the dwell is priced
-        hop_dur = _hop(mem, core, q).duration_s
+        hop = _hop(mem, core, q)
+        hop_dur = hop.duration_s
         stored, cell.stored = cell.stored, None
         t0 = stored if stored > t_issue else t_issue
         if target_s is not None:
@@ -1333,7 +1344,7 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
             cell_event(cell, _LEGS_OUT, t_read, cell.leg_dur, cell.leg_err)
             n_leg_swaps += cell.dist
             t_read += cell.leg_dur
-        t_arrive = core.residents[q] = cross(core, cell, q, t_read, _READ)
+        t_arrive = core.residents[q] = cross(core, cell, hop, t_read, _READ)
         return t_arrive
 
     def force_slot(core: _Core, t: float, protected: tuple[int, ...]) -> None:
@@ -1352,7 +1363,7 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
             return (-(touches[i] if i < len(touches) else _FAR), q)
 
         victim = min(victims, key=farness)
-        write_out(core, victim, max(t, core.residents[victim]), "capacity")
+        write_out(core, victim, max(t, core.residents[victim]), _CAPACITY)
 
     def ensure_operand(core: _Core, q: int, t_issue: float,
                        protected: tuple[int, ...]) -> float:
@@ -1381,9 +1392,8 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
         done_before = done
         for core in cores:
             stream, pos, n_stream = core.stream, core.pos, len(core.stream)
-            residents = core.residents
+            residents, index = core.residents, core.index
             costs, capacity, pool = core.costs, core.capacity, core.pool
-            lane, index, kept_id = core.lane, core.index, core.kept_id
             t_cyc, t_free, routes = core.t_cycle, core.t_free, \
                 route_costs[index]
             while pos < n_stream:
@@ -1409,9 +1419,7 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
                 cost_key = g.cost_key
                 cycles, err = costs[cost_key]
                 if g.magic and pool is not None:
-                    pool.consumed += g.magic
-                    ready = pool.consumed * pool.prod * pool.t_cycle \
-                        / pool.units
+                    ready = pool.take(g.magic)
                     if ready > start:
                         start = ready
                 dur = cycles * t_cyc
@@ -1444,15 +1452,15 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
                             # measured out: the slot is simply released
                             del residents[q]
                         else:
-                            write_out(core, q, end, "terminal")
+                            write_out(core, q, end, _TERMINAL)
                         continue
                     if core_of_gate[nxt] != index:
-                        write_out(core, q, end, "cross_core")
+                        write_out(core, q, end, _CROSS_CORE)
                         continue
                     gap = cycle_at[nxt] - end_cycle
                     if gap <= 0:
                         continue
-                    cell = cell_for(core, q)
+                    cell = cells.get(q) or cell_for(core, q)
                     if cell is None:
                         continue
                     mem, leg_err = cell.mem, cell.leg_err
@@ -1464,18 +1472,10 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
                             routes[key] = route
                     cost_keep, cost_move = route
                     if cost_move < cost_keep:
-                        write_out(core, q, end, "router", gap, cost_keep,
+                        write_out(core, q, end, _MOVED, gap, cost_keep,
                                   cost_move, cell)
-                        continue
-                    if kept_id < 0:
-                        kept_id = core.kept_id = audit_ids.setdefault(
-                            (lane, False, "router"), len(audit_ids))
-                    add_kind(kept_id)
-                    add_t(end)
-                    add_qubit(q)
-                    add_gap(gap)
-                    add_keep(cost_keep)
-                    add_move(cost_move)
+                    else:
+                        decide(core, _KEPT, q, end, gap, cost_keep, cost_move)
                 scheduled[gi] = 1
                 pos += 1
                 done += 1
@@ -1592,8 +1592,7 @@ def _schedule_grid(front: _FrontEnd, job: _Job) -> ScheduledProgram:
                 pos[mover] = p
         cycles, err = costs[g.cost_key]
         if g.magic and pool is not None:
-            pool.consumed += g.magic
-            t = max(t, pool.consumed * pool.prod * pool.t_cycle / pool.units)
+            t = max(t, pool.take(g.magic))
         dur = cycles * t_cyc
         add_key(intern((_INJECT_KINDS.get(g.cost_key, "gate"), mid, lane,
                         qubits, g.label, g.category), len(ids)))

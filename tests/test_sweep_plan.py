@@ -7,10 +7,14 @@ repeats and with edits to every field a plan reads: each row must be the
 row of a compile of its own.  The other tests count the shared work, check
 that no model writes what it shares, and check that a sweep refuses the
 same way a single compile does, and that it drops each row's schedule
-before it runs the next.
+before it runs the next.  Three more pin what a compile must do the same
+way wherever it does it: the grid model keys a gate's event by the rule
+of a plan, each transfer looks its hop up once, and each transfer to a
+stretched memory waits for a compute cycle at the core's idle rate.
 """
 
 import dataclasses
+import hashlib
 import random
 import weakref
 from array import array
@@ -26,6 +30,7 @@ from hetqc.cli import build_workload
 from hetqc.compiler import InvalidCircuit, schedule
 from hetqc.estimator import compare_architectures
 from hetqc.generators import generate_cuccaro_adder
+from hetqc.qec import idle_error
 
 from oracles import random_circuit
 
@@ -152,10 +157,52 @@ def test_plan_gate_keys_are_the_gates_event_keys(name):
     stream_order = [want[gi] for stream in plan.streams for gi in stream]
     assert plan.gate_keys == list(dict.fromkeys(stream_order))
     # and the schedule on the plan gives each gate one event, by that key
-    store = front.schedule(0).events
-    gate_events = Counter(store.keys[k] for k in store.key
-                          if store.keys[k][0] in GATE_KINDS)
-    assert gate_events == Counter(want)
+    assert _gate_events(front.schedule(0)) == Counter(want)
+
+
+@pytest.mark.parametrize("name", ["baseline1000", "Mono"])
+def test_grid_gate_keys_follow_the_plan_rule(name):
+    # the grid model keys each gate by the rule that _build_plan applies
+    circuit = build_workload("hubbard:lx=4,ly=4")
+    front = compiler._FrontEnd(circuit, [builtin_architecture(name)])
+    job = front.jobs[0]
+    want = Counter((compiler._INJECT_KINDS.get(g.cost_key, "gate"),
+                    job.qpu.id, "qpu0:core0", g.qubits, g.label, g.category)
+                   for g in front.lowering(job).gates)
+    assert _gate_events(front.schedule(0)) == want
+
+
+def _gate_events(prog) -> Counter:
+    """How many events of each key a schedule gives its gates."""
+    store = prog.events
+    return Counter(store.keys[k] for k in store.key
+                   if store.keys[k][0] in GATE_KINDS)
+
+
+def test_stretched_memory_pads_each_transfer_to_a_compute_cycle():
+    circuit, spec = build_workload("hubbard:lx=4,ly=4"), _b2_stretched()
+    front = compiler._FrontEnd(circuit, [spec])
+    t_qpu = front.jobs[0].qpu.t_cycle_s
+    idle = {c.module.id: (c.eps_cycle, c.t_cycle) for c in front.jobs[0].cores}
+    prog = front.schedule(0)
+    events = list(prog.events)
+    hops = [ev for ev in events if ev.module == "raqm0"
+            and ev.kind in ("transfer_write", "transfer_read")]
+    assert hops
+    for ev in hops:
+        cycles = ev.t_start_s / t_qpu
+        assert cycles == pytest.approx(round(cycles), abs=1e-6)
+    pads = [ev for ev in events if ev.kind == "qec_cycle_stretch"]
+    assert len(pads) == 74
+    assert len({(ev.module, ev.lane, ev.qubits) for ev in pads}) == 28
+    hop_starts = {(ev.lane, ev.t_start_s) for ev in hops}
+    for pad in pads:
+        assert (pad.label, pad.category) == ("clock_pad", "qpu_idle")
+        assert (pad.lane, pad.t_end_s) in hop_starts
+        eps_cycle, t_cycle = idle[pad.module]
+        assert pad.error == idle_error(eps_cycle, pad.duration_s / t_cycle)
+    assert hashlib.sha256(prog.to_text().encode()).hexdigest() == (
+        "b1b2941cfecdc3046a359424ab187d8b93655498ffc249ac733264a1688dfe8b")
 
 
 def _counted(monkeypatch, name: str) -> list:
@@ -180,6 +227,15 @@ def test_sweep_lowers_and_consolidates_once(monkeypatch):
     # side, read one lowering; the three share one plan
     assert len(lowered) == 1
     assert len(consolidated) == 1
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2"])
+def test_each_transfer_looks_its_hop_up_once(monkeypatch, name):
+    hops = _counted(monkeypatch, "_hop")
+    prog = schedule(build_workload("hubbard:lx=4,ly=4"),
+                    builtin_architecture(name))
+    assert prog.counters["st_count"] > 0
+    assert len(hops) == prog.counters["st_count"]
 
 
 def test_front_end_keeps_only_what_a_later_compile_reads():
