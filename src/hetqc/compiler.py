@@ -12,19 +12,20 @@ Core lanes carry gates; a memory cell lane carries the write, any swap
 legs in, the stored dwell, any swap legs out, and the read for one qubit,
 in that order (:data:`_CELL_EVENTS`).
 
-Both schedulers append their events to one :class:`EventStore`: columns
-of start, duration and error plus an interned key per event.  Stores are
-filled only through their columns' ``array.append``s, bound once per
-compile, with no method call per event; the modular one also fills an
-:class:`AuditStore` with its router decisions.  It appends a gate by the
-key id its plan holds, and each memory cell's and each resident's events,
-and each decision, by ids it keeps; the grid model interns each key inline.
-A :class:`ScheduledProgram` is built on that store; its ``events``
-is the store itself, a lazy read-only sequence of :class:`ScheduledEvent`
-records in schedule order.  The makespan, the event count and the error
-budget read the columns and never sort; only the schedule text and reading
-the records do.  Its ``audit`` is likewise an :class:`AuditStore`, a lazy
-read-only columnar sequence of the router's :class:`RouterDecision` records.
+A compile's accounting is two tables of one kind, :class:`_Columns`:
+``array`` columns plus an interned key id per record, filled only through
+the columns' ``append``s, bound once per compile, with no method call per
+record.  Both schedulers append their events to an :class:`EventStore`
+(start, duration, error, and the rest as the key); the modular one also
+appends its router decisions to an :class:`AuditStore` (time, qubit, gap,
+two costs, and (core, moved, reason) as the key).  It appends a gate by
+the key id its plan holds, and each memory cell's and each resident's
+events, and each decision, by ids it keeps; the grid model interns each
+key inline.  A :class:`ScheduledProgram` holds both stores as lazy
+read-only sequences: ``events`` of :class:`ScheduledEvent` records in
+schedule order, ``audit`` of :class:`RouterDecision` records in the order
+decided.  The makespan, the event count and the error budget read the
+columns and never sort; only the schedule text and reading the events do.
 
 Each stage keeps only what a later one reads: the modular scheduler frees
 its unitary blocks once they are assigned to cores, keeping their count,
@@ -155,50 +156,81 @@ def _drain(calls: Iterator[None]) -> None:
     any(calls)
 
 
-class EventStore(Sequence):
-    """The events of one schedule, kept as columns.
+class _Columns(Sequence):
+    """A read-only sequence of records kept as columns, in append order.
 
-    An event's start, duration and error go to ``array('d')`` columns, and
-    the rest, (kind, module, lane, qubits, label, category), to ``key`` as
-    the id that ``ids`` maps that key to, interned right before its first
-    event.  A schedule repeats few such keys over many events.  A store
-    made from ``keys`` starts with them interned, in their order.  The
-    columns stay in emission order.
-
-    The store is filled only through the bound ``append``s of
-    :meth:`appends`, by ids interned with ``ids.setdefault(key, len(ids))``.
-
-    As a sequence the store is read-only and holds :class:`ScheduledEvent`
-    records in schedule order: by start time, then module, lane, kind and
-    qubits, with ties in emission order.  That order is worked out on the
-    first read of an element, never for ``len`` or the makespan.  So the
-    ids themselves are never seen: two stores that append the same events
-    by different ids read the same.
+    A record's own fields go to the ``array`` columns that a subclass
+    declares in ``_COLUMNS`` as (attribute, typecode) pairs.  The fields
+    it shares with many records go to ``key`` as the id that ``ids`` maps
+    them to, interned right before their first record; a table made from
+    ``keys`` starts with them interned, in their order.  The table is
+    filled only through the bound ``append``s of :meth:`appends`, by ids
+    interned with ``ids.setdefault(key, len(ids))``.  Reading it builds the
+    subclass's ``record(i)`` of each column index in :meth:`order`; ``len``
+    builds none.
     """
 
-    __slots__ = ("start", "dur", "err", "key", "ids", "_keys", "_order")
+    __slots__ = ("key", "ids", "_keys")
 
     def __init__(self, keys: Iterable[tuple] = ()):
-        self.start = array("d")
-        self.dur = array("d")
-        self.err = array("d")
+        # the named columns before ``key``: the order of these allocations
+        # sets where a large compile's columns land in the heap
+        for name, typecode in self._COLUMNS:
+            setattr(self, name, array(typecode))
         self.key = array("i")
         self.ids: dict[tuple, int] = dict(zip(keys, count()))
         self._keys: list[tuple] = []
-        self._order = array("i")
 
     def appends(self) -> tuple:
-        """The bound ``append`` of the key, start, duration and error
-        columns, in that order; an event goes to all four."""
-        return (self.key.append, self.start.append, self.dur.append,
-                self.err.append)
+        """The bound ``append`` of the key column, then of each column of
+        ``_COLUMNS`` in its order; a record goes to all of them."""
+        return (self.key.append,
+                *(getattr(self, name).append for name, _ in self._COLUMNS))
 
     @property
     def keys(self) -> list[tuple]:
-        """Each distinct (kind, module, lane, qubits, label, category)."""
+        """Each distinct key, at its id."""
         if len(self._keys) != len(self.ids):
             self._keys = list(self.ids)
         return self._keys
+
+    def order(self) -> Sequence[int]:
+        """Column indices of the records in sequence order: append order."""
+        return range(len(self.key))
+
+    def __len__(self) -> int:
+        return len(self.key)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self.record(j) for j in self.order()[i]]
+        return self.record(self.order()[i])
+
+    def __iter__(self) -> Iterator:
+        return map(self.record, self.order())
+
+
+class EventStore(_Columns):
+    """The events of one schedule, kept as columns.
+
+    An event's start, duration and error go to ``array('d')`` columns, and
+    the rest, (kind, module, lane, qubits, label, category), to its key.
+    A schedule repeats few such keys over many events.
+
+    As a sequence the store holds :class:`ScheduledEvent` records in
+    schedule order: by start time, then module, lane, kind and qubits, with
+    ties in emission order.  That order is worked out on the first read of
+    an element, never for ``len`` or the makespan.  So the ids themselves
+    are never seen: two stores that append the same events by different
+    ids read the same.
+    """
+
+    _COLUMNS = (("start", "d"), ("dur", "d"), ("err", "d"))
+    __slots__ = (*(name for name, _ in _COLUMNS), "_order")
+
+    def __init__(self, keys: Iterable[tuple] = ()):
+        super().__init__(keys)
+        self._order = array("i")
 
     def makespan(self) -> float:
         """The latest event end, 0.0 for no events."""
@@ -238,73 +270,25 @@ class EventStore(Sequence):
         return ScheduledEvent(self.start[i], self.dur[i], kind, module, lane,
                               qubits, label, self.err[i], category)
 
-    def __len__(self) -> int:
-        return len(self.key)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self.record(j) for j in self.order()[i]]
-        return self.record(self.order()[i])
-
-    def __iter__(self) -> Iterator[ScheduledEvent]:
-        return map(self.record, self.order())
-
-
-class AuditStore(Sequence):
+class AuditStore(_Columns):
     """The router's keep-or-move decisions of one schedule, kept as columns.
 
     A decision's time and its two costs go to ``array('d')`` columns, its
-    qubit and gap to ``array('q')`` ones, and (core, moved, reason) to
-    ``kind`` as the id that ``ids`` maps it to, interned on first use.
-    The store is filled only through the bound ``append``s of
-    :meth:`appends`.  As a sequence it is read-only and holds
-    :class:`RouterDecision` records in the order they were appended;
-    ``len`` builds none.
+    qubit and gap to ``array('q')`` ones, and (core, moved, reason) to its
+    key.  As a sequence the store holds :class:`RouterDecision` records in
+    the order they were appended.
     """
 
-    __slots__ = ("t_s", "qubit", "gap_cycles", "cost_keep", "cost_move",
-                 "kind", "ids", "_kinds")
-
-    def __init__(self):
-        self.t_s = array("d")
-        self.qubit = array("q")
-        self.gap_cycles = array("q")
-        self.cost_keep = array("d")
-        self.cost_move = array("d")
-        self.kind = array("i")
-        self.ids: dict[tuple[str, bool, str], int] = {}
-        self._kinds: list[tuple[str, bool, str]] = []
-
-    def appends(self) -> tuple:
-        """The bound ``append`` of the kind, time, qubit, gap and two cost
-        columns, in that order; a decision goes to all six."""
-        return (self.kind.append, self.t_s.append, self.qubit.append,
-                self.gap_cycles.append, self.cost_keep.append,
-                self.cost_move.append)
-
-    @property
-    def kinds(self) -> list[tuple[str, bool, str]]:
-        """Each distinct (core, moved, reason)."""
-        if len(self._kinds) != len(self.ids):
-            self._kinds = list(self.ids)
-        return self._kinds
+    _COLUMNS = (("t_s", "d"), ("qubit", "q"), ("gap_cycles", "q"),
+                ("cost_keep", "d"), ("cost_move", "d"))
+    __slots__ = tuple(name for name, _ in _COLUMNS)
 
     def record(self, i: int) -> RouterDecision:
-        core, moved, reason = self.kinds[self.kind[i]]
+        core, moved, reason = self.keys[self.key[i]]
         return RouterDecision(self.t_s[i], core, self.qubit[i],
                               self.gap_cycles[i], self.cost_keep[i],
                               self.cost_move[i], moved, reason)
-
-    def __len__(self) -> int:
-        return len(self.kind)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self.record(j) for j in range(len(self))[i]]
-        return self.record(range(len(self))[i])
-
-    def __iter__(self) -> Iterator[RouterDecision]:
-        return map(self.record, range(len(self)))
 
 
 @dataclass
@@ -747,7 +731,7 @@ class _Core:
     pos: int = 0
     pool: _Pool | None = None  # magic-state supply
     idle_ids: dict[int, int] = field(default_factory=dict)  # q -> idle key id
-    # audit kind id of each of its _DECISIONS, -1 until first used
+    # audit key id of each of its _DECISIONS, -1 until first used
     decision_ids: list[int] = field(
         default_factory=lambda: [-1] * len(_DECISIONS))
 
@@ -1205,7 +1189,7 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
     add_key, add_start, add_dur, add_err = events.appends()
     ids = events.ids
     intern = ids.setdefault  # intern(key, len(ids)) is the key's id
-    add_kind, add_t, add_qubit, add_gap, add_keep, add_move = audit.appends()
+    add_choice, add_t, add_qubit, add_gap, add_keep, add_move = audit.appends()
     audit_ids = audit.ids
     n_transfers = n_leg_swaps = 0  # added to the counters at the end
 
@@ -1254,17 +1238,16 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
         """Event ``which``, the write or the read over ``hop`` between
         ``core`` and ``cell``'s memory, from ``t``; returns the end of the
         hop.  On a stretched memory the hop waits for a compute cycle
-        boundary, and ``core`` is charged the pad."""
+        boundary, and ``core`` is charged the pad; a ``t`` within 1e-9
+        cycles of a boundary, float residue of a sum of cycles, is on it."""
         nonlocal n_transfers
-        if cell.mem.stretched:
-            t0 = math.ceil(t / t_qpu - 1e-9) * t_qpu
-            if (pad := t0 - t) > 0:
-                add_key(intern(("qec_cycle_stretch", core.module.id,
-                                cell.lane, cell.qs, "clock_pad", "qpu_idle"),
-                               len(ids)))
-                add_start(t)
-                add_dur(pad)
-                add_err(-math.expm1(pad / core.t_cycle * core.log_keep))
+        if cell.mem.stretched and abs((c := t / t_qpu) - round(c)) > 1e-9:
+            t0 = math.ceil(c) * t_qpu
+            add_key(intern(("qec_cycle_stretch", core.module.id, cell.lane,
+                            cell.qs, "clock_pad", "qpu_idle"), len(ids)))
+            add_start(t)
+            add_dur(t0 - t)
+            add_err(-math.expm1((t0 - t) / core.t_cycle * core.log_keep))
             t = t0
         hop_dur = hop.duration_s
         cell_event(cell, which, t, hop_dur, hop.error)
@@ -1274,11 +1257,11 @@ def _schedule_modular(front: _FrontEnd, job: _Job) -> ScheduledProgram:
     def decide(core: _Core, which: int, q: int, t: float, gap: int,
                cost_keep: float, cost_move: float) -> None:
         """Record ``core``'s decision ``which`` of :data:`_DECISIONS`."""
-        kind_id = core.decision_ids[which]
-        if kind_id < 0:
-            kind_id = core.decision_ids[which] = audit_ids.setdefault(
+        key_id = core.decision_ids[which]
+        if key_id < 0:
+            key_id = core.decision_ids[which] = audit_ids.setdefault(
                 (core.lane, *_DECISIONS[which]), len(audit_ids))
-        add_kind(kind_id)
+        add_choice(key_id)
         add_t(t)
         add_qubit(q)
         add_gap(gap)

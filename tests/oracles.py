@@ -348,10 +348,10 @@ def fill_events(store, events):
 def fill_audit(store, decisions):
     """``store``, an empty audit store, filled with ``decisions`` (tuples of
     a RouterDecision's fields) through its bound ``appends()``."""
-    add_kind, add_t, add_qubit, add_gap, add_keep, add_move = store.appends()
+    add_key, add_t, add_qubit, add_gap, add_keep, add_move = store.appends()
     ids = store.ids
     for t, core, qubit, gap, keep, move, moved, reason in decisions:
-        add_kind(ids.setdefault((core, moved, reason), len(ids)))
+        add_key(ids.setdefault((core, moved, reason), len(ids)))
         add_t(t)
         add_qubit(qubit)
         add_gap(gap)
@@ -462,6 +462,78 @@ def check_no_read_back(program) -> list[str]:
             if prev.kind == "transfer_read" and ev.kind == "transfer_write":
                 problems.append(f"q{q}: read at {prev.t_start_s:.9f} and "
                                 f"written out at {ev.t_start_s:.9f} unused")
+    return problems
+
+
+#: the place of each event of a memory cell's cycle, by (kind, label head)
+_CELL_STAGE = {("transfer_write", "write"): 0, ("swap_route", "legs_in"): 1,
+               ("idle_buffer", "stored"): 2, ("swap_route", "legs_out"): 3,
+               ("transfer_read", "read"): 4}
+_READ_STAGE = 4
+
+
+def check_causality(program) -> list[str]:
+    """Events that touch a qubit or a memory cell follow one another.
+
+    Each gate, an event on a core lane, and each ``transfer_write`` starts
+    no earlier than the end of the previous gate or read on each of its
+    qubits.  A cell lane, one that carries a write, repeats the cycle
+    write, legs in, stored dwell, legs out, read; the legs and the dwell
+    may be missing, and a clock pad may come right before a write or a
+    read.  Each of its events starts no earlier than the previous one
+    ends, to within 1e-12 s: an event's end is its start plus its
+    duration, which can round one ulp past the next event's start.
+    Events are taken in order of start, then end, so a cycle's zero-length
+    dwell sorts after the legs in that end where it starts.
+    """
+    per_qubit: dict[int, list] = {}
+    per_cell: dict[str, list] = {}
+    cell_lanes = {ev.lane for ev in program.events
+                  if ev.kind == "transfer_write"}
+    for ev in program.events:
+        if ev.lane in cell_lanes:
+            per_cell.setdefault(ev.lane, []).append(ev)
+        if ev.lane.rpartition(":")[2].startswith("core") \
+                or ev.kind in ("transfer_write", "transfer_read"):
+            for q in ev.qubits:
+                per_qubit.setdefault(q, []).append(ev)
+    problems = []
+    for q, evs in sorted(per_qubit.items()):
+        evs.sort(key=lambda e: (e.t_start_s, e.t_end_s))
+        ready, after = 0.0, None
+        for ev in evs:
+            if ev.kind != "transfer_read" and ev.t_start_s < ready - 1e-12:
+                problems.append(f"q{q}: {ev.kind} {ev.label} on {ev.lane} "
+                                f"at {ev.t_start_s!r} before the "
+                                f"{after.kind} {after.label} on "
+                                f"{after.lane} ends at {ready!r}")
+                break
+            if ev.kind != "transfer_write":
+                ready, after = ev.t_end_s, ev
+    for lane, evs in sorted(per_cell.items()):
+        evs.sort(key=lambda e: (e.t_start_s, e.t_end_s))
+        stage, padded, end, problem = _READ_STAGE, False, 0.0, None
+        for ev in evs:
+            at = f"{lane}: {ev.kind} {ev.label} at {ev.t_start_s!r}"
+            if ev.t_start_s < end - 1e-12:
+                problem = f"{at} before the previous event ends at {end!r}"
+            elif ev.kind == "qec_cycle_stretch":
+                if padded:
+                    problem = f"{at} after another pad"
+                padded = True
+            else:
+                now = _CELL_STAGE.get((ev.kind, ev.label.partition(":")[0]))
+                if now is None:
+                    problem = f"{at} is no event of a cell"
+                elif not (stage == _READ_STAGE if now == 0 else stage < now):
+                    problem = f"{at} out of its cell's cycle"
+                elif padded and now not in (0, _READ_STAGE):
+                    problem = f"{at} after a clock pad"
+                stage, padded = now, False
+            if problem:
+                problems.append(problem)
+                break
+            end = ev.t_end_s
     return problems
 
 

@@ -27,9 +27,10 @@ from hetqc.resources import (count_architecture, count_homogeneous,
                              place_transfer_patches)
 from hetqc.rewrites import rewrite_depth_reduce
 
-from oracles import (check_lane_exclusive, check_no_routing_swaps,
-                     check_router_audit, check_transfer_pairing,
-                     classical_state, dense_unitary, random_circuit)
+from oracles import (check_causality, check_lane_exclusive,
+                     check_no_routing_swaps, check_router_audit,
+                     check_transfer_pairing, classical_state, dense_unitary,
+                     random_circuit)
 from test_resources import _layout_problems
 from test_scheduler_invariants import N_CASES, _case
 
@@ -261,6 +262,7 @@ def test_criterion_09_scheduler_invariants(capsys):
         if prog.to_text() != again.to_text():
             problems.append("nondeterministic schedule")
         problems += check_lane_exclusive(prog)
+        problems += check_causality(prog)
         problems += check_transfer_pairing(prog)
         problems += check_router_audit(prog)
         problems += check_no_routing_swaps(prog)

@@ -635,9 +635,15 @@ def test_event_store_matches_record_list():
             assert len(store.keys) < n  # keys do repeat
         ordered = [_hex_fields(ev) for ev in ref.ordered()]
         assert [_hex_fields(ev) for ev in store] == ordered
+        assert len(store) == n
         assert [_hex_fields(store[i]) for i in range(n)] == ordered
-        assert [_hex_fields(ev) for ev in store[1::3]] == ordered[1::3]
+        assert [_hex_fields(store[i]) for i in range(-n, 0)] == ordered
+        for sl in (slice(None), slice(1, None, 3), slice(None, None, -2),
+                   slice(-5, -1)):
+            assert [_hex_fields(ev) for ev in store[sl]] == ordered[sl]
         assert all(type(ev) is ScheduledEvent for ev in store)
+        with pytest.raises(IndexError):
+            store[n]
         prog = ScheduledProgram("c", "a", store, store.makespan(), {}, [], 0)
         assert list(prog.lines())[4:] == ref.body_lines()
         assert store.makespan().hex() == ref.makespan().hex()
@@ -755,7 +761,7 @@ def test_audit_store_matches_record_list():
         store = fill_audit(compiler.AuditStore(), decisions)
         ref = [RouterDecision(*fields) for fields in decisions]
         if n >= 200:
-            assert len(store.kinds) < n  # (core, moved, reason) repeats
+            assert len(store.keys) < n  # (core, moved, reason) repeats
         want = [_hex_fields(d) for d in ref]
         assert len(store) == n
         assert [_hex_fields(d) for d in store] == want

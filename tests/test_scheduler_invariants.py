@@ -3,11 +3,12 @@
 A seeded corpus of circuits (up to 64 logical qubits) is spread round-robin
 over the three memory-backed builtins A1-A3, and a second one over the
 other eight.  Every schedule must be reproducible, keep each lane
-exclusive, keep each qubit in one place at a time, pair writes with reads,
-never read a qubit into a core only to write it out again unused, and
-route only when the move is cheaper than idling.  Where no memory has
-swap legs and the grid model is not used, the only swaps are the ones the
-circuit asks for.
+exclusive, start each gate and write after its qubits' previous gate or
+read, run each memory cell's events in the order of its cycle, keep each
+qubit in one place at a time, pair writes with reads, never read a qubit
+into a core only to write it out again unused, and route only when the
+move is cheaper than idling.  Where no memory has swap legs and the grid
+model is not used, the only swaps are the ones the circuit asks for.
 
 On the multi-core builtins B1-B6, a seeded random corpus, the golden
 random circuit and an 8x8 Fermi-Hubbard, whose operands pass between
@@ -17,7 +18,8 @@ On every builtin, a random circuit and a small AQFT use every key they
 intern, and their transfer counter counts their transfer events; the
 golden random circuit and an 8x8 Fermi-Hubbard leave no qubit on a core.
 On B2 and B3 a 128-bit Cuccaro adder, which outgrows the cache, moves a
-qubit by the router only at a cost that covers its cell's swap legs.
+qubit by the router only at a cost that covers its cell's swap legs, and
+keeps its events in causal order.
 
 A property test then draws physical parameters on every builtin: every
 config that ``validate`` accepts compiles to finite numbers or is refused
@@ -39,10 +41,11 @@ from hetqc.compiler import CompileError, EVENT_KINDS, error_budget, schedule
 from hetqc.estimator import rsa_estimate
 from hetqc.resources import count_architecture
 
-from oracles import (check_lane_exclusive, check_no_read_back,
-                     check_no_routing_swaps, check_qubit_locations,
-                     check_router_audit, check_router_prices_legs,
-                     check_transfer_pairing, random_circuit)
+from oracles import (check_causality, check_lane_exclusive,
+                     check_no_read_back, check_no_routing_swaps,
+                     check_qubit_locations, check_router_audit,
+                     check_router_prices_legs, check_transfer_pairing,
+                     random_circuit)
 
 #: the memory-backed builtins of acceptance criterion 9, and the others
 HET_NAMES = ("A1", "A2", "A3")
@@ -133,6 +136,7 @@ def test_router_prices_the_legs_of_the_cell_it_writes(arch_name):
     assert any(ev.label.startswith("legs_in") for ev in prog.events)
     assert check_router_prices_legs(prog) == []
     assert check_router_audit(prog) == []
+    assert check_causality(prog) == []
 
 
 def _check_invariants(circuit, arch_name):
@@ -142,6 +146,7 @@ def _check_invariants(circuit, arch_name):
     assert prog.to_text() == again.to_text()
 
     assert check_lane_exclusive(prog) == []
+    assert check_causality(prog) == []
     assert check_qubit_locations(prog) == []
     assert check_transfer_pairing(prog) == []
     assert check_no_read_back(prog) == []

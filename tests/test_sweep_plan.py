@@ -10,7 +10,8 @@ same way a single compile does, and that it drops each row's schedule
 before it runs the next.  Three more pin what a compile must do the same
 way wherever it does it: the grid model keys a gate's event by the rule
 of a plan, each transfer looks its hop up once, and each transfer to a
-stretched memory waits for a compute cycle at the core's idle rate.
+stretched memory waits for a compute cycle at the core's idle rate, in
+causal order, with no pad made of the float residue of a cycle boundary.
 """
 
 import dataclasses
@@ -32,7 +33,7 @@ from hetqc.estimator import compare_architectures
 from hetqc.generators import generate_cuccaro_adder
 from hetqc.qec import idle_error
 
-from oracles import random_circuit
+from oracles import check_causality, random_circuit
 
 #: event kinds of a lowered gate
 GATE_KINDS = ("gate", "t_inject", "ccz_inject")
@@ -193,8 +194,8 @@ def test_stretched_memory_pads_each_transfer_to_a_compute_cycle():
         cycles = ev.t_start_s / t_qpu
         assert cycles == pytest.approx(round(cycles), abs=1e-6)
     pads = [ev for ev in events if ev.kind == "qec_cycle_stretch"]
-    assert len(pads) == 74
-    assert len({(ev.module, ev.lane, ev.qubits) for ev in pads}) == 28
+    assert len(pads) == 33
+    assert len({(ev.module, ev.lane, ev.qubits) for ev in pads}) == 15
     hop_starts = {(ev.lane, ev.t_start_s) for ev in hops}
     for pad in pads:
         assert (pad.label, pad.category) == ("clock_pad", "qpu_idle")
@@ -202,7 +203,24 @@ def test_stretched_memory_pads_each_transfer_to_a_compute_cycle():
         eps_cycle, t_cycle = idle[pad.module]
         assert pad.error == idle_error(eps_cycle, pad.duration_s / t_cycle)
     assert hashlib.sha256(prog.to_text().encode()).hexdigest() == (
-        "b1b2941cfecdc3046a359424ab187d8b93655498ffc249ac733264a1688dfe8b")
+        "d95c15e45b6117130fbd7c189a665a89f9a44e75703d1e4ccfcb14a2be014581")
+    assert check_causality(prog) == []
+
+
+@pytest.mark.parametrize("workload", ["hubbard:lx=4,ly=4",
+                                      "hubbard:lx=8,ly=8,steps=2",
+                                      "cuccaro:bits=128"])
+def test_stretched_memory_pads_no_float_residue(workload):
+    # a transfer that ends a sum of whole cycles sits on a cycle boundary
+    # up to float residue, and waits for none: each pad is a real wait
+    circuit, spec = build_workload(workload), _b2_stretched()
+    front = compiler._FrontEnd(circuit, [spec])
+    t_qpu = front.jobs[0].qpu.t_cycle_s
+    prog = front.schedule(0)
+    pads = [ev.duration_s for ev in prog.events
+            if ev.kind == "qec_cycle_stretch"]
+    assert pads and min(pads) > 1e-9 * t_qpu and min(pads) > 1e-12
+    assert check_causality(prog) == []
 
 
 def _counted(monkeypatch, name: str) -> list:

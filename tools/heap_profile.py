@@ -77,8 +77,8 @@ def repeats(prog: compiler.ScheduledProgram) -> str:
     starts = sorted(prog.events.start)
     same = sum(map(operator.eq, starts[1:], starts))
     audit = prog.audit
-    pairs = {(audit.kinds[k][0], gap)
-             for k, gap in zip(audit.kind, audit.gap_cycles)}
+    pairs = {(audit.keys[k][0], gap)
+             for k, gap in zip(audit.key, audit.gap_cycles)}
     return (f"repeats {prog.arch_name}: {same} of {len(starts)} schedule "
             f"lines ({same / max(len(starts), 1):.1%}) start as the line "
             f"before; {len(audit)} router decisions on {len(pairs)} "
