@@ -9,7 +9,8 @@ quantum memories) joined by interconnect links.  Module kinds:
 * ``STQM``   short-term memory, stores encoded patches without active QEC
 * ``RAQM``   random-access memory with active QEC and its own clock
 
-Configs are sectioned key-value text; builtins round-trip bit-exactly.
+Configs are sectioned key-value text, read and written through one key
+table per section kind; builtins round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -288,18 +289,11 @@ def _qpu(n: int, d: int, cores: int = 1, n_edges: int | None = None) -> ModuleSp
                       n_edges=n_edges if n_edges is not None else n)
 
 
-def _t_factory(n_qpu: int, d: int, per_qpu: float = 3.0) -> ModuleSpec:
-    return ModuleSpec("qsf0", "QSF", round(per_qpu * n_qpu),
-                      CodeSpec("surface", d), PHOTONIC, 1e-6,
-                      state="T", n_dist=72, n_mf_per_qpu=per_qpu,
-                      production_cycles=4 * d, injection_cycles=2 * d,
-                      eps_magic=2.1e-9)
-
-
-def _ccz_factory(n_qpu: int, d: int, per_qpu: float = 0.67) -> ModuleSpec:
+def _factory(state: str, n_dist: int, n_qpu: int, d: int,
+             per_qpu: float) -> ModuleSpec:
     return ModuleSpec("qsf0", "QSF", max(round(per_qpu * n_qpu), 1),
                       CodeSpec("surface", d), PHOTONIC, 1e-6,
-                      state="CCZ", n_dist=12, n_mf_per_qpu=per_qpu,
+                      state=state, n_dist=n_dist, n_mf_per_qpu=per_qpu,
                       production_cycles=4 * d, injection_cycles=2 * d,
                       eps_magic=2.1e-9)
 
@@ -321,28 +315,29 @@ def builtin_architecture(name: str) -> ArchitectureSpec:
     if name == "baseline1000":
         return ArchitectureSpec(name, [
             _qpu(1000, 15, n_edges=2000),
-            _t_factory(1000, 15),
+            _factory("T", 72, 1000, 15, 3.0),
         ])
     if name == "A1":
         return ArchitectureSpec(name, [
-            _qpu(3, 15), _t_factory(3, 15), _stqm(1000, 15),
+            _qpu(3, 15), _factory("T", 72, 3, 15, 3.0),
+            _stqm(1000, 15),
         ], [LinkSpec("qpu0", "stqm0", "transversal")])
     if name in ("A2", "A3"):
         t_qm = 5e-5 if name == "A2" else 1e-3
         return ArchitectureSpec(name, [
-            _qpu(3, 15), _t_factory(3, 15),
+            _qpu(3, 15), _factory("T", 72, 3, 15, 3.0),
             _raqm(1000, CodeSpec("surface", 9), t_qm),
         ], [LinkSpec("qpu0", "raqm0", "lattice_surgery")])
     if name == "Mono":
         return ArchitectureSpec(name, [
             _qpu(1399, 25, n_edges=2798),
-            _ccz_factory(1399, 25, per_qpu=12 / 1399),
+            _factory("CCZ", 12, 1399, 25, 12 / 1399),
         ])
     if name in ("B1", "B2", "B3", "B4", "B5", "B6"):
         cache_n = 1399 if name in ("B1", "B4") else 145
         modules = [
             _qpu(6, 19, cores=2, n_edges=6),
-            _ccz_factory(6, 19),
+            _factory("CCZ", 12, 6, 19, 0.67),
             _stqm(cache_n, 19, "cache0"),
         ]
         links = [LinkSpec("qpu0", "cache0", "transversal")]
@@ -399,25 +394,31 @@ _MODULE_FIELDS = {
 _REQUIRED_KEYS = ("kind", "logical_qubits", "code_family", "code_distance",
                   "p_phys", "p_th", "t1_s", "t2_s", "t_cycle_s")
 
-_LINK_FIELDS = {"protocol": str, "eps_tele": float, "n_buf": int,
-                "n_anc_pump": int}
+#: config key -> (LinkSpec attribute, None, type, None), in file order: the
+#: shape of ``_MODULE_FIELDS``, with no default, so every key is written
+_LINK_FIELDS = {
+    "protocol": ("protocol", None, str, None),
+    "eps_tele": ("eps_tele", None, float, None),
+    "n_buf": ("n_buf", None, int, None),
+    "n_anc_pump": ("n_anc_pump", None, int, None),
+}
 
 
-def _get(module: ModuleSpec, key: str):
-    """The value of config key ``key`` in ``module``."""
-    attr, part = _MODULE_FIELDS[key][:2]
-    value = getattr(module, attr)
+def _get(spec, key: str, table: dict):
+    """The value of config key ``key`` of ``table`` in ``spec``."""
+    attr, part = table[key][:2]
+    value = getattr(spec, attr)
     return value if part is None else getattr(value, part)
 
 
-def _set(module: ModuleSpec, key: str, raw: str) -> None:
-    """Set config key ``key`` of ``module`` from its text ``raw``; raises
-    ValueError when ``raw`` does not convert to the key's type."""
-    attr, part, kind, _ = _MODULE_FIELDS[key]
+def _set(spec, key: str, raw: str, table: dict) -> None:
+    """Set config key ``key`` of ``table`` in ``spec`` from its text ``raw``;
+    raises ValueError when ``raw`` does not convert to the key's type."""
+    attr, part, kind, _ = table[key]
     value = kind(raw)
     if part is not None:
-        value = replace(getattr(module, attr), **{part: value})
-    setattr(module, attr, value)
+        value = replace(getattr(spec, attr), **{part: value})
+    setattr(spec, attr, value)
 
 
 def _fmt(value) -> str:
@@ -428,17 +429,14 @@ def to_config_text(spec: ArchitectureSpec) -> str:
     """Serialize deterministically; parse(to_config_text(x)) == x."""
     out = io.StringIO()
     out.write(f"[architecture]\nname = {spec.name}\n")
-    for m in spec.modules:
-        out.write(f"\n[module {m.id}]\n")
-        for key, (_, _, _, default) in _MODULE_FIELDS.items():
-            value = _get(m, key)
-            if value is None or (default is not None and value == default):
-                continue
-            out.write(f"{key} = {_fmt(value)}\n")
-    for l in spec.links:
-        out.write(f"\n[link {l.a} {l.b}]\n")
-        for key in _LINK_FIELDS:
-            out.write(f"{key} = {_fmt(getattr(l, key))}\n")
+    sections = [(f"module {m.id}", m, _MODULE_FIELDS) for m in spec.modules]
+    sections += [(f"link {l.a} {l.b}", l, _LINK_FIELDS) for l in spec.links]
+    for header, item, table in sections:
+        out.write(f"\n[{header}]\n")
+        for key, (_, _, _, default) in table.items():
+            value = _get(item, key, table)
+            if value is not None and (default is None or value != default):
+                out.write(f"{key} = {_fmt(value)}\n")
     return out.getvalue()
 
 
@@ -451,65 +449,47 @@ def parse_config_text(text: str) -> ArchitectureSpec:
         raise ConfigError(f"bad config: {exc}") from exc
     if "architecture" not in cp:
         raise ConfigError("missing [architecture] section")
-    name = cp["architecture"].get("name", "unnamed")
-    spec = ArchitectureSpec(name)
+    spec = ArchitectureSpec(cp["architecture"].get("name", "unnamed"))
     for section in cp.sections():
         if section == "architecture":
             continue
         parts = section.split()
         if parts[0] == "module" and len(parts) == 2:
-            spec.modules.append(_parse_module(parts[1], cp[section]))
+            unset = ModuleSpec(parts[1], None, None, CodeSpec(None, None),
+                               ModalitySpec("custom", None, None, None, None),
+                               None)
+            spec.modules.append(_parse(f"module {parts[1]}", cp[section],
+                                       _MODULE_FIELDS, _REQUIRED_KEYS, unset))
         elif parts[0] == "link" and len(parts) == 3:
-            spec.links.append(_parse_link(parts[1], parts[2], cp[section]))
+            spec.links.append(_parse(
+                f"link {parts[1]}-{parts[2]}", cp[section], _LINK_FIELDS,
+                ("protocol",), LinkSpec(parts[1], parts[2], None)))
         else:
             raise ConfigError(f"unrecognized section [{section}]")
     return spec
 
 
-def _bad_value(where: str, key: str, raw: str) -> ConfigError:
-    return ConfigError(f"{where}: bad value for {key}: {raw!r}")
-
-
-def _parse_module(module_id: str, section) -> ModuleSpec:
-    """The section's keys set, as overrides, on a module with none set."""
-    where = f"module {module_id}"
-    module = ModuleSpec(module_id, None, None, CodeSpec(None, None),
-                        ModalitySpec("custom", None, None, None, None), None)
-    for key in _MODULE_FIELDS:
+def _parse(where: str, section, table: dict, required: tuple, spec):
+    """The section's keys set on ``spec``, as overrides; raises ConfigError
+    naming a bad value, then an unknown key, then a missing required key."""
+    for key in table:
         raw = section.get(key)
         if raw is not None:
             try:
-                _set(module, key, raw)
+                _set(spec, key, raw, table)
             except ValueError as exc:
-                raise _bad_value(where, key, raw) from exc
-    for key in _REQUIRED_KEYS:
-        if _get(module, key) is None:
-            # named by its ModuleSpec attribute, or its key within a part
-            attr, part = _MODULE_FIELDS[key][:2]
+                raise ConfigError(f"{where}: bad value for {key}: "
+                                  f"{raw!r}") from exc
+    for key in section:
+        if key not in table:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+    for key in required:
+        if _get(spec, key, table) is None:
+            # named by its spec attribute, or its key within a part
+            attr, part = table[key][:2]
             raise ConfigError(f"{where}: missing "
                               f"{attr if part is None else key}")
-    for key in section:
-        if key not in _MODULE_FIELDS:
-            raise ConfigError(f"{where}: unknown key {key!r}")
-    return module
-
-
-def _parse_link(a: str, b: str, section) -> LinkSpec:
-    where = f"link {a}-{b}"
-    kwargs = {}
-    for key, kind in _LINK_FIELDS.items():
-        raw = section.get(key)
-        if raw is not None:
-            try:
-                kwargs[key] = kind(raw)
-            except ValueError as exc:
-                raise _bad_value(where, key, raw) from exc
-    for key in section:
-        if key not in _LINK_FIELDS:
-            raise ConfigError(f"{where}: unknown key {key!r}")
-    if "protocol" not in kwargs:
-        raise ConfigError(f"{where}: missing protocol")
-    return LinkSpec(a, b, **kwargs)
+    return spec
 
 
 _OVERRIDE_ALIASES = {"d": "code_distance", "n": "logical_qubits"}
@@ -539,7 +519,7 @@ def apply_override(spec: ArchitectureSpec, override: str) -> None:
     if key not in _MODULE_FIELDS:
         raise ConfigError(f"override: unknown key {key!r}")
     try:
-        _set(matches[0], key, raw_value)
+        _set(matches[0], key, raw_value, _MODULE_FIELDS)
     except ValueError as exc:
         raise ConfigError(f"override {override!r}: bad value") from exc
 

@@ -6,7 +6,8 @@ import pathlib
 
 import pytest
 
-from hetqc.arch import (_MODULE_FIELDS, BUILTIN_NAMES, CYCLE_TIME_RANGE_S,
+from hetqc.arch import (_LINK_FIELDS, _MODULE_FIELDS, BUILTIN_NAMES,
+                        CYCLE_TIME_RANGE_S,
                         ConfigError, LinkSpec, ModuleSpec, apply_override,
                         builtin_architecture, derive_boundary,
                         load_architecture, parse_config_text, to_config_text,
@@ -88,6 +89,29 @@ def test_override_survives_round_trip(key):
     apply_override(spec, f"raqm0.{key}={_NEW_VALUES[key]}")
     assert spec.modules != builtin_architecture("B5").modules
     assert parse_config_text(to_config_text(spec)).modules == spec.modules
+
+
+#: a new value for each config key of B5's qpu0-raqm0 link; every builtin
+#: link has the defaults of eps_tele, n_buf and n_anc_pump
+_NEW_LINK_VALUES = {"protocol": "lattice_surgery", "eps_tele": "3e-05",
+                    "n_buf": "5", "n_anc_pump": "2"}
+
+
+@pytest.mark.parametrize("key", sorted(_LINK_FIELDS))
+def test_link_value_survives_round_trip(key):
+    # links take no override, so the new value goes in the config text
+    builtin = builtin_architecture("B5")
+    good = to_config_text(builtin)
+    at = good.index("[link qpu0 raqm0]")
+    old = f"{key} = {getattr(builtin.links[1], key)}\n"
+    text = good[:at] + good[at:].replace(
+        old, f"{key} = {_NEW_LINK_VALUES[key]}\n", 1)
+    spec = parse_config_text(text)
+    value = _LINK_FIELDS[key][2](_NEW_LINK_VALUES[key])
+    assert value != getattr(builtin.links[1], key)
+    new_link = dataclasses.replace(builtin.links[1], **{key: value})
+    assert spec.links == [builtin.links[0], new_link, builtin.links[2]]
+    assert to_config_text(spec) == text
 
 
 def test_override_rejects_bad_input():
@@ -358,6 +382,10 @@ def test_validate_names_each_problem(name, edit, problems):
     ("n_buf = 2", "n_buf = many", "link qpu0-stqm0: bad value for n_buf: "
      "'many'"),
     ("protocol = transversal\n", "", "link qpu0-stqm0: missing protocol"),
+    # an unknown key is named before the required key it misspells
+    ("kind = STQM\n", "kinds = STQM\n", "module stqm0: unknown key 'kinds'"),
+    ("protocol = transversal\n", "protocl = transversal\n",
+     "link qpu0-stqm0: unknown key 'protocl'"),
 ])
 def test_parse_names_each_config_error(old, new, message):
     good = to_config_text(builtin_architecture("A1"))

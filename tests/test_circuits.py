@@ -6,8 +6,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from hetqc.arch import builtin_architecture
 from hetqc.circuits import (CircuitError, GateOp, LogicalCircuit,
                             control_slots)
+from hetqc.compiler import InvalidCircuit, schedule
 from hetqc.generators import (default_truncation, generate_aqft,
                               generate_cuccaro_adder,
                               generate_fermi_hubbard_step,
@@ -46,6 +48,13 @@ def test_validate_reports_every_bad_op():
     assert len(problems) == 2
     assert problems[0].startswith("op 1:")
     assert problems[1].startswith("op 2:")
+
+
+def test_negative_qubit_count_is_refused():
+    circuit = LogicalCircuit("neg", -1)
+    assert circuit.validate() == ["negative qubit count"]
+    with pytest.raises(InvalidCircuit, match="negative qubit count"):
+        schedule(circuit, builtin_architecture("A1"))
 
 
 def test_inverse_pairs():

@@ -241,6 +241,15 @@ def test_sweep_writes_comparison(tmp_path, capsys):
     assert "no architectures given" in capsys.readouterr().err
 
 
+def test_rsa_refuses_an_estimate_that_does_not_compile(capsys):
+    # two slots per core cannot hold a Toffoli: exit 4, no traceback
+    assert main(["rsa", "--compiled", "--archs", "A1",
+                 "--override", "qpu.n=2"]) == 4
+    err = capsys.readouterr().err
+    assert err == ("error: estimate failed for A1: gate Toffoli needs 3 "
+                   "slots, core qpu0:core0 holds 2\n")
+
+
 def test_sweep_prints_a_failed_row(tmp_path, capsys):
     # 1001 qubits exceed the grid device but not A1, where one is touched
     path = tmp_path / "wide.txt"

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hetqc import compiler
-from hetqc.arch import apply_override, builtin_architecture, validate
+from hetqc.arch import (apply_override, builtin_architecture,
+                        parse_config_text, to_config_text, validate)
 from hetqc.circuits import GATE_ARITY, LogicalCircuit
 from hetqc.cli import build_workload
 from hetqc.compiler import (CATEGORIES, CompileError, ErrorBudget, EVENT_KINDS,
@@ -230,6 +231,30 @@ def test_synchronize_clocks_cases():
     assert (eff, stretched) == (0.5e-6, True)
     with pytest.raises(ValueError):
         synchronize_clocks(0.0, 1e-6, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(("keep_range", "transfer_s"),
+                         [(True, 30 * 51e-6), (False, 30 * 50.5e-6)])
+def test_raqm_without_cycle_range_keeps_its_own_cycle(keep_range, transfer_s):
+    # A2's RAQM at 50.5 us: its range lets it align to 51 compute cycles,
+    # and a config without the range leaves it at its nominal cycle; a
+    # transfer lasts 30 memory cycles either way
+    text = to_config_text(builtin_architecture("A2"))
+    assert text.count("t_cycle_s = 5e-05\n") == 1
+    lines = text.replace("t_cycle_s = 5e-05\n",
+                         "t_cycle_s = 5.05e-05\n").splitlines(True)
+    if not keep_range:
+        lines = [line for line in lines
+                 if not line.startswith(("t_cycle_min_s", "t_cycle_max_s"))]
+    spec = parse_config_text("".join(lines))
+    assert (spec.module("raqm0").t_cycle_min_s is None) is not keep_range
+    assert validate(spec) == []
+    prog = schedule(build_workload("hubbard:lx=4,ly=4"), spec)
+    transfers = [ev.duration_s for ev in prog.events
+                 if ev.module == "raqm0"
+                 and ev.kind in ("transfer_write", "transfer_read")]
+    assert len(transfers) == 194
+    assert transfers == pytest.approx([transfer_s] * 194, rel=1e-12)
 
 
 def test_error_budget_masses():
