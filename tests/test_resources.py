@@ -6,7 +6,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hetqc.arch import LinkSpec, apply_override, builtin_architecture
+from hetqc.arch import (BUILTIN_NAMES, LinkSpec, apply_override,
+                        builtin_architecture)
 from hetqc.estimator import rsa_estimate
 from hetqc.resources import (CostWeights, ResourceCounts, count_architecture,
                              count_homogeneous, place_transfer_patches,
@@ -69,6 +70,35 @@ def test_raqm_builtin_counts():
 def test_factoring_architecture_totals(name, total):
     rc = count_architecture(builtin_architecture(name))
     assert rc.total_qubits == total
+
+
+#: (qubits_active, qubits_static, couplers_local, couplers_nonlocal,
+#: interconnects) of every builtin
+BUILTIN_COUNTS = {
+    "baseline1000": (49_140_000, 0, 98_280_000, 0, 0),
+    "A1": (600_030, 225_000, 229_050, 0, 452_700),
+    "A2": (354_600, 0, 335_754, 0, 45_270),
+    "A3": (354_600, 0, 335_754, 0, 45_270),
+    "Mono": (2_048_600, 0, 4_097_200, 0, 0),
+    "B1": (531_715, 505_039, 513_703, 0, 509_371),
+    "B2": (328_567, 52_345, 499_073, 0, 64_619),
+    "B3": (137_419, 52_345, 159_033, 30_240, 66_063),
+    "B4": (589_570, 505_039, 567_131, 0, 522_728),
+    "B5": (386_422, 52_345, 552_501, 0, 77_976),
+    "B6": (195_274, 52_345, 212_461, 30_240, 79_420),
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_counts_sum_their_tier_rows(name):
+    rc = count_architecture(builtin_architecture(name))
+    assert (rc.qubits_active, rc.qubits_static, rc.couplers_local,
+            rc.couplers_nonlocal, rc.interconnects) == BUILTIN_COUNTS[name]
+    rows = rc.breakdown
+    assert sum(v for k, v in rows.items()
+               if k.startswith("qubits_")) == rc.total_qubits
+    assert sum(v for k, v in rows.items()
+               if k.endswith("interconnect")) == rc.interconnects
 
 
 @pytest.mark.parametrize("name", ["B1", "B2", "B3", "B4", "B5", "B6"])
