@@ -454,13 +454,13 @@ def parse_config_text(text: str) -> ArchitectureSpec:
         if section == "architecture":
             continue
         parts = section.split()
-        if parts[0] == "module" and len(parts) == 2:
+        if len(parts) == 2 and parts[0] == "module":
             unset = ModuleSpec(parts[1], None, None, CodeSpec(None, None),
                                ModalitySpec("custom", None, None, None, None),
                                None)
             spec.modules.append(_parse(f"module {parts[1]}", cp[section],
                                        _MODULE_FIELDS, _REQUIRED_KEYS, unset))
-        elif parts[0] == "link" and len(parts) == 3:
+        elif len(parts) == 3 and parts[0] == "link":
             spec.links.append(_parse(
                 f"link {parts[1]}-{parts[2]}", cp[section], _LINK_FIELDS,
                 ("protocol",), LinkSpec(parts[1], parts[2], None)))

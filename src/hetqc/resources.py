@@ -1,9 +1,14 @@
 """Physical resource counting and space cost.
 
 Counts physical qubits, couplers, and interconnect rails per architecture
-family.  Each count function returns a :class:`ResourceCounts` whose top
-fields are architecture totals and whose breakdown maps tier names to their
-contributions.  Counting conventions:
+family.  Each count function states each tier row (name -> qubits) once,
+as active, static or rail, and ``_tally`` alone derives the totals of the
+:class:`ResourceCounts` from those rows: active qubits are the active plus
+the rail rows, static qubits the static rows, interconnects the rail rows,
+and the breakdown holds every row.  ``count_architecture`` picks one of
+three formulas: the homogeneous device, the cryptanalysis plant, or
+``count_heterogeneous`` for a compute core with one memory.  Counting
+conventions:
 
 * every actively corrected tier of a homogeneous device carries two local
   couplers per qubit (tunable couplers both sides), so local couplers are
@@ -17,6 +22,7 @@ contributions.  Counting conventions:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .arch import (ASQPU_FACTORY_UNITS, ArchitectureSpec, GROSS_BLOCK_LOGICAL,
@@ -80,6 +86,18 @@ def _compute_tiers(n: int, d: int, c_anc: float, n_edges: int,
     return tiers
 
 
+def _tally(active: dict[str, int], static: dict[str, int],
+           rails: dict[str, int], local: int, nonlocal_: int) -> ResourceCounts:
+    """Counts of tier rows (name -> qubits) and the two coupler totals,
+    summed by the rule of the module docstring."""
+    return ResourceCounts(
+        qubits_active=sum(active.values()) + sum(rails.values()),
+        qubits_static=sum(static.values()),
+        couplers_local=local, couplers_nonlocal=nonlocal_,
+        interconnects=sum(rails.values()),
+        breakdown={**active, **static, **rails})
+
+
 def count_homogeneous(n: int, d: int, c_anc: float = 1.0,
                       n_edges: int | None = None,
                       n_mf_per_qpu: float = 3.0, n_dist: int = 72) -> ResourceCounts:
@@ -90,72 +108,46 @@ def count_homogeneous(n: int, d: int, c_anc: float = 1.0,
     """
     tiers = _compute_tiers(n, d, c_anc, 2 * n if n_edges is None else n_edges,
                            (n_mf_per_qpu, n_dist))
-    active = sum(tiers.values())
-    breakdown = dict(tiers)
-    breakdown.update(("couplers" + k[6:], 2 * v) for k, v in tiers.items())
-    return ResourceCounts(qubits_active=active, couplers_local=2 * active,
-                          breakdown=breakdown)
-
-
-def _qpu_tiers(qpu: ModuleSpec, qsf: ModuleSpec | None) -> dict[str, int]:
-    n = qpu.n_logical
-    return _compute_tiers(n, qpu.code.distance, qpu.code.c_anc,
-                          n if qpu.n_edges is None else qpu.n_edges,
-                          qsf and (qsf.n_mf_per_qpu, qsf.n_dist))
-
-
-def count_heterogeneous_stqm(spec: ArchitectureSpec) -> ResourceCounts:
-    """Compute core + passive short-term memory joined transversally.
-
-    Memory patches are stored at the compute distance without readout
-    ancillas (static).  Interconnect rails: one per boundary qubit times
-    (1 + n_anc_pump) pump ancillas.
-    """
-    qpu = spec.by_kind("QPU")[0]
-    qsf = (spec.by_kind("QSF") or [None])[0]
-    stqm = spec.by_kind("STQM")[0]
-    link = spec.links_of(stqm.id)[0]
-    bdry = derive_boundary(spec, link)
-    d = qpu.code.distance
-    tiers = _qpu_tiers(qpu, qsf)
-    rails = bdry.n_bdry * d * d * (1 + link.n_anc_pump)
-    tiers["qubits_interconnect"] = rails
-    static = stqm.n_logical * d * d
-    local = 2 * tiers["qubits_logical"] + bdry.n_bdry * d * d
-    rc = ResourceCounts(
-        qubits_active=sum(tiers.values()),
-        qubits_static=static,
-        couplers_local=local,
-        interconnects=rails,
-        breakdown=dict(tiers))
-    rc.breakdown["qubits_memory"] = static
+    couplers = {"couplers" + k[6:]: 2 * v for k, v in tiers.items()}
+    rc = _tally(tiers, {}, {}, sum(couplers.values()), 0)
+    rc.breakdown.update(couplers)
     return rc
 
 
-def count_heterogeneous_raqm(spec: ArchitectureSpec) -> ResourceCounts:
-    """Compute core + actively corrected memory joined by lattice surgery.
+def count_heterogeneous(spec: ArchitectureSpec) -> ResourceCounts:
+    """Compute core + one memory, joined by the memory's link.
 
-    Interconnect rails: n_bdry * d_bdry * (2 + n_buf + n_anc_pump), covering
-    merge ancillas, Bell buffers, and pump ancillas.
+    * STQM, a passive short-term memory joined transversally: memory
+      patches are stored at the compute distance without readout ancillas
+      (static).  Interconnect rails: one per boundary qubit times
+      (1 + n_anc_pump) pump ancillas.
+    * RAQM, an actively corrected memory joined by lattice surgery:
+      interconnect rails n_bdry * d_bdry * (2 + n_buf + n_anc_pump),
+      covering merge ancillas, Bell buffers, and pump ancillas.
     """
     qpu = spec.by_kind("QPU")[0]
     qsf = (spec.by_kind("QSF") or [None])[0]
-    raqm = spec.by_kind("RAQM")[0]
-    link = spec.links_of(raqm.id)[0]
+    memory = spec.memory_modules()[0]
+    link = spec.links_of(memory.id)[0]
     bdry = derive_boundary(spec, link)
-    d_qm = raqm.code.distance
-    tiers = _qpu_tiers(qpu, qsf)
-    tiers["qubits_memory"] = round(
-        raqm.n_logical * (1 + raqm.code.c_anc) * d_qm * d_qm)
-    rails = bdry.n_bdry * bdry.d_bdry * (2 + link.n_buf + link.n_anc_pump)
-    tiers["qubits_interconnect"] = rails
-    local = (2 * tiers["qubits_memory"] + 2 * tiers["qubits_logical"]
-             + bdry.n_bdry * bdry.d_bdry)
-    return ResourceCounts(
-        qubits_active=sum(tiers.values()),
-        couplers_local=local,
-        interconnects=rails,
-        breakdown=dict(tiers))
+    d = qpu.code.distance
+    active = _compute_tiers(
+        qpu.n_logical, d, qpu.code.c_anc,
+        qpu.n_logical if qpu.n_edges is None else qpu.n_edges,
+        qsf and (qsf.n_mf_per_qpu, qsf.n_dist))
+    static: dict[str, int] = {}
+    local = 2 * active["qubits_logical"]
+    if memory.kind == "STQM":
+        static["qubits_memory"] = memory.n_logical * d * d
+        rails = bdry.n_bdry * d * d * (1 + link.n_anc_pump)
+        local += bdry.n_bdry * d * d
+    else:
+        d_qm = memory.code.distance
+        active["qubits_memory"] = round(
+            memory.n_logical * (1 + memory.code.c_anc) * d_qm * d_qm)
+        rails = bdry.n_bdry * bdry.d_bdry * (2 + link.n_buf + link.n_anc_pump)
+        local += 2 * active["qubits_memory"] + bdry.n_bdry * bdry.d_bdry
+    return _tally(active, static, {"qubits_interconnect": rails}, local, 0)
 
 
 def count_rsa_architecture(spec: ArchitectureSpec) -> ResourceCounts:
@@ -166,7 +158,8 @@ def count_rsa_architecture(spec: ArchitectureSpec) -> ResourceCounts:
     interconnect (2N_qpu+N_cache) d^2; cache N_cache d^2 static plus one
     coupler each; surface LTS 2N d_lts^2 + 2N_tr d^2 (double for couplers);
     gross LTS 24N + 2N_tr d^2 qubits, 48N local + 24N non-local couplers;
-    ASQPU 2N d^2 with its own rails and one 12-unit factory block.
+    ASQPU 2N d^2 with its own rails and one 12-unit factory block.  The
+    rows of several ASQPUs add up.
 
     The CCZ factories are priced from the QPU alone: the plant reads no
     field of the QSF.  So an override of ``qsf.n_mf_per_qpu`` or
@@ -174,76 +167,56 @@ def count_rsa_architecture(spec: ArchitectureSpec) -> ResourceCounts:
     ``validate`` still checks those fields.
     """
     qpu = spec.by_kind("QPU")[0]
-    d = qpu.code.distance
+    n, d = qpu.n_logical, qpu.code.distance
     d2 = d * d
-    bd: dict[str, int] = {}
-    active = 0
-    static = 0
-    local = 0
-    nonlocal_ = 0
-    inter = 0
+    active = Counter({"qubits_logical": 2 * n * d2,
+                      "qubits_clifford": 2 * n * d,
+                      "qubits_factory": 2 * n * (4 * d2 + 2 * d)})
+    static: dict[str, int] = {}
+    rails: Counter[str] = Counter()
+    local, nonlocal_ = 4 * n * d2, 0
 
-    n = qpu.n_logical
-    bd["qubits_logical"] = 2 * n * d2
-    bd["qubits_clifford"] = 2 * n * d
-    bd["qubits_factory"] = 2 * n * (4 * d2 + 2 * d)
-    active += bd["qubits_logical"] + bd["qubits_clifford"] + bd["qubits_factory"]
-    local += 4 * n * d2
-
-    caches = spec.by_kind("STQM")
-    if caches:
-        cache = caches[0]
-        bd["qubits_cache"] = cache.n_logical * d2
-        static += bd["qubits_cache"]
+    for cache in spec.by_kind("STQM"):
+        static["qubits_cache"] = cache.n_logical * d2
         local += cache.n_logical * d2
-        bd["qubits_cache_interconnect"] = (2 * n + cache.n_logical) * d2
-        active += bd["qubits_cache_interconnect"]
-        inter += bd["qubits_cache_interconnect"]
+        rails["qubits_cache_interconnect"] = (2 * n + cache.n_logical) * d2
 
     for raqm in spec.by_kind("RAQM"):
         n_tr = resolved_transfer_patches(raqm)
         if raqm.code.family == "gross":
             per_logical = GROSS_BLOCK_PHYSICAL // GROSS_BLOCK_LOGICAL
-            bd["qubits_lts"] = per_logical * raqm.n_logical + 2 * n_tr * d2
+            active["qubits_lts"] = per_logical * raqm.n_logical + 2 * n_tr * d2
             local += 2 * per_logical * raqm.n_logical + 4 * n_tr * d2
             nonlocal_ += per_logical * raqm.n_logical
-            bd["qubits_lts_clifford"] = 0
+            active["qubits_lts_clifford"] = 0
         else:
             d_lts = raqm.code.distance
-            bd["qubits_lts"] = (2 * raqm.n_logical * d_lts * d_lts
-                                + 2 * n_tr * d2)
+            active["qubits_lts"] = (2 * raqm.n_logical * d_lts * d_lts
+                                    + 2 * n_tr * d2)
             local += (4 * raqm.n_logical * d_lts * d_lts + 4 * n_tr * d2)
-            bd["qubits_lts_clifford"] = 2 * raqm.n_logical * d_lts
-        active += bd["qubits_lts"] + bd["qubits_lts_clifford"]
-        bd["qubits_lts_interconnect"] = n_tr * d2
-        active += bd["qubits_lts_interconnect"]
-        inter += bd["qubits_lts_interconnect"]
+            active["qubits_lts_clifford"] = 2 * raqm.n_logical * d_lts
+        rails["qubits_lts_interconnect"] = n_tr * d2
 
     for asqpu in spec.by_kind("ASQPU"):
-        m = asqpu.n_logical
-        da = asqpu.code.distance
-        bd["qubits_asqpu"] = 2 * m * da * da
-        bd["qubits_asqpu_factory"] = (ASQPU_FACTORY_UNITS
-                                      * (4 * da * da + 2 * da))
-        bd["qubits_asqpu_interconnect"] = m * da * da
-        active += (bd["qubits_asqpu"] + bd["qubits_asqpu_factory"]
-                   + bd["qubits_asqpu_interconnect"])
+        m, da = asqpu.n_logical, asqpu.code.distance
+        active["qubits_asqpu"] += 2 * m * da * da
+        active["qubits_asqpu_factory"] += (ASQPU_FACTORY_UNITS
+                                           * (4 * da * da + 2 * da))
+        rails["qubits_asqpu_interconnect"] += m * da * da
         local += 4 * m * da * da
-        inter += bd["qubits_asqpu_interconnect"]
 
-    return ResourceCounts(qubits_active=active, qubits_static=static,
-                          couplers_local=local, couplers_nonlocal=nonlocal_,
-                          interconnects=inter, breakdown=bd)
+    return _tally(active, static, rails, local, nonlocal_)
 
 
 def count_architecture(spec: ArchitectureSpec) -> ResourceCounts:
     """Counts of an architecture, by the formula of its family.
 
     Without memory it is the homogeneous device, as in ``schedule``.  With
-    memory, a CCZ factory, an ASQPU or both memory kinds pick the
-    cryptanalysis plant; otherwise its one memory kind picks the formula.
-    An architecture that ``validate`` rejects raises ``ValueError`` with
-    its problems, since the formulas rely on the shape it checks.
+    memory, a CCZ factory, an ASQPU or both memory kinds (two memories,
+    as ``validate`` allows one of each) pick the cryptanalysis plant;
+    otherwise :func:`count_heterogeneous` counts its one memory.  An
+    architecture that ``validate`` rejects raises ``ValueError`` with its
+    problems, since the formulas rely on the shape it checks.
     """
     problems = validate(spec)
     if problems:
@@ -254,14 +227,10 @@ def count_architecture(spec: ArchitectureSpec) -> ResourceCounts:
         return count_homogeneous(
             qpu.n_logical, qpu.code.distance, qpu.code.c_anc, qpu.n_edges,
             qsf.n_mf_per_qpu if qsf else 0.0, qsf.n_dist if qsf else 0)
-    stqm = spec.by_kind("STQM")
-    raqm = spec.by_kind("RAQM")
     if (qsf is not None and qsf.state == "CCZ") or spec.by_kind("ASQPU") \
-            or (stqm and raqm):
+            or len(spec.memory_modules()) > 1:
         return count_rsa_architecture(spec)
-    if stqm:
-        return count_heterogeneous_stqm(spec)
-    return count_heterogeneous_raqm(spec)
+    return count_heterogeneous(spec)
 
 
 # ------------------------------------------------- transfer-patch placement
@@ -365,7 +334,7 @@ def _block_distance(x: int, y: int, ax: int, ay: int) -> int:
 
 __all__ = [
     "ResourceCounts", "CostWeights", "space_cost", "count_homogeneous",
-    "count_heterogeneous_stqm", "count_heterogeneous_raqm",
-    "count_rsa_architecture", "count_architecture", "place_transfer_patches",
-    "resolved_transfer_patches", "PatchLayout", "transfer_patch_layout",
+    "count_heterogeneous", "count_rsa_architecture", "count_architecture",
+    "place_transfer_patches", "resolved_transfer_patches", "PatchLayout",
+    "transfer_patch_layout",
 ]

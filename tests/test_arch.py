@@ -386,6 +386,9 @@ def test_validate_names_each_problem(name, edit, problems):
     ("kind = STQM\n", "kinds = STQM\n", "module stqm0: unknown key 'kinds'"),
     ("protocol = transversal\n", "protocl = transversal\n",
      "link qpu0-stqm0: unknown key 'protocl'"),
+    # a blank header once raised IndexError
+    ("[architecture]\n", "[ ]\n[architecture]\n",
+     "unrecognized section [ ]"),
 ])
 def test_parse_names_each_config_error(old, new, message):
     good = to_config_text(builtin_architecture("A1"))

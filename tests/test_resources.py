@@ -140,6 +140,24 @@ def test_count_refuses_a_second_memory_of_a_kind():
         count_architecture(spec)
 
 
+def test_count_adds_the_rows_of_two_asqpus():
+    # the breakdown once held the second ASQPU's rows alone, so its rows
+    # summed to 1,059,953 qubits against the total's 1,117,808
+    spec = builtin_architecture("B4")
+    spec.modules.append(dataclasses.replace(spec.module("asqpu0"),
+                                            id="asqpu1", n_logical=5))
+    spec.links += [dataclasses.replace(link, a="asqpu1")
+                   for link in spec.links_of("asqpu0")]
+    rc = count_architecture(spec)
+    assert rc.total_qubits == 1_117_808
+    assert rc.interconnects == 524_533
+    rows = rc.breakdown
+    assert sum(v for k, v in rows.items()
+               if k.startswith("qubits_")) == rc.total_qubits
+    assert sum(v for k, v in rows.items()
+               if k.endswith("interconnect")) == rc.interconnects
+
+
 def test_space_cost_weighting():
     rc = ResourceCounts(qubits_active=10, qubits_static=4, couplers_local=6,
                         couplers_nonlocal=2, interconnects=8)

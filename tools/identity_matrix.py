@@ -17,18 +17,23 @@ output as it was.  The hetqc imported is the one under this checkout's
 The cases are the 1000-qubit AQFT on A1, A2 and A3, the 16x16 Fermi-Hubbard
 on A2, A3 and baseline1000, every RSA subroutine on every builtin, the
 8x8 Fermi-Hubbard on B1, whose operands pass between its cores, five runs
-at the edge of what fits (:data:`FIT_CASES`), five runs that reach a
-memory cell's swap legs or refuse a transfer (:data:`TRANSFER_CASES`),
-the Fermi-Hubbard sweep over baseline1000, A1, A2 and A3, and an
-8-bit Cuccaro adder swept over B1-B6, A1, A2 and Mono.  Together they reach
-both schedulers, every memory kind, the swap legs of a cell, the
-multi-core and the specialty-core builtins, each of the front end's three
-refusals of a circuit that does not fit, a refused transfer, and in a
-sweep the architectures that share one lowering or one modular plan:
-B1-B3 and B4-B6 with their multi-core and ASQPU plans, the CCZ and the T
-factory, and the grid model.  Two more cases, printed last, reach the
-config path: a ``run`` with ``--override`` options, and one on an
-architecture read back from the config file that ``hetqc arch --out``
+at the edge of what fits (:data:`FIT_CASES`), six runs that reach a
+memory cell's swap legs, a stretched memory's clock pads or a refused
+transfer (:data:`TRANSFER_CASES`), a circuit file whose qubits end in a
+measurement (:data:`MEASURED`) on B1, the Fermi-Hubbard sweep over
+baseline1000, A1, A2 and A3, an 8-bit Cuccaro adder swept over B1-B6, A1,
+A2 and Mono, and two ``rsa`` estimates (:data:`RSA_CASES`): the pinned
+one over every builtin and the compiled one over B1-B6, Mono and A1, each
+with the sha256 of its ``rsa.json``.  Together they reach both schedulers,
+every memory kind, the swap legs of a cell, the clock pads of a stretched
+memory, a slot released by a measurement, the multi-core and the
+specialty-core builtins, each of the front end's three refusals of a
+circuit that does not fit, a refused transfer, every resource-count
+formula, and in a sweep the architectures that share one lowering or one
+modular plan: B1-B3 and B4-B6 with their multi-core and ASQPU plans, the
+CCZ and the T factory, and the grid model.  Two more cases, printed last,
+reach the config path: a ``run`` with ``--override`` options, and one on
+an architecture read back from the config file that ``hetqc arch --out``
 wrote.  Stdlib only; about ten seconds on one core.
 """
 
@@ -63,15 +68,32 @@ FIT_CASES = (
     ("cuccaro:bits=8", "B4", ("asqpu.n=2",)),
 )
 #: (workload, arch, overrides) of runs through a memory cell's swap legs,
-#: on B2's surface-code and B3's gross-code RAQM at two adder widths, and
-#: of a run refused for a transfer over threshold
+#: on B2's surface-code and B3's gross-code RAQM at two adder widths, of a
+#: run refused for a transfer over threshold, and of B2 with a 4-cell
+#: cache and a RAQM stretched to a cycle of 1.5 us, whose hops wait for
+#: clock pads
 TRANSFER_CASES = (
     ("cuccaro:bits=128", "B2", ()),
     ("cuccaro:bits=128", "B3", ()),
     ("cuccaro:bits=600", "B2", ()),
     ("cuccaro:bits=600", "B3", ()),
     ("aqft:n=20,k_th=5", "A1", ("stqm0.t2_s=1e-3",)),
+    ("hubbard:lx=4,ly=4", "B2",
+     ("cache0.logical_qubits=4", "raqm0.t_cycle_s=1.5e-6",
+      "raqm0.t_cycle_min_s=1.5e-6", "raqm0.t_cycle_max_s=1.5e-6")),
 )
+#: a circuit file, run on B1 and shown as file:<circuit>, whose qubits
+#: end in a measurement: each releases its slot instead of a write-out
+MEASURED = """name measured
+qubits 3
+H q0
+CNOT q0 q1
+CNOT q1 q2
+T q2
+Measure q0
+Measure q1
+Measure q2
+"""
 RSA_KINDS = ("adder33", "lookup6", "phaseup6")
 ARTIFACTS = ("schedule.txt", "summary.json", "budget.csv")
 SWEEP_ARTIFACTS = ("comparison.csv", "summary.json")
@@ -79,6 +101,12 @@ SWEEP_ARTIFACTS = ("comparison.csv", "summary.json")
 SWEEP_CASES = (
     (HUBBARD, "baseline1000,A1,A2,A3"),
     ("cuccaro:bits=8", "B1,B2,B3,B4,B5,B6,A1,A2,Mono"),
+)
+#: options of every ``rsa`` case, in printing order: the pinned estimate
+#: over every builtin, and the compiled one
+RSA_CASES = (
+    ["--archs", ",".join(BUILTIN_NAMES)],
+    ["--compiled", "--archs", "B1,B2,B3,B4,B5,B6,Mono,A1"],
 )
 
 #: the ``arch`` call that writes the config file, shown as <cfg>, and the
@@ -148,10 +176,17 @@ def main_matrix() -> None:
             _print_run(["--workload", workload, "--arch", arch, *options],
                        Path(tmp) / str(i),
                        " ".join([workload, arch, *options]))
+        circuit = Path(tmp) / "measured.txt"
+        circuit.write_text(MEASURED, encoding="utf-8")
+        _print_run(["--workload", f"file:{circuit}", "--arch", "B1"],
+                   Path(tmp) / "measured", "file:<circuit> B1")
         for i, (workload, archs) in enumerate(SWEEP_CASES):
             _print_call("sweep", ["--workload", workload, "--archs", archs],
                         Path(tmp) / f"sweep{i}", f"{workload} {archs}",
                         SWEEP_ARTIFACTS)
+        for i, args in enumerate(RSA_CASES):
+            _print_call("rsa", args, Path(tmp) / f"rsa{i}", " ".join(args),
+                        ("rsa.json",))
         cfg = Path(tmp) / "arch.cfg"
         code, stdout, stderr = _call(ARCH_EXPORT, cfg)
         print(f"{' '.join(ARCH_EXPORT)} --out <cfg> exit={code} "
